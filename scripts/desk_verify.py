@@ -19,27 +19,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from hybridcorr.alba import run
 from hybridcorr.corpus import CORPUS
 from hybridcorr.generate import GeneratorConfig, SkeletalGenerator
-from hybridcorr.semantics import (
-    EnumerationLimits,
-    enumerate_frames,
-    frame_valid,
-    frame_valid_quasi_set,
-)
-from hybridcorr.syntax import Implies, fmt
+from hybridcorr.semantics import EnumerationLimits, frame_agreement
+from hybridcorr.syntax import fmt, parse_input
 from hybridcorr.translate import verify_tr_equivalence
 
 
-def check_case(name, ineq, result, frames, limits):
+def check_case(name, ineq, result, limits):
     t0 = time.monotonic()
-    f = Implies(ineq.lhs, ineq.rhs)
-    valid = 0
-    for fr in frames:
-        vi = frame_valid(fr, f, limits)
-        vo = frame_valid_quasi_set(fr, result.quasis, limits)
-        if vi != vo:
-            print(f"FAIL {name}: disagreement on {fr}")
-            return False
-        valid += vi
+    agreement = frame_agreement(ineq, result.quasis, limits)
+    if not agreement.ok:
+        print(f"FAIL {name}: disagreement on {agreement.counterexamples[0]}")
+        return False
     for q in result.quasis:
         report = verify_tr_equivalence(q, samples=50, seed=0)
         if not report.ok:
@@ -47,7 +37,7 @@ def check_case(name, ineq, result, frames, limits):
             return False
     dt = time.monotonic() - t0
     print(
-        f"ok   {name}: valid on {valid}/{len(frames)} frames, "
+        f"ok   {name}: valid on {len(agreement.valid_in)}/{agreement.frames} frames, "
         f"{len(result.quasis)} quasi(s), {dt:.2f}s"
     )
     return True
@@ -63,12 +53,12 @@ def main() -> int:
     limits = EnumerationLimits(
         max_worlds=args.max_worlds, max_props=3, max_nominals=12, max_count=50_000_000
     )
-    frames = list(enumerate_frames(args.max_worlds, limits))
-    print(f"checking against all {len(frames)} frames with <= {args.max_worlds} worlds")
+    print(f"checking against all frames with <= {args.max_worlds} worlds")
 
     ok = True
     for entry in CORPUS:
-        result = run(entry.formula())
+        ineq = parse_input(entry.input_text)
+        result = run(ineq)
         if not entry.expect_skeletal:
             status = "ok  " if not result.ok else "FAIL"
             ok &= not result.ok
@@ -78,7 +68,7 @@ def main() -> int:
             print(f"FAIL {entry.name}: engine failure {result.reason}")
             ok = False
             continue
-        ok &= check_case(entry.name, entry.inequality(), result, frames, limits)
+        ok &= check_case(entry.name, ineq, result, limits)
 
     cfg = GeneratorConfig(max_depth=4, max_props=2, max_nominals=1, filler_depth=2)
     gen = SkeletalGenerator(seed=args.seed, config=cfg)
@@ -89,7 +79,7 @@ def main() -> int:
             print(f"FAIL generated-{k}: {fmt(ineq.lhs)} <= {fmt(ineq.rhs)}")
             ok = False
             continue
-        ok &= check_case(f"generated-{k}", ineq, result, frames, limits)
+        ok &= check_case(f"generated-{k}", ineq, result, limits)
 
     print("all checks passed" if ok else "CHECKS FAILED")
     return 0 if ok else 1

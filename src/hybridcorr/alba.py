@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .classify import (
     OrderType,
@@ -37,7 +38,6 @@ from .syntax import (
     And,
     At,
     Box,
-    children,
     CaptureError,
     Dia,
     Down,
@@ -55,11 +55,15 @@ from .syntax import (
     Svar,
     Symbol,
     all_symbols,
+    as_inequality,
+    children,
     free_state_vars,
     inequality_to_json,
     is_pure,
+    occurrence_signs,
     polarity,
     props,
+    props_in_order,
     replace_state_var,
     substitute_prop,
 )
@@ -236,38 +240,6 @@ class System:
     ctx: FreshContext
     origin: str
 
-    def symbols(self) -> set[Symbol]:
-        out: set[Symbol] = set()
-        for i in self.inequalities:
-            out |= all_symbols(i.lhs) | all_symbols(i.rhs)
-        out |= all_symbols(self.conclusion.lhs) | all_symbols(self.conclusion.rhs)
-        return out
-
-    def props(self) -> list[Symbol]:
-        seen: list[Symbol] = []
-        for i in self.inequalities:
-            for side in (i.lhs, i.rhs):
-                for p in _props_in_order(side):
-                    if p not in seen:
-                        seen.append(p)
-        return seen
-
-
-def _props_in_order(f: Formula) -> list[Symbol]:
-    out: list[Symbol] = []
-
-    def walk(g: Formula) -> None:
-        match g:
-            case Prop(s):
-                if s not in out:
-                    out.append(s)
-            case _:
-                for c in children(g):
-                    walk(c)
-
-    walk(f)
-    return out
-
 
 class _Budget:
     def __init__(self, limit: int):
@@ -281,6 +253,33 @@ class _Budget:
                 f"step budget of {self.limit} rule applications exceeded; "
                 "this signals a non-terminating strategy bug"
             )
+
+
+# A stage-1 rewrite found in one inequality: rule name, the inequalities
+# that replace it, justification tag.
+Rewrite = tuple[str, tuple[Inequality, ...], str]
+
+
+def _saturate(
+    state: tuple[Inequality, ...],
+    trace: AlbaTrace,
+    budget: _Budget,
+    find_step: Callable[[Inequality], Rewrite | None],
+) -> tuple[Inequality, ...]:
+    """Rewrite to fixpoint: scan the state in order, apply the first rewrite
+    find_step finds, log it, and scan again from the start."""
+    while True:
+        for ineq in state:
+            found = find_step(ineq)
+            if found is not None:
+                break
+        else:
+            return state
+        rule, produced, just = found
+        budget.tick()
+        step = TraceStep(rule, (ineq,), produced, just)
+        trace.steps.append(step)
+        state = apply_step(state, step)
 
 
 # ---------------------------------------------------------------------------
@@ -386,34 +385,18 @@ def _rewrite_at(f: Formula, path: tuple[int, ...], new: Formula) -> Formula:
             raise EngineInvariantError(f"bad rewrite path {path} in {f}")
 
 
-def _distribute(
-    state: tuple[Inequality, ...],
-    trace: AlbaTrace,
-    budget: _Budget,
-) -> tuple[Inequality, ...]:
-    changed = True
-    while changed:
-        changed = False
-        for ineq in state:
-            for side, sign in ((0, Sign.PLUS), (1, Sign.MINUS)):
-                f = ineq.lhs if side == 0 else ineq.rhs
-                found = _find_redex(f, sign)
-                if found is None:
-                    continue
-                path, rule, just, new_sub = found
-                new_f = _rewrite_at(f, path, new_sub)
-                new_ineq = (
-                    Inequality(new_f, ineq.rhs) if side == 0 else Inequality(ineq.lhs, new_f)
-                )
-                budget.tick()
-                step = TraceStep(rule, (ineq,), (new_ineq,), just)
-                trace.steps.append(step)
-                state = apply_step(state, step)
-                changed = True
-                break
-            if changed:
-                break
-    return state
+def _distribution_step(ineq: Inequality) -> Rewrite | None:
+    """The leftmost-innermost redex of +lhs, else of -rhs, rewritten."""
+    for side, sign in ((0, Sign.PLUS), (1, Sign.MINUS)):
+        f = ineq.lhs if side == 0 else ineq.rhs
+        found = _find_redex(f, sign)
+        if found is None:
+            continue
+        path, rule, just, new_sub = found
+        new_f = _rewrite_at(f, path, new_sub)
+        new_ineq = Inequality(new_f, ineq.rhs) if side == 0 else Inequality(ineq.lhs, new_f)
+        return rule, (new_ineq,), just
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -421,77 +404,41 @@ def _distribute(
 # ---------------------------------------------------------------------------
 
 
-def _split_preprocess(
-    state: tuple[Inequality, ...],
-    trace: AlbaTrace,
-    budget: _Budget,
-) -> tuple[Inequality, ...]:
-    changed = True
-    while changed:
-        changed = False
-        for ineq in state:
-            produced: tuple[Inequality, ...] | None = None
-            rule = just = ""
-            match ineq.lhs:
-                case Or(a, b):
-                    produced = (Inequality(a, ineq.rhs), Inequality(b, ineq.rhs))
-                    rule, just = "split-or-lhs", "cpc-case-split"
-            if produced is None:
-                match ineq.rhs:
-                    case And(a, b):
-                        produced = (Inequality(ineq.lhs, a), Inequality(ineq.lhs, b))
-                        rule, just = "split-and-rhs", "cpc-conj-intro"
-            if produced is None:
-                continue
-            budget.tick()
-            step = TraceStep(rule, (ineq,), produced, just)
-            trace.steps.append(step)
-            state = apply_step(state, step)
-            changed = True
-            break
-    return state
+def _split_step(ineq: Inequality) -> Rewrite | None:
+    match ineq.lhs:
+        case Or(a, b):
+            produced = (Inequality(a, ineq.rhs), Inequality(b, ineq.rhs))
+            return "split-or-lhs", produced, "cpc-case-split"
+    match ineq.rhs:
+        case And(a, b):
+            produced = (Inequality(ineq.lhs, a), Inequality(ineq.lhs, b))
+            return "split-and-rhs", produced, "cpc-conj-intro"
+    return None
 
 
 def _occurrence_sign_set(ineq: Inequality, p: Symbol) -> set[int]:
-    from .syntax import occurrence_signs
-
     return set(occurrence_signs(ineq.lhs, p, +1)) | set(occurrence_signs(ineq.rhs, p, -1))
 
 
-def _eliminate_uniform(
-    state: tuple[Inequality, ...],
-    trace: AlbaTrace,
-    budget: _Budget,
-) -> tuple[Inequality, ...]:
-    """Drop variables whose occurrences across +lhs and -rhs all share one
-    sign: all positive substitutes top, all negative substitutes bottom."""
-    changed = True
-    while changed:
-        changed = False
-        for ineq in state:
-            for p in inequality_props(ineq):
-                signs = _occurrence_sign_set(ineq, p)
-                if signs == {+1}:
-                    value: Formula = TOP
-                    rule, just = "eliminate-top", "monotone-substitution"
-                elif signs == {-1}:
-                    value = BOT
-                    rule, just = "eliminate-bot", "antitone-substitution"
-                else:
-                    continue
-                new_ineq = Inequality(
-                    substitute_prop(ineq.lhs, p, value),
-                    substitute_prop(ineq.rhs, p, value),
-                )
-                budget.tick()
-                step = TraceStep(rule, (ineq,), (new_ineq,), just)
-                trace.steps.append(step)
-                state = apply_step(state, step)
-                changed = True
-                break
-            if changed:
-                break
-    return state
+def _uniform_step(ineq: Inequality) -> Rewrite | None:
+    """Drop the first variable whose occurrences across +lhs and -rhs all
+    share one sign: all positive substitutes top, all negative bottom."""
+    for p in inequality_props(ineq):
+        signs = _occurrence_sign_set(ineq, p)
+        if signs == {+1}:
+            value: Formula = TOP
+            rule, just = "eliminate-top", "monotone-substitution"
+        elif signs == {-1}:
+            value = BOT
+            rule, just = "eliminate-bot", "antitone-substitution"
+        else:
+            continue
+        new_ineq = Inequality(
+            substitute_prop(ineq.lhs, p, value),
+            substitute_prop(ineq.rhs, p, value),
+        )
+        return rule, (new_ineq,), just
+    return None
 
 
 def preprocess(
@@ -507,9 +454,8 @@ def preprocess(
         trace = AlbaTrace("preprocess", (ineq,))
     budget = _Budget(budget_limit)
     state: tuple[Inequality, ...] = (ineq,)
-    state = _distribute(state, trace, budget)
-    state = _split_preprocess(state, trace, budget)
-    state = _eliminate_uniform(state, trace, budget)
+    for find_step in (_distribution_step, _split_step, _uniform_step):
+        state = _saturate(state, trace, budget, find_step)
     trace.final = state
     if eps is not None:
         for out in state:
@@ -822,7 +768,7 @@ def _ackermann_loop(
 ) -> System:
     """Eliminate every propositional variable, first-occurrence order."""
     while True:
-        remaining = system.props()
+        remaining = props_in_order(*system.inequalities)
         if not remaining:
             return system
         p = remaining[0]
@@ -1022,17 +968,6 @@ class Failure:
 AlbaResult = Success | Failure
 
 
-def as_inequality(f: Formula | Inequality) -> Inequality:
-    """Implications become lhs <= rhs; anything else is wrapped as top <= f."""
-    if isinstance(f, Inequality):
-        return f
-    match f:
-        case Implies(a, b):
-            return Inequality(a, b)
-        case _:
-            return Inequality(TOP, f)
-
-
 def run(
     input_formula: Formula | Inequality,
     eps_hint: OrderType | None = None,
@@ -1084,7 +1019,7 @@ def run(
             return Failure(
                 eps,
                 system,
-                tuple(system.props()),
+                tuple(props_in_order(*system.inequalities)),
                 tuple(traces),
                 reason=f"unsafe substitution: {e}",
             )

@@ -32,6 +32,7 @@ from .syntax import (
     Svar,
     Symbol,
     Top,
+    props_in_order,
 )
 
 
@@ -255,18 +256,7 @@ def inequality_critical_branches(ineq: Inequality, eps: OrderType) -> list[Branc
 
 def inequality_props(ineq: Inequality) -> list[Symbol]:
     """Propositional variables in order of first occurrence, lhs then rhs."""
-    seen: list[Symbol] = []
-
-    def walk(t: SignedTree) -> None:
-        if t.label == "prop" and t.symbol not in seen:
-            seen.append(t.symbol)
-        for c in t.children:
-            walk(c)
-
-    plus, minus = inequality_trees(ineq)
-    walk(plus)
-    walk(minus)
-    return seen
+    return props_in_order(ineq)
 
 
 def is_skeletal_sahlqvist(ineq: Inequality, eps: OrderType) -> bool:

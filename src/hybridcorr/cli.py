@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import alba, corpus
 from .axioms import check_schemas
 from .classify import (
+    EnumerationError,
     OrderType,
     Sign,
     annotate_critical,
@@ -27,20 +29,8 @@ from .classify import (
     render_tree,
     signed_tree,
 )
-from .semantics import (
-    EnumerationLimits,
-    enumerate_frames,
-    frame_valid,
-    frame_valid_quasi_set,
-)
-from .syntax import (
-    Implies,
-    Inequality,
-    ParseError,
-    parse,
-    parse_inequality,
-    parse_quasi,
-)
+from .semantics import EnumerationCapError, EnumerationLimits, frame_agreement
+from .syntax import Inequality, ParseError, parse_input, parse_quasi
 from .translate import tr_quasi, tr_quasiset, verify_tr_equivalence
 
 EXIT_OK = 0
@@ -49,23 +39,11 @@ EXIT_FAILURE = 2
 EXIT_NOT_SKELETAL = 3
 
 
-def _parse_input(text: str) -> Inequality:
-    if "<=" in text:
-        return parse_inequality(text)
-    return alba.as_inequality(parse(text))
-
-
 def _limits(args) -> EnumerationLimits:
-    base = EnumerationLimits.from_env()
-    max_worlds = getattr(args, "max_worlds", None)
-    if max_worlds is not None:
-        base = EnumerationLimits(
-            max_worlds=max_worlds,
-            max_props=base.max_props,
-            max_nominals=base.max_nominals,
-            max_count=base.max_count,
-        )
-    return base
+    limits = EnumerationLimits.from_env()
+    if args.max_worlds is not None:
+        limits = replace(limits, max_worlds=args.max_worlds)
+    return limits
 
 
 def _eps_argument(args, ineq: Inequality) -> OrderType | None:
@@ -75,7 +53,7 @@ def _eps_argument(args, ineq: Inequality) -> OrderType | None:
 
 
 def cmd_classify(args) -> int:
-    ineq = _parse_input(args.formula)
+    ineq = parse_input(args.formula)
     eps = _eps_argument(args, ineq)
     if eps is None:
         eps = find_order_type(ineq)
@@ -113,7 +91,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_correspond(args) -> int:
-    ineq = _parse_input(args.formula)
+    ineq = parse_input(args.formula)
     eps = _eps_argument(args, ineq)
     if args.require_skeletal:
         check = eps if eps is not None else find_order_type(ineq)
@@ -156,51 +134,34 @@ def cmd_translate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ineq = _parse_input(args.formula)
+    ineq = parse_input(args.formula)
     limits = _limits(args)
     result = alba.run(ineq)
     if not result.ok:
         print(f"failure: {result.reason}", file=sys.stderr)
         return EXIT_FAILURE
-    as_formula = Implies(ineq.lhs, ineq.rhs)
-    agree = 0
-    valid_in: list[int] = []
-    valid_out: list[int] = []
-    counterexamples: list[str] = []
-    total = 0
-    for idx, fr in enumerate(enumerate_frames(limits.max_worlds, limits)):
-        total += 1
-        vi = frame_valid(fr, as_formula, limits)
-        vo = frame_valid_quasi_set(fr, result.quasis, limits)
-        if vi:
-            valid_in.append(idx)
-        if vo:
-            valid_out.append(idx)
-        if vi == vo:
-            agree += 1
-        elif len(counterexamples) < 5:
-            counterexamples.append(f"{fr}: input={vi} output={vo}")
+    agreement = frame_agreement(ineq, result.quasis, limits)
     tr_reports = [verify_tr_equivalence(q, samples=100) for q in result.quasis]
     tr_ok = all(r.ok for r in tr_reports)
     report = {
         "input": str(ineq),
-        "frames": total,
-        "agreements": agree,
-        "counterexamples": counterexamples,
-        "valid_frames": len(valid_in),
+        "frames": agreement.frames,
+        "agreements": agreement.agreements,
+        "counterexamples": agreement.counterexamples,
+        "valid_frames": len(agreement.valid_in),
         "translation_equivalence_ok": tr_ok,
     }
     if args.json:
         print(json.dumps(report, indent=2))
     else:
         print(f"input:          {report['input']}")
-        print(f"frames checked: {total}")
-        print(f"agreements:     {agree}/{total}")
-        print(f"valid frames:   {len(valid_in)}")
+        print(f"frames checked: {agreement.frames}")
+        print(f"agreements:     {agreement.agreements}/{agreement.frames}")
+        print(f"valid frames:   {len(agreement.valid_in)}")
         print(f"translation ok: {tr_ok}")
-        for c in counterexamples:
+        for c in agreement.counterexamples:
             print(f"disagreement:   {c}")
-    return EXIT_OK if (agree == total and tr_ok) else EXIT_ERROR
+    return EXIT_OK if (agreement.ok and tr_ok) else EXIT_ERROR
 
 
 def cmd_axioms_check(args) -> int:
@@ -227,7 +188,7 @@ def cmd_axioms_check(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    limits = _limits(args)
+    limits = EnumerationLimits.from_env()
     if args.action == "run":
         ok, lines = corpus.run_corpus(limits)
     else:
@@ -283,8 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("corpus", help="golden-file regression over the shipped corpus")
     p.add_argument("action", choices=["run", "bless"])
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--max-worlds", type=int, default=None)
     p.set_defaults(func=cmd_corpus)
 
     return parser
@@ -298,8 +257,16 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, alba.EngineInvariantError) as e:
+    except (
+        ValueError,
+        alba.EngineInvariantError,
+        EnumerationCapError,
+        EnumerationError,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
         return EXIT_ERROR
 
 

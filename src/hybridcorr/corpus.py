@@ -10,7 +10,7 @@ then re-verifies frame equivalence before accepting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 from . import alba
@@ -20,18 +20,10 @@ from .semantics import (
     FRAME_CLASSES,
     EnumerationLimits,
     enumerate_frames,
-    frame_valid,
+    frame_agreement,
     frame_valid_quasi_set,
 )
-from .syntax import (
-    Formula,
-    Implies,
-    Inequality,
-    parse,
-    parse_inequality,
-    quasi_from_json,
-    quasi_to_json,
-)
+from .syntax import parse_input, quasi_from_json, quasi_to_json
 from .translate import tr_quasiset
 
 
@@ -42,16 +34,6 @@ class CorpusEntry:
     frame_class: str | None  # key into FRAME_CLASSES, or None when unnamed
     expect_skeletal: bool = True
     note: str = ""
-
-    def inequality(self) -> Inequality:
-        if "<=" in self.input_text:
-            return parse_inequality(self.input_text)
-        return alba.as_inequality(parse(self.input_text))
-
-    def formula(self) -> Formula | Inequality:
-        if "<=" in self.input_text:
-            return parse_inequality(self.input_text)
-        return parse(self.input_text)
 
 
 CORPUS: list[CorpusEntry] = [
@@ -107,13 +89,16 @@ CORPUS: list[CorpusEntry] = [
 
 
 GOLDEN_RESOURCE = "corpus_goldens.json"
+# The goldens' valid_frames index the frames with up to this many worlds;
+# run and bless always enumerate at this size, whatever the caller's limits.
+GOLDEN_WORLDS = 3
 
 
 def compute_entry(
     entry: CorpusEntry, limits: EnumerationLimits = DEFAULT_LIMITS
 ) -> dict:
     """Run the full pipeline on one entry and compute its golden record."""
-    ineq = entry.inequality()
+    ineq = parse_input(entry.input_text)
     eps = find_order_type(ineq)
     record: dict = {
         "name": entry.name,
@@ -121,7 +106,7 @@ def compute_entry(
         "skeletal": eps is not None,
         "order_type": eps.to_json() if eps is not None else None,
     }
-    result = alba.run(entry.formula())
+    result = alba.run(ineq)
     record["status"] = "success" if result.ok else "failure"
     if not result.ok:
         return record
@@ -153,15 +138,8 @@ def verify_entry(
     if not entry.expect_skeletal:
         return problems
     quasis = [quasi_from_json(q["ast"]) for q in record["pure"]]
-    input_f = entry.formula()
-    valid_input = []
-    as_formula = (
-        Implies(input_f.lhs, input_f.rhs) if isinstance(input_f, Inequality) else input_f
-    )
-    for idx, fr in enumerate(enumerate_frames(limits.max_worlds, limits)):
-        if frame_valid(fr, as_formula, limits):
-            valid_input.append(idx)
-    if valid_input != record["valid_frames"]:
+    agreement = frame_agreement(parse_input(entry.input_text), quasis, limits)
+    if not agreement.ok or agreement.valid_in != record["valid_frames"]:
         problems.append(f"{entry.name}: output and input define different frame classes")
     if entry.frame_class is not None:
         pred = FRAME_CLASSES[entry.frame_class]
@@ -189,6 +167,7 @@ def golden_path():
 
 def run_corpus(limits: EnumerationLimits = DEFAULT_LIMITS) -> tuple[bool, list[str]]:
     """Recompute every entry and diff against the stored goldens."""
+    limits = replace(limits, max_worlds=GOLDEN_WORLDS)
     goldens = load_goldens()
     lines: list[str] = []
     ok = True
@@ -211,6 +190,7 @@ def bless_corpus(
     path=None, limits: EnumerationLimits = DEFAULT_LIMITS
 ) -> tuple[bool, list[str]]:
     """Recompute goldens, verify them at frame level, then write them out."""
+    limits = replace(limits, max_worlds=GOLDEN_WORLDS)
     records: dict[str, dict] = {}
     lines: list[str] = []
     ok = True

@@ -1,13 +1,16 @@
 """Kripke-model evaluation and brute-force frame validity.
 
-Two evaluators live here on purpose: ``eval_at`` implements the satisfaction
-clauses world by world, while ``truth_mask`` computes whole truth sets as
-integer bitmasks.  The second drives the exhaustive validity checks (it is a
-few hundred times faster); the property suite keeps the two in agreement.
+Two evaluators live here on purpose.  ``eval_at`` implements the
+satisfaction clauses world by world and is the reference oracle.
+``_compile`` turns a formula into closures that compute whole truth sets as
+integer bitmasks over a flat environment of symbol values; ``truth_mask``,
+``frame_valid`` and ``frame_valid_quasi`` all evaluate through it (it is a
+few hundred times faster).  The property suite keeps the two in agreement.
 
 Desk-scale verification enumerates every frame up to a size cap (2 + 16 +
 512 = 530 frames for sizes 1..3) and, per frame, every valuation of the
-symbols that occur in the formula under test.
+symbols that occur in the formula under test.  ``frame_agreement`` runs
+that check for an input and its pure outputs side by side.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ import itertools
 import os
 import random
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 from .syntax import (
@@ -39,9 +41,7 @@ from .syntax import (
     Svar,
     Symbol,
     Top,
-    free_state_vars,
-    nominals,
-    props,
+    sorted_symbols,
 )
 
 
@@ -81,13 +81,18 @@ class KripkeFrame:
 
     size: int
     relation: frozenset[tuple[int, int]]
+    # premasks[v] is the bitmask of the worlds w with w R v.
+    premasks: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("a frame needs at least one world")
+        masks = [0] * self.size
         for (a, b) in self.relation:
             if not (0 <= a < self.size and 0 <= b < self.size):
                 raise ValueError(f"edge ({a},{b}) outside worlds 0..{self.size - 1}")
+            masks[b] |= 1 << a
+        object.__setattr__(self, "premasks", tuple(masks))
 
     def successors(self, w: int) -> Iterator[int]:
         return (v for (u, v) in self.relation if u == w)
@@ -95,15 +100,6 @@ class KripkeFrame:
     def __str__(self) -> str:
         edges = ",".join(f"({a},{b})" for (a, b) in sorted(self.relation))
         return f"worlds={self.size}; rel={{{edges}}}"
-
-
-@lru_cache(maxsize=8192)
-def _premasks(frame: KripkeFrame) -> tuple[int, ...]:
-    """premask[v] = bitmask of the worlds w with w R v."""
-    masks = [0] * frame.size
-    for (w, v) in frame.relation:
-        masks[v] |= 1 << w
-    return tuple(masks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,76 +175,12 @@ def eval_at(model: KripkeModel, g: Assignment, w: int, f: Formula) -> bool:
 
 def truth_mask(model: KripkeModel, g: Assignment, f: Formula) -> int:
     """Truth set of f as a bitmask over worlds (bit w set iff f holds at w)."""
-    n = model.frame.size
-    full = (1 << n) - 1
-    pre = _premasks(model.frame)
-
-    def dia(mask: int) -> int:
-        acc = 0
-        v = 0
-        m = mask
-        while m:
-            if m & 1:
-                acc |= pre[v]
-            m >>= 1
-            v += 1
-        return acc
-
-    def go(h: Formula, env: Assignment) -> int:
-        match h:
-            case Prop(s):
-                if s not in model.prop_val:
-                    raise UnboundSymbolError(s)
-                acc = 0
-                for w in model.prop_val[s]:
-                    acc |= 1 << w
-                return acc
-            case Svar(s):
-                if s not in env:
-                    raise UnboundSymbolError(s)
-                return 1 << env[s]
-            case Nom(s):
-                if s not in model.nom_val:
-                    raise UnboundSymbolError(s)
-                return 1 << model.nom_val[s]
-            case Bot():
-                return 0
-            case Top():
-                return full
-            case Not(c):
-                return full ^ go(c, env)
-            case Or(a, b):
-                return go(a, env) | go(b, env)
-            case And(a, b):
-                return go(a, env) & go(b, env)
-            case Implies(a, b):
-                return (full ^ go(a, env)) | go(b, env)
-            case Dia(c):
-                return dia(go(c, env))
-            case Box(c):
-                return full ^ dia(full ^ go(c, env))
-            case At(t, c):
-                if t.kind is Kind.NOM:
-                    if t not in model.nom_val:
-                        raise UnboundSymbolError(t)
-                    w0 = model.nom_val[t]
-                else:
-                    if t not in env:
-                        raise UnboundSymbolError(t)
-                    w0 = env[t]
-                return full if (go(c, env) >> w0) & 1 else 0
-            case Down(v, c):
-                acc = 0
-                for w in range(n):
-                    env2 = dict(env)
-                    env2[v] = w
-                    if (go(c, env2) >> w) & 1:
-                        acc |= 1 << w
-                return acc
-            case _:
-                raise TypeError(f"not a formula: {h!r}")
-
-    return go(f, g)
+    values = {s: sum(1 << w for w in ws) for s, ws in model.prop_val.items()}
+    values.update(model.nom_val)
+    values.update(g)
+    slots = {s: k for k, s in enumerate(values)}
+    fn = _compile(f, model.frame, slots, (1 << model.frame.size) - 1)
+    return fn(list(values.values()))
 
 
 def globally_true(model: KripkeModel, g: Assignment, f: Formula) -> bool:
@@ -272,18 +204,20 @@ def holds_quasi(model: KripkeModel, g: Assignment, q: QuasiInequality) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive validity
+# The compiled evaluator
 # ---------------------------------------------------------------------------
 #
 # The enumeration loops run millions of evaluations, so the formula is
 # compiled once per frame into nested closures over a flat environment
 # list: props hold truth-set masks, nominals and state variables hold world
-# numbers.  This is the same semantics as truth_mask, minus the per-call
-# dispatch; the test suite keeps all evaluators in agreement.
+# numbers.  ``slots`` maps each free symbol to its index in that list and
+# must number them 0..len(slots)-1; a binder takes the next index for the
+# extent of its scope.
 
 
 def _compile(f: Formula, frame: KripkeFrame, slots: dict[Symbol, int], full: int):
-    pre = _premasks(frame)
+    """Closure computing the truth-set bitmask of f from an environment list."""
+    pre = frame.premasks
     n = frame.size
 
     def dia(mask: int) -> int:
@@ -334,10 +268,14 @@ def _compile(f: Formula, frame: KripkeFrame, slots: dict[Symbol, int], full: int
                 a = go(c)
                 return lambda env: full if (a(env) >> env[k]) & 1 else 0
             case Down(v, c):
-                if v not in slots:
+                scoped = v not in slots
+                if scoped:
                     slots[v] = len(slots)
                 k = slots[v]
                 a = go(c)
+                if scoped:
+                    # Outside this binder an occurrence of v is unbound.
+                    del slots[v]
 
                 def down(env):
                     saved = env[k] if k < len(env) else None
@@ -383,10 +321,6 @@ def _check_budget(
         raise EnumerationCapError(f"enumeration of {count} cases exceeds cap {limits.max_count}")
 
 
-def _mask_to_set(mask: int, n: int) -> frozenset[int]:
-    return frozenset(w for w in range(n) if (mask >> w) & 1)
-
-
 def frame_valid(
     frame: KripkeFrame,
     f: Formula,
@@ -397,9 +331,7 @@ def frame_valid(
     Only symbols occurring in f are enumerated; absent symbols cannot affect
     the truth value.
     """
-    prop_syms = sorted(props(f), key=str)
-    nom_syms = sorted(nominals(f), key=str)
-    svar_syms = sorted(free_state_vars(f), key=str)
+    prop_syms, nom_syms, svar_syms = sorted_symbols(f)
     _check_budget(frame, prop_syms, nom_syms, svar_syms, limits)
 
     n = frame.size
@@ -419,18 +351,6 @@ def frame_valid(
     return True
 
 
-def _quasi_symbols(q: QuasiInequality) -> tuple[list[Symbol], list[Symbol], list[Symbol]]:
-    ps: set[Symbol] = set()
-    ns: set[Symbol] = set()
-    vs: set[Symbol] = set()
-    for i in (*q.antecedents, q.conclusion):
-        for side in (i.lhs, i.rhs):
-            ps |= props(side)
-            ns |= nominals(side)
-            vs |= free_state_vars(side)
-    return sorted(ps, key=str), sorted(ns, key=str), sorted(vs, key=str)
-
-
 def frame_valid_quasi(
     frame: KripkeFrame,
     q: QuasiInequality,
@@ -441,7 +361,7 @@ def frame_valid_quasi(
     Requires a pure quasi-inequality; the antecedents and the conclusion are
     judged against one shared valuation and assignment.
     """
-    prop_syms, nom_syms, svar_syms = _quasi_symbols(q)
+    prop_syms, nom_syms, svar_syms = sorted_symbols(q)
     if prop_syms:
         raise ValueError(f"quasi-inequality is not pure: contains {prop_syms}")
     _check_budget(frame, [], nom_syms, svar_syms, limits)
@@ -499,6 +419,59 @@ def enumerate_frames(
         for mask in range(1 << (n * n)):
             rel = frozenset(pairs[k] for k in range(len(pairs)) if (mask >> k) & 1)
             yield KripkeFrame(n, rel)
+
+
+MAX_COUNTEREXAMPLES = 5
+
+
+@dataclass
+class FrameAgreement:
+    """Frame validity of an input and of its pure outputs, frame by frame.
+
+    Frames are numbered in enumerate_frames order; the counterexamples
+    describe the first MAX_COUNTEREXAMPLES frames where the two differ.
+    """
+
+    frames: int
+    valid_in: list[int]
+    valid_out: list[int]
+    counterexamples: list[str]
+
+    @property
+    def agreements(self) -> int:
+        return self.frames - len(set(self.valid_in) ^ set(self.valid_out))
+
+    @property
+    def ok(self) -> bool:
+        return self.valid_in == self.valid_out
+
+
+def frame_agreement(
+    formula: Formula | Inequality,
+    quasis: Iterable[QuasiInequality],
+    limits: EnumerationLimits = DEFAULT_LIMITS,
+) -> FrameAgreement:
+    """Check on every frame up to limits.max_worlds worlds whether the input
+    (an inequality is read as its implication) and the conjunction of the
+    quasi-inequalities are valid."""
+    if isinstance(formula, Inequality):
+        formula = Implies(formula.lhs, formula.rhs)
+    quasis = tuple(quasis)
+    total = 0
+    valid_in: list[int] = []
+    valid_out: list[int] = []
+    counterexamples: list[str] = []
+    for idx, fr in enumerate(enumerate_frames(limits.max_worlds, limits)):
+        total += 1
+        vi = frame_valid(fr, formula, limits)
+        vo = frame_valid_quasi_set(fr, quasis, limits)
+        if vi:
+            valid_in.append(idx)
+        if vo:
+            valid_out.append(idx)
+        if vi != vo and len(counterexamples) < MAX_COUNTEREXAMPLES:
+            counterexamples.append(f"{fr}: input={vi} output={vo}")
+    return FrameAgreement(total, valid_in, valid_out, counterexamples)
 
 
 # ---------------------------------------------------------------------------

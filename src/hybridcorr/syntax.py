@@ -231,6 +231,71 @@ def free_state_vars(f: Formula) -> set[Symbol]:
             return out
 
 
+def _formulas_of(items) -> Iterator[Formula]:
+    """The formulas inside a mix of formulas, inequalities and
+    quasi-inequalities: each inequality lhs then rhs, antecedents first."""
+    for item in items:
+        if isinstance(item, QuasiInequality):
+            yield from _formulas_of((*item.antecedents, item.conclusion))
+        elif isinstance(item, Inequality):
+            yield item.lhs
+            yield item.rhs
+        else:
+            yield item
+
+
+def sorted_symbols(
+    *items: Formula | Inequality | QuasiInequality,
+) -> tuple[list[Symbol], list[Symbol], list[Symbol]]:
+    """The props, nominals and free state variables of the items, each
+    list sorted by name, collected in one walk."""
+    ps: set[Symbol] = set()
+    ns: set[Symbol] = set()
+    vs: set[Symbol] = set()
+
+    def walk(f: Formula, bound: frozenset[Symbol]) -> None:
+        match f:
+            case Prop(s):
+                ps.add(s)
+            case Nom(s):
+                ns.add(s)
+            case Svar(s):
+                if s not in bound:
+                    vs.add(s)
+            case At(t, c):
+                if t.kind is Kind.NOM:
+                    ns.add(t)
+                elif t not in bound:
+                    vs.add(t)
+                walk(c, bound)
+            case Down(v, c):
+                walk(c, bound | {v})
+            case _:
+                for c in children(f):
+                    walk(c, bound)
+
+    for f in _formulas_of(items):
+        walk(f, frozenset())
+    return sorted(ps, key=str), sorted(ns, key=str), sorted(vs, key=str)
+
+
+def props_in_order(*items: Formula | Inequality | QuasiInequality) -> list[Symbol]:
+    """Propositional variables in order of first occurrence (left to right
+    in each formula, the formulas in the order _formulas_of gives)."""
+    seen: dict[Symbol, None] = {}
+
+    def walk(f: Formula) -> None:
+        if isinstance(f, Prop):
+            seen[f.sym] = None
+        else:
+            for c in children(f):
+                walk(c)
+
+    for f in _formulas_of(items):
+        walk(f)
+    return list(seen)
+
+
 def all_symbols(f: Formula) -> set[Symbol]:
     """Every symbol occurring in f, including bound state variables."""
     out: set[Symbol] = set()
@@ -822,6 +887,25 @@ def parse_inequality(text: str) -> Inequality:
     i = p.inequality()
     p.done()
     return i
+
+
+def as_inequality(f: Formula | Inequality) -> Inequality:
+    """Implications become lhs <= rhs; anything else is wrapped as top <= f."""
+    if isinstance(f, Inequality):
+        return f
+    match f:
+        case Implies(a, b):
+            return Inequality(a, b)
+        case _:
+            return Inequality(TOP, f)
+
+
+def parse_input(text: str) -> Inequality:
+    """Read an input: an inequality ``phi <= psi`` as given, a formula
+    through as_inequality."""
+    if "<=" in text:
+        return parse_inequality(text)
+    return as_inequality(parse(text))
 
 
 def parse_quasi(text: str) -> QuasiInequality:

@@ -33,9 +33,7 @@ from .syntax import (
     Not,
     QuasiInequality,
     Symbol,
-    free_state_vars,
-    nominals,
-    props,
+    sorted_symbols,
 )
 
 
@@ -103,23 +101,6 @@ class TrEquivalenceReport:
         return {"checked": self.checked, "mismatches": self.mismatches, "ok": self.ok}
 
 
-def _item_symbols(item: Inequality | QuasiInequality) -> tuple[set[Symbol], set[Symbol], set[Symbol]]:
-    ineqs = (
-        [item]
-        if isinstance(item, Inequality)
-        else [*item.antecedents, item.conclusion]
-    )
-    ps: set[Symbol] = set()
-    ns: set[Symbol] = set()
-    vs: set[Symbol] = set()
-    for i in ineqs:
-        for side in (i.lhs, i.rhs):
-            ps |= props(side)
-            ns |= nominals(side)
-            vs |= free_state_vars(side)
-    return ps, ns, vs
-
-
 def verify_tr_equivalence(
     item: Inequality | QuasiInequality,
     models: list[tuple[KripkeModel, dict[Symbol, int]]] | None = None,
@@ -132,13 +113,13 @@ def verify_tr_equivalence(
     With no model list given, draws random models over the item's symbols.
     """
     translation = tr_ineq(item) if isinstance(item, Inequality) else tr_quasi(item)
-    ps, ns, vs = _item_symbols(item)
     if models is None:
+        ps, ns, vs = sorted_symbols(item)
         rng = random.Random(seed)
         models = []
         for _ in range(samples):
-            m = random_model(rng, sorted(ps, key=str), sorted(ns, key=str), max_worlds)
-            g = {x: rng.randrange(m.frame.size) for x in sorted(vs, key=str)}
+            m = random_model(rng, ps, ns, max_worlds)
+            g = {x: rng.randrange(m.frame.size) for x in vs}
             models.append((m, g))
     mismatches: list[dict] = []
     for m, g in models:

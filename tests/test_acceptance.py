@@ -50,6 +50,7 @@ from hybridcorr.syntax import (
     nominals,
     parse,
     parse_inequality,
+    parse_input,
     prop,
     subformulas,
 )
@@ -75,7 +76,7 @@ def corpus_runs():
         for entry in CORPUS:
             if not entry.expect_skeletal:
                 continue
-            result = run(entry.formula())
+            result = run(parse_input(entry.input_text))
             assert result.ok, f"corpus entry {entry.name} did not reduce"
             out[entry.name] = (entry, result)
         _cache["corpus"] = out
@@ -140,8 +141,8 @@ def test_criterion_3_frame_soundness():
     binder_entries = [
         name
         for name, (entry, _) in entries.items()
-        if any(isinstance(g, Down) for g in subformulas(entry.inequality().lhs))
-        or any(isinstance(g, Down) for g in subformulas(entry.inequality().rhs))
+        if any(isinstance(g, Down) for g in subformulas(parse_input(entry.input_text).lhs))
+        or any(isinstance(g, Down) for g in subformulas(parse_input(entry.input_text).rhs))
     ]
     assert len(entries) >= 12
     assert len(binder_entries) >= 3
@@ -150,7 +151,7 @@ def test_criterion_3_frame_soundness():
 
     disagreements = []
     for name, (entry, result) in entries.items():
-        ineq = entry.inequality()
+        ineq = parse_input(entry.input_text)
         f = Implies(ineq.lhs, ineq.rhs)
         for fr in frames:
             if frame_valid(fr, f, LIMITS) != frame_valid_quasi_set(fr, result.quasis, LIMITS):

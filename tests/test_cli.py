@@ -117,6 +117,30 @@ class TestVerify:
         assert report["translation_equivalence_ok"] is True
 
 
+class TestHostileInput:
+    def one_line_error(self, code, out, err):
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_over_the_nominal_cap(self, capsys, monkeypatch):
+        monkeypatch.delenv("HYBRIDCORR_MAX_NOMINALS", raising=False)
+        monkeypatch.delenv("HYBRIDCORR_MAX_ENUM", raising=False)
+        text = "~F <= @'n1 @'n1 (p1 & p1) -> 'n1 | (p1 | p1 | F & 'n1)"
+        code, out, err = run_cli(capsys, "verify", text)
+        self.one_line_error(code, out, err)
+        assert "5 nominals exceed the cap 4" in err
+
+    def test_over_the_order_type_search_cap(self, capsys):
+        text = " & ".join(f"p{k}" for k in range(11)) + " -> p0"
+        code, out, err = run_cli(capsys, "classify", text)
+        self.one_line_error(code, out, err)
+
+    def test_deep_nesting(self, capsys):
+        code, out, err = run_cli(capsys, "classify", "<>" * 3000 + "p -> p")
+        self.one_line_error(code, out, err)
+
+
 class TestAxiomsCheck:
     def test_small_bound(self, capsys):
         code, out, _ = run_cli(capsys, "axioms-check", "--max-worlds", "2")
@@ -129,6 +153,15 @@ class TestCorpus:
         code, out, _ = run_cli(capsys, "corpus", "run")
         assert code == 0, out
         assert "DIFF" not in out and "MISSING" not in out
+
+    def test_run_ignores_the_world_cap(self, capsys, monkeypatch):
+        # the goldens index the frames with up to 3 worlds
+        monkeypatch.setenv("HYBRIDCORR_MAX_WORLDS", "2")
+        code, out, _ = run_cli(capsys, "corpus", "run")
+        assert code == 0, out
+        lines = out.splitlines()
+        assert len(lines) == 16
+        assert all(line.startswith("ok ") for line in lines), out
 
     def test_bless_is_idempotent(self, capsys, tmp_path):
         from hybridcorr.corpus import bless_corpus, load_goldens

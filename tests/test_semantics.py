@@ -14,6 +14,7 @@ from hybridcorr.semantics import (
     UnboundSymbolError,
     enumerate_frames,
     eval_at,
+    frame_agreement,
     frame_valid,
     frame_valid_quasi,
     frame_valid_quasi_set,
@@ -35,6 +36,7 @@ from hybridcorr.syntax import (
     nominals,
     parse,
     parse_inequality,
+    parse_input,
     parse_quasi,
     prop,
     props,
@@ -82,6 +84,12 @@ class TestEval:
             eval_at(m, {}, 0, parse("p"))
         with pytest.raises(UnboundSymbolError):
             eval_at(m, {}, 0, parse("x"))
+
+    def test_unbound_after_binder_scope(self):
+        # x is bound inside the binder only; the later free x has no value
+        m = model(LOOP1)
+        with pytest.raises(UnboundSymbolError):
+            truth_mask(m, {}, parse("(!x. <>x) & x"))
 
     @settings(max_examples=300, deadline=None)
     @given(formulas(8).flatmap(lambda f: models_for(f).map(lambda mg: (f, *mg))))
@@ -227,6 +235,47 @@ class TestBinderShadowing:
                     assert eval_at(m, {}, w, f) == bool((mask >> w) & 1)
                 manual = all(eval_at(m, {}, w, f) for w in range(fr.size))
                 assert frame_valid(fr, f) == manual
+
+
+class TestFrameAgreement:
+    LIMITS = EnumerationLimits(max_worlds=2)
+
+    def test_matches_per_frame_checks(self):
+        from hybridcorr.alba import run
+        from hybridcorr.corpus import CORPUS
+
+        frames = list(enumerate_frames(2, self.LIMITS))
+        for entry in CORPUS:
+            if not entry.expect_skeletal:
+                continue
+            ineq = parse_input(entry.input_text)
+            quasis = run(ineq).quasis
+            report = frame_agreement(ineq, quasis, self.LIMITS)
+            f = Implies(ineq.lhs, ineq.rhs)
+            assert report.frames == len(frames) == 18
+            assert report.valid_in == [
+                k for k, fr in enumerate(frames) if frame_valid(fr, f, self.LIMITS)
+            ]
+            assert report.valid_out == [
+                k
+                for k, fr in enumerate(frames)
+                if frame_valid_quasi_set(fr, quasis, self.LIMITS)
+            ]
+            assert report.ok and report.agreements == 18
+            assert report.counterexamples == []
+
+    def test_wrong_output_reported(self):
+        from hybridcorr.alba import run
+
+        trans = parse_input("<> <> p -> <> p")
+        refl_box = run(parse_input("[]p -> p")).quasis
+        report = frame_agreement(trans, refl_box, EnumerationLimits(max_worlds=3))
+        assert report.frames == 530
+        assert not report.ok
+        assert report.agreements < report.frames
+        disagreements = report.frames - report.agreements
+        assert len(report.counterexamples) == min(5, disagreements)
+        assert all("input=" in c and "output=" in c for c in report.counterexamples)
 
 
 class TestEnumerateFrames:

@@ -14,6 +14,7 @@ from hybridcorr.syntax import (
     Down,
     FreshContext,
     Implies,
+    Inequality,
     Kind,
     Not,
     Or,
@@ -35,7 +36,9 @@ from hybridcorr.syntax import (
     polarity,
     prop,
     props,
+    props_in_order,
     replace_state_var,
+    sorted_symbols,
     substitute_prop,
     svar,
 )
@@ -254,6 +257,29 @@ class TestQueries:
         f = parse("@'i p -> <>q")
         assert props(f) == {P, prop("q")}
         assert nominals(f) == {nom("i")}
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(8), formulas(8))
+    def test_collectors_agree_with_the_single_queries(self, f, g):
+        ineq = Inequality(f, g)
+        by_query = tuple(
+            sorted(query(f) | query(g), key=str)
+            for query in (props, nominals, free_state_vars)
+        )
+        assert sorted_symbols(ineq) == sorted_symbols(f, g) == by_query
+        order = props_in_order(ineq)
+        assert set(order) == props(f) | props(g) and len(order) == len(set(order))
+        # first occurrence: everything in the lhs, then what is new in the rhs
+        assert order == props_in_order(f) + [p for p in props_in_order(g) if p not in props(f)]
+
+    def test_collectors_on_a_quasi_inequality(self):
+        q = parse_quasi("'i <= !x. <>(x & y) ; 'j <= @z ~'i => 'i <= ~'k")
+        assert sorted_symbols(q) == ([], [nom("i"), nom("j"), nom("k")], [Y, svar("z")])
+        assert props_in_order(parse("<>q & !x. @x (p | q) -> r")) == [
+            prop("q"),
+            P,
+            prop("r"),
+        ]
 
 
 class TestFresh:
