@@ -37,7 +37,7 @@ def check_case(name, ineq, result, limits):
             return False
     dt = time.monotonic() - t0
     print(
-        f"ok   {name}: valid on {len(agreement.valid_in)}/{agreement.frames} frames, "
+        f"ok   {name}: valid on {agreement.valid_in.bit_count()}/{agreement.frames} frames, "
         f"{len(result.quasis)} quasi(s), {dt:.2f}s"
     )
     return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .semantics import EnumerationLimits, KripkeFrame, enumerate_frames, frame_valid
+from .semantics import EnumerationLimits, frame_at, frame_blocks, frame_indices, frame_valid
 from .syntax import (
     And,
     At,
@@ -332,16 +332,18 @@ def check_schemas(
     schemas: list[Schema] | None = None,
     limits: EnumerationLimits | None = None,
 ) -> list[SchemaCheck]:
-    """Brute-force every schema instance on every frame up to the cap."""
+    """Brute-force every schema instance on every frame up to the cap; a
+    failure names the first frame, in enumerate_frames order, that refutes it."""
     limits = limits or EnumerationLimits(max_worlds=max(3, max_worlds))
-    frames: list[KripkeFrame] = list(enumerate_frames(max_worlds, limits))
     out: list[SchemaCheck] = []
     for schema in schemas if schemas is not None else all_schemas():
         failures: list[str] = []
         for inst in schema.instances:
-            for fr in frames:
-                if not frame_valid(fr, inst, limits):
-                    failures.append(f"{inst} fails on {fr}")
+            for block in frame_blocks(max_worlds, limits):
+                invalid = block.full ^ frame_valid(block, inst, limits)
+                if invalid:
+                    first = block.start + next(frame_indices(invalid))
+                    failures.append(f"{inst} fails on {frame_at(block.size, first)}")
                     break
         out.append(SchemaCheck(schema.name, len(schema.instances), failures))
     return out

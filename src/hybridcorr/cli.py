@@ -148,7 +148,7 @@ def cmd_verify(args) -> int:
         "frames": agreement.frames,
         "agreements": agreement.agreements,
         "counterexamples": agreement.counterexamples,
-        "valid_frames": len(agreement.valid_in),
+        "valid_frames": agreement.valid_in.bit_count(),
         "translation_equivalence_ok": tr_ok,
     }
     if args.json:
@@ -157,7 +157,7 @@ def cmd_verify(args) -> int:
         print(f"input:          {report['input']}")
         print(f"frames checked: {agreement.frames}")
         print(f"agreements:     {agreement.agreements}/{agreement.frames}")
-        print(f"valid frames:   {len(agreement.valid_in)}")
+        print(f"valid frames:   {report['valid_frames']}")
         print(f"translation ok: {tr_ok}")
         for c in agreement.counterexamples:
             print(f"disagreement:   {c}")

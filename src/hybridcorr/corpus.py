@@ -21,6 +21,8 @@ from .semantics import (
     EnumerationLimits,
     enumerate_frames,
     frame_agreement,
+    frame_blocks,
+    frame_indices,
     frame_valid_quasi_set,
 )
 from .syntax import parse_input, quasi_from_json, quasi_to_json
@@ -115,12 +117,10 @@ def compute_entry(
     ]
     tr = tr_quasiset(list(result.quasis))
     record["tr"] = {"text": str(tr)}
-    valid = [
-        idx
-        for idx, fr in enumerate(enumerate_frames(limits.max_worlds, limits))
-        if frame_valid_quasi_set(fr, result.quasis, limits)
-    ]
-    record["valid_frames"] = valid
+    valid = 0
+    for block in frame_blocks(limits.max_worlds, limits):
+        valid |= frame_valid_quasi_set(block, result.quasis, limits) << block.index
+    record["valid_frames"] = list(frame_indices(valid))
     return record
 
 
@@ -139,7 +139,7 @@ def verify_entry(
         return problems
     quasis = [quasi_from_json(q["ast"]) for q in record["pure"]]
     agreement = frame_agreement(parse_input(entry.input_text), quasis, limits)
-    if not agreement.ok or agreement.valid_in != record["valid_frames"]:
+    if not agreement.ok or list(frame_indices(agreement.valid_in)) != record["valid_frames"]:
         problems.append(f"{entry.name}: output and input define different frame classes")
     if entry.frame_class is not None:
         pred = FRAME_CLASSES[entry.frame_class]

@@ -2,25 +2,34 @@
 
 Two evaluators live here on purpose.  ``eval_at`` implements the
 satisfaction clauses world by world and is the reference oracle.
-``_compile`` turns a formula into closures that compute whole truth sets as
-integer bitmasks over a flat environment of symbol values; ``truth_mask``,
-``frame_valid`` and ``frame_valid_quasi`` all evaluate through it (it is a
-few hundred times faster).  The property suite keeps the two in agreement.
+``_compile`` is the sliced evaluator: it turns a formula into closures that
+decide it on a whole block of frames at once.  A block holds frames of one
+size n in ``enumerate_frames`` order; a compiled formula returns one int per
+world, whose bit j says whether the formula holds there in frame j of the
+block (the bitslicing technique of Biham, "A fast new DES implementation in
+software", FSE 1997, applied to frames).  ``truth_mask``, ``frame_valid``
+and ``frame_valid_quasi`` all evaluate through it; a ``KripkeFrame`` is a
+block of one frame.  The property suite keeps it in agreement with the
+oracle.
 
-Desk-scale verification enumerates every frame up to a size cap (2 + 16 +
-512 = 530 frames for sizes 1..3) and, per frame, every valuation of the
-symbols that occur in the formula under test.  ``frame_agreement`` runs
-that check for an input and its pure outputs side by side.
+Verification enumerates every frame up to a size cap (2 + 16 + 512 = 530
+frames for sizes 1..3, 66,066 up to 4) and every valuation of the symbols
+that occur in the formula under test.  Each size is one block while it has
+at most 2^16 frames; larger sizes split into blocks of 2^16 frames, so a
+value never exceeds 8 KB.  The validity checks return the mask of the
+block's frames on which the formula is valid, and ``frame_agreement`` runs
+them for an input and its pure outputs side by side.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 from .syntax import (
     And,
@@ -77,22 +86,28 @@ DEFAULT_LIMITS = EnumerationLimits()
 
 @dataclass(frozen=True)
 class KripkeFrame:
-    """Worlds 0..size-1 with an accessibility relation."""
+    """Worlds 0..size-1 with an accessibility relation.
+
+    To the sliced evaluator a frame is a block of one frame: its edge masks
+    are 0 or 1.
+    """
 
     size: int
     relation: frozenset[tuple[int, int]]
-    # premasks[v] is the bitmask of the worlds w with w R v.
-    premasks: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    full: ClassVar[int] = 1  # the mask of the block's frames
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("a frame needs at least one world")
-        masks = [0] * self.size
         for (a, b) in self.relation:
             if not (0 <= a < self.size and 0 <= b < self.size):
                 raise ValueError(f"edge ({a},{b}) outside worlds 0..{self.size - 1}")
-            masks[b] |= 1 << a
-        object.__setattr__(self, "premasks", tuple(masks))
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        """edges[u][v] is 1 iff u R v."""
+        worlds = range(self.size)
+        return tuple(tuple(int((u, v) in self.relation) for v in worlds) for u in worlds)
 
     def successors(self, w: int) -> Iterator[int]:
         return (v for (u, v) in self.relation if u == w)
@@ -175,12 +190,15 @@ def eval_at(model: KripkeModel, g: Assignment, w: int, f: Formula) -> bool:
 
 def truth_mask(model: KripkeModel, g: Assignment, f: Formula) -> int:
     """Truth set of f as a bitmask over worlds (bit w set iff f holds at w)."""
-    values = {s: sum(1 << w for w in ws) for s, ws in model.prop_val.items()}
+    worlds = range(model.frame.size)
+    values: dict[Symbol, object] = {
+        s: tuple(int(w in ws) for w in worlds) for s, ws in model.prop_val.items()
+    }
     values.update(model.nom_val)
     values.update(g)
     slots = {s: k for k, s in enumerate(values)}
-    fn = _compile(f, model.frame, slots, (1 << model.frame.size) - 1)
-    return fn(list(values.values()))
+    held = _compile(f, model.frame, slots)(list(values.values()))
+    return sum(x << w for w, x in enumerate(held))
 
 
 def globally_true(model: KripkeModel, g: Assignment, f: Formula) -> bool:
@@ -204,69 +222,200 @@ def holds_quasi(model: KripkeModel, g: Assignment, q: QuasiInequality) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The compiled evaluator
+# Frame blocks
 # ---------------------------------------------------------------------------
 #
-# The enumeration loops run millions of evaluations, so the formula is
-# compiled once per frame into nested closures over a flat environment
-# list: props hold truth-set masks, nominals and state variables hold world
-# numbers.  ``slots`` maps each free symbol to its index in that list and
-# must number them 0..len(slots)-1; a binder takes the next index for the
-# extent of its scope.
+# Frames of size n are numbered by their relation mask m: pair (a, b) is an
+# edge iff bit a*n + b of m is set.  A block holds consecutive frames of one
+# size; the evaluator computes, for every world, one int whose bit j says
+# whether the formula holds there in frame j of the block.  A block varies
+# the low BLOCK_EDGE_BITS edge bits and fixes the rest, so it holds at most
+# 2^16 frames and a value is at most 8 KB whatever the world cap.
+
+BLOCK_EDGE_BITS = 16
 
 
-def _compile(f: Formula, frame: KripkeFrame, slots: dict[Symbol, int], full: int):
-    """Closure computing the truth-set bitmask of f from an environment list."""
-    pre = frame.premasks
-    n = frame.size
+@dataclass(frozen=True)
+class FrameBlock:
+    """Frames start..start+count-1 of one size, in enumerate_frames order.
 
-    def dia(mask: int) -> int:
-        acc = 0
-        v = 0
-        while mask:
-            if mask & 1:
-                acc |= pre[v]
-            mask >>= 1
-            v += 1
-        return acc
+    Bit j of edges[u][v] is set iff u R v in frame start + j.
+    """
+
+    size: int
+    start: int
+    count: int
+    edges: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @property
+    def full(self) -> int:
+        return (1 << self.count) - 1
+
+    @property
+    def index(self) -> int:
+        """Position of the block's first frame in enumerate_frames order."""
+        return _frames_below(self.size) + self.start
+
+
+def _frames_below(n: int) -> int:
+    """Number of frames with fewer than n worlds."""
+    return sum(1 << (k * k) for k in range(1, n))
+
+
+@functools.cache
+def _edge_slices(bits: int) -> tuple[int, ...]:
+    """Slice k has bit m set iff bit k of m is set, for m < 2^bits."""
+    count = 1 << bits
+    full = (1 << count) - 1
+    slices = []
+    for k in range(bits):
+        run = 1 << k
+        period = ((1 << run) - 1) << run
+        slices.append(period * (full // ((1 << (2 * run)) - 1)))
+    return tuple(slices)
+
+
+def _check_world_cap(max_size: int, limits: EnumerationLimits) -> None:
+    if max_size < 1:
+        raise ValueError(f"world cap {max_size} is below 1: a frame has at least one world")
+    if max_size > limits.max_worlds:
+        raise EnumerationCapError(
+            f"max_size {max_size} exceeds the world cap {limits.max_worlds}"
+        )
+
+
+def frame_blocks(
+    max_size: int,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
+) -> Iterator[FrameBlock]:
+    """Every frame with 1..max_size worlds, as blocks in enumerate_frames order."""
+    _check_world_cap(max_size, limits)
+    return (block for n in range(1, max_size + 1) for block in _blocks_of_size(n))
+
+
+def _blocks_of_size(n: int) -> Iterator[FrameBlock]:
+    bits = n * n
+    low = min(bits, BLOCK_EDGE_BITS)
+    slices = _edge_slices(low)
+    count = 1 << low
+    full = (1 << count) - 1
+    for high in range(1 << (bits - low)):
+        masks = slices + tuple(
+            full if (high >> k) & 1 else 0 for k in range(bits - low)
+        )
+        edges = tuple(masks[u * n : (u + 1) * n] for u in range(n))
+        yield FrameBlock(n, high << low, count, edges)
+
+
+def frame_at(n: int, m: int) -> KripkeFrame:
+    """Frame m of size n: pair (a, b) is an edge iff bit a*n + b of m is set."""
+    return KripkeFrame(
+        n, frozenset((k // n, k % n) for k in range(n * n) if (m >> k) & 1)
+    )
+
+
+def _frame_at_index(idx: int) -> KripkeFrame:
+    """Frame idx in enumerate_frames order."""
+    n = 1
+    while idx >= 1 << (n * n):
+        idx -= 1 << (n * n)
+        n += 1
+    return frame_at(n, idx)
+
+
+def frame_indices(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a frame mask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def enumerate_frames(
+    max_size: int,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
+) -> Iterator[KripkeFrame]:
+    """Every frame with 1..max_size worlds, in relation-mask order.
+
+    Size n contributes 2^(n*n) frames; frame m is frame_at(n, m).
+    """
+    _check_world_cap(max_size, limits)
+    for n in range(1, max_size + 1):
+        for m in range(1 << (n * n)):
+            yield frame_at(n, m)
+
+
+# ---------------------------------------------------------------------------
+# The sliced evaluator
+# ---------------------------------------------------------------------------
+#
+# The formula is compiled once per block into nested closures over a flat
+# environment list: a prop holds its per-world values (all-ones or 0, since
+# a valuation is the same in every frame of the block), nominals and state
+# variables hold world numbers.  ``slots`` maps each free symbol to its
+# index in that list and must number them 0..len(slots)-1; a binder takes
+# the next index for the extent of its scope.
+
+
+def _compile(f: Formula, frames: FrameBlock | KripkeFrame, slots: dict[Symbol, int]):
+    """Closure computing f's per-world frame masks from an environment list."""
+    n = frames.size
+    full = frames.full
+    rows = frames.edges
+    worlds = range(n)
+    top = (full,) * n
+    bot = (0,) * n
+    # units[w]: the values of a nominal or state variable placed at w.
+    units = [tuple(full if v == w else 0 for v in worlds) for w in worlds]
+
+    def dia(xs) -> list[int]:
+        out = []
+        for row in rows:
+            acc = 0
+            for e, x in zip(row, xs):
+                acc |= e & x
+            out.append(acc)
+        return out
+
+    def slot(s: Symbol) -> int:
+        if s not in slots:
+            raise UnboundSymbolError(s)
+        return slots[s]
 
     def go(h: Formula):
         match h:
-            case Prop(s) | Svar(s) | Nom(s):
-                if s not in slots:
-                    raise UnboundSymbolError(s)
-                k = slots[s]
-                if isinstance(h, Prop):
-                    return lambda env: env[k]
-                return lambda env: 1 << env[k]
+            case Prop(s):
+                k = slot(s)
+                return lambda env: env[k]
+            case Svar(s) | Nom(s):
+                k = slot(s)
+                return lambda env: units[env[k]]
             case Bot():
-                return lambda env: 0
+                return lambda env: bot
             case Top():
-                return lambda env: full
+                return lambda env: top
             case Not(c):
                 a = go(c)
-                return lambda env: full ^ a(env)
+                return lambda env: [full ^ x for x in a(env)]
             case Or(l, r):
                 a, b = go(l), go(r)
-                return lambda env: a(env) | b(env)
+                return lambda env: [x | y for x, y in zip(a(env), b(env))]
             case And(l, r):
                 a, b = go(l), go(r)
-                return lambda env: a(env) & b(env)
+                return lambda env: [x & y for x, y in zip(a(env), b(env))]
             case Implies(l, r):
                 a, b = go(l), go(r)
-                return lambda env: (full ^ a(env)) | b(env)
+                return lambda env: [(full ^ x) | y for x, y in zip(a(env), b(env))]
             case Dia(c):
                 a = go(c)
                 return lambda env: dia(a(env))
             case Box(c):
                 a = go(c)
-                return lambda env: full ^ dia(full ^ a(env))
+                return lambda env: [full ^ y for y in dia([full ^ x for x in a(env)])]
             case At(t, c):
-                if t not in slots:
-                    raise UnboundSymbolError(t)
-                k = slots[t]
+                k = slot(t)
                 a = go(c)
-                return lambda env: full if (a(env) >> env[k]) & 1 else 0
+                return lambda env: (a(env)[env[k]],) * n
             case Down(v, c):
                 scoped = v not in slots
                 if scoped:
@@ -281,14 +430,13 @@ def _compile(f: Formula, frame: KripkeFrame, slots: dict[Symbol, int], full: int
                     saved = env[k] if k < len(env) else None
                     while len(env) <= k:
                         env.append(0)
-                    acc = 0
-                    for w in range(n):
+                    out = []
+                    for w in worlds:
                         env[k] = w
-                        if (a(env) >> w) & 1:
-                            acc |= 1 << w
+                        out.append(a(env)[w])
                     if saved is not None:
                         env[k] = saved
-                    return acc
+                    return out
 
                 return down
             case _:
@@ -302,7 +450,7 @@ def _enumeration_count(n: int, n_props: int, n_noms: int, n_svars: int) -> int:
 
 
 def _check_budget(
-    frame: KripkeFrame,
+    frames: FrameBlock | KripkeFrame,
     prop_syms: list[Symbol],
     nom_syms: list[Symbol],
     svar_syms: list[Symbol],
@@ -316,47 +464,54 @@ def _check_budget(
         raise EnumerationCapError(
             f"{len(nom_syms)} nominals exceed the cap {limits.max_nominals}"
         )
-    count = _enumeration_count(frame.size, len(prop_syms), len(nom_syms), len(svar_syms))
+    count = _enumeration_count(frames.size, len(prop_syms), len(nom_syms), len(svar_syms))
     if count > limits.max_count:
         raise EnumerationCapError(f"enumeration of {count} cases exceeds cap {limits.max_count}")
 
 
 def frame_valid(
-    frame: KripkeFrame,
+    frames: FrameBlock | KripkeFrame,
     f: Formula,
     limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> bool:
-    """True iff f holds at every world under every valuation and assignment.
+) -> int:
+    """Mask of the frames on which f holds at every world under every
+    valuation and assignment (0 or 1 for a single frame).
 
     Only symbols occurring in f are enumerated; absent symbols cannot affect
     the truth value.
     """
     prop_syms, nom_syms, svar_syms = sorted_symbols(f)
-    _check_budget(frame, prop_syms, nom_syms, svar_syms, limits)
+    _check_budget(frames, prop_syms, nom_syms, svar_syms, limits)
 
-    n = frame.size
-    full = (1 << n) - 1
+    n = frames.size
+    full = frames.full
     slots = {s: k for k, s in enumerate(prop_syms + nom_syms + svar_syms)}
-    fn = _compile(f, frame, slots, full)
-    env = [0] * len(slots)
+    fn = _compile(f, frames, slots)
+    # valuations[s]: the per-world values of a prop true at the worlds in s.
+    valuations = [tuple(full if (s >> w) & 1 else 0 for w in range(n)) for s in range(1 << n)]
+    env: list = [0] * len(slots)
     np, nn, ns = len(prop_syms), len(nom_syms), len(svar_syms)
+    valid = full
     for nom_worlds in itertools.product(range(n), repeat=nn):
         env[np : np + nn] = nom_worlds
-        for prop_masks in itertools.product(range(1 << n), repeat=np):
-            env[0:np] = prop_masks
+        for prop_values in itertools.product(valuations, repeat=np):
+            env[0:np] = prop_values
             for svar_worlds in itertools.product(range(n), repeat=ns):
                 env[np + nn : np + nn + ns] = svar_worlds
-                if fn(env) != full:
-                    return False
-    return True
+                for x in fn(env):
+                    valid &= x
+                if not valid:
+                    return 0
+    return valid
 
 
 def frame_valid_quasi(
-    frame: KripkeFrame,
+    frames: FrameBlock | KripkeFrame,
     q: QuasiInequality,
     limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> bool:
-    """True iff q holds under every nominal placement (and assignment).
+) -> int:
+    """Mask of the frames on which q holds under every nominal placement
+    (and assignment); 0 or 1 for a single frame.
 
     Requires a pure quasi-inequality; the antecedents and the conclusion are
     judged against one shared valuation and assignment.
@@ -364,61 +519,55 @@ def frame_valid_quasi(
     prop_syms, nom_syms, svar_syms = sorted_symbols(q)
     if prop_syms:
         raise ValueError(f"quasi-inequality is not pure: contains {prop_syms}")
-    _check_budget(frame, [], nom_syms, svar_syms, limits)
+    _check_budget(frames, [], nom_syms, svar_syms, limits)
 
-    n = frame.size
-    full = (1 << n) - 1
+    n = frames.size
+    full = frames.full
     slots = {s: k for k, s in enumerate(nom_syms + svar_syms)}
-    ineqs = [*q.antecedents, q.conclusion]
-    compiled = [
-        (_compile(i.lhs, frame, slots, full), _compile(i.rhs, frame, slots, full))
-        for i in ineqs
+    *antecedents, conclusion = [
+        (_compile(i.lhs, frames, slots), _compile(i.rhs, frames, slots))
+        for i in (*q.antecedents, q.conclusion)
     ]
-    env = [0] * len(slots)
+
+    def included(lf, rf, env) -> int:
+        """Mask of the frames where lhs's truth set lies within rhs's."""
+        m = full
+        for x, y in zip(lf(env), rf(env)):
+            m &= (full ^ x) | y
+        return m
+
+    env: list = [0] * len(slots)
     nn, ns = len(nom_syms), len(svar_syms)
+    valid = full
     for nom_worlds in itertools.product(range(n), repeat=nn):
         env[0:nn] = nom_worlds
         for svar_worlds in itertools.product(range(n), repeat=ns):
             env[nn : nn + ns] = svar_worlds
-            ok = True
-            for lf, rf in compiled[:-1]:
-                if lf(env) & ~rf(env) & full:
-                    ok = False
+            held = valid
+            for lf, rf in antecedents:
+                held &= included(lf, rf, env)
+                if not held:
                     break
-            if not ok:
+            if not held:
                 continue
-            lf, rf = compiled[-1]
-            if lf(env) & ~rf(env) & full:
-                return False
-    return True
+            valid &= (full ^ held) | included(*conclusion, env)
+            if not valid:
+                return 0
+    return valid
 
 
 def frame_valid_quasi_set(
-    frame: KripkeFrame,
+    frames: FrameBlock | KripkeFrame,
     qs: Iterable[QuasiInequality],
     limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> bool:
-    return all(frame_valid_quasi(frame, q, limits) for q in qs)
-
-
-def enumerate_frames(
-    max_size: int,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> Iterator[KripkeFrame]:
-    """Every frame with 1..max_size worlds, in relation-bitmask order.
-
-    Size n contributes 2^(n*n) frames; pair k of the lexicographically
-    sorted world-pair list is present iff bit k of the mask is set.
-    """
-    if max_size > limits.max_worlds:
-        raise EnumerationCapError(
-            f"max_size {max_size} exceeds the world cap {limits.max_worlds}"
-        )
-    for n in range(1, max_size + 1):
-        pairs = [(a, b) for a in range(n) for b in range(n)]
-        for mask in range(1 << (n * n)):
-            rel = frozenset(pairs[k] for k in range(len(pairs)) if (mask >> k) & 1)
-            yield KripkeFrame(n, rel)
+) -> int:
+    """Mask of the frames on which every quasi-inequality of qs is valid."""
+    valid = frames.full
+    for q in qs:
+        valid &= frame_valid_quasi(frames, q, limits)
+        if not valid:
+            break
+    return valid
 
 
 MAX_COUNTEREXAMPLES = 5
@@ -428,18 +577,19 @@ MAX_COUNTEREXAMPLES = 5
 class FrameAgreement:
     """Frame validity of an input and of its pure outputs, frame by frame.
 
-    Frames are numbered in enumerate_frames order; the counterexamples
+    Bit k of valid_in (valid_out) is set iff the input (the outputs) is
+    valid on frame k in enumerate_frames order; the counterexamples
     describe the first MAX_COUNTEREXAMPLES frames where the two differ.
     """
 
     frames: int
-    valid_in: list[int]
-    valid_out: list[int]
+    valid_in: int
+    valid_out: int
     counterexamples: list[str]
 
     @property
     def agreements(self) -> int:
-        return self.frames - len(set(self.valid_in) ^ set(self.valid_out))
+        return self.frames - (self.valid_in ^ self.valid_out).bit_count()
 
     @property
     def ok(self) -> bool:
@@ -457,21 +607,17 @@ def frame_agreement(
     if isinstance(formula, Inequality):
         formula = Implies(formula.lhs, formula.rhs)
     quasis = tuple(quasis)
-    total = 0
-    valid_in: list[int] = []
-    valid_out: list[int] = []
-    counterexamples: list[str] = []
-    for idx, fr in enumerate(enumerate_frames(limits.max_worlds, limits)):
-        total += 1
-        vi = frame_valid(fr, formula, limits)
-        vo = frame_valid_quasi_set(fr, quasis, limits)
-        if vi:
-            valid_in.append(idx)
-        if vo:
-            valid_out.append(idx)
-        if vi != vo and len(counterexamples) < MAX_COUNTEREXAMPLES:
-            counterexamples.append(f"{fr}: input={vi} output={vo}")
-    return FrameAgreement(total, valid_in, valid_out, counterexamples)
+    valid_in = valid_out = 0
+    for block in frame_blocks(limits.max_worlds, limits):
+        valid_in |= frame_valid(block, formula, limits) << block.index
+        valid_out |= frame_valid_quasi_set(block, quasis, limits) << block.index
+    counterexamples = [
+        f"{_frame_at_index(k)}: input={bool(valid_in >> k & 1)} output={bool(valid_out >> k & 1)}"
+        for k in itertools.islice(frame_indices(valid_in ^ valid_out), MAX_COUNTEREXAMPLES)
+    ]
+    return FrameAgreement(
+        _frames_below(limits.max_worlds + 1), valid_in, valid_out, counterexamples
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ PROPS = [prop("p"), prop("q"), prop("r")]
 SVARS = [svar("x"), svar("y")]
 NOMS = [nom("i"), nom("j")]
 
+_pure_atoms = [TOP, BOT] + [Svar(s) for s in SVARS] + [Nom(s) for s in NOMS]
 _atoms = st.sampled_from(
     [TOP, BOT]
     + [Prop(s) for s in PROPS]
@@ -44,9 +45,10 @@ _atoms = st.sampled_from(
 )
 
 
-def formulas(max_leaves: int = 10) -> st.SearchStrategy[Formula]:
+def formulas(max_leaves: int = 10, pure: bool = False) -> st.SearchStrategy[Formula]:
+    """Formulas over PROPS, SVARS and NOMS; pure ones leave PROPS out."""
     return st.recursive(
-        _atoms,
+        st.sampled_from(_pure_atoms) if pure else _atoms,
         lambda sub: st.one_of(
             st.builds(Not, sub),
             st.builds(Dia, sub),
@@ -63,6 +65,14 @@ def formulas(max_leaves: int = 10) -> st.SearchStrategy[Formula]:
 
 def inequalities(max_leaves: int = 8) -> st.SearchStrategy[Inequality]:
     return st.builds(Inequality, formulas(max_leaves), formulas(max_leaves))
+
+
+def pure_quasis(max_leaves: int = 5) -> st.SearchStrategy[QuasiInequality]:
+    """Quasi-inequalities over pure formulas, with up to two antecedents."""
+    ineq = st.builds(Inequality, formulas(max_leaves, pure=True), formulas(max_leaves, pure=True))
+    return st.builds(
+        QuasiInequality, st.lists(ineq, max_size=2).map(tuple), ineq
+    )
 
 
 @st.composite

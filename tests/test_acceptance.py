@@ -6,7 +6,10 @@ Run with ``pytest tests/test_acceptance.py -v -s``.  Criteria, in order:
    critical branches match the published tree annotations, under 1 s.
 2. 1000 generated skeletal inequalities all reduce successfully, under 60 s.
 3. Corpus plus 100 generated inputs agree with their pure outputs on all
-   530 frames with up to 3 worlds, zero disagreements, under 5 min.
+   530 frames with up to 3 worlds, zero disagreements, under 5 min; and
+   on all 66,066 frames with up to 4 worlds, where the valid frames of the
+   named corpus classes are exactly the frames of their FRAME_CLASSES
+   predicates.
 4. The valid-frame sets of the box-reflexivity, transitivity, and
    diamond-reflexivity outputs are exactly the expected frame classes.
 5. Translation equivalence: exhaustive on two-world models for corpus
@@ -32,8 +35,13 @@ from hybridcorr.classify import (
 from hybridcorr.corpus import CORPUS
 from hybridcorr.generate import GeneratorConfig, SkeletalGenerator
 from hybridcorr.semantics import (
+    FRAME_CLASSES,
     EnumerationLimits,
     enumerate_frames,
+    frame_agreement,
+    frame_at,
+    frame_blocks,
+    frame_indices,
     frame_valid,
     frame_valid_quasi_set,
     globally_true,
@@ -149,22 +157,53 @@ def test_criterion_3_frame_soundness():
     for required in ("refl-box", "refl-dia", "trans", "join-split"):
         assert required in entries
 
+    blocks = list(frame_blocks(3, LIMITS))
+    assert sum(b.count for b in blocks) == 530
     disagreements = []
+
+    def compare(name, ineq, quasis):
+        f = Implies(ineq.lhs, ineq.rhs)
+        for b in blocks:
+            differ = frame_valid(b, f, LIMITS) ^ frame_valid_quasi_set(b, quasis, LIMITS)
+            disagreements.extend(
+                (name, frame_at(b.size, b.start + j)) for j in frame_indices(differ)
+            )
+
     for name, (entry, result) in entries.items():
-        ineq = parse_input(entry.input_text)
-        f = Implies(ineq.lhs, ineq.rhs)
-        for fr in frames:
-            if frame_valid(fr, f, LIMITS) != frame_valid_quasi_set(fr, result.quasis, LIMITS):
-                disagreements.append((name, fr))
+        compare(name, parse_input(entry.input_text), result.quasis)
     for ineq, eps, result in generated_oracle_runs():
-        f = Implies(ineq.lhs, ineq.rhs)
-        for fr in frames:
-            if frame_valid(fr, f, LIMITS) != frame_valid_quasi_set(fr, result.quasis, LIMITS):
-                disagreements.append((str(ineq), fr))
+        compare(str(ineq), ineq, result.quasis)
     assert disagreements == [], disagreements[:3]
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"soundness sweep took {elapsed:.1f}s"
     print(f"\nACCEPTANCE 3 (frame soundness, 530 frames): PASS ({elapsed:.1f} s)")
+
+
+# Frames with up to 4 worlds in each named class, counted with the
+# FRAME_CLASSES predicates.
+FOUR_WORLD_CLASS_COUNTS = {"refl-dia": 4165, "trans": 4180, "sym": 1098, "dense": 35272}
+
+
+def test_criterion_3_frame_soundness_at_four_worlds():
+    t0 = time.monotonic()
+    limits = EnumerationLimits(max_worlds=4, max_props=3, max_nominals=12, max_count=50_000_000)
+    reports = {}
+    for name, (entry, result) in corpus_runs().items():
+        reports[name] = frame_agreement(parse_input(entry.input_text), result.quasis, limits)
+    for k, (ineq, eps, result) in enumerate(generated_oracle_runs()):
+        reports[f"gen{k} {ineq}"] = frame_agreement(ineq, result.quasis, limits)
+    assert all(r.frames == 66_066 for r in reports.values())
+    failing = [(name, r.counterexamples[:1]) for name, r in reports.items() if not r.ok]
+    assert failing == [], failing[:3]
+
+    frames = list(enumerate_frames(4, limits))
+    for name, count in FOUR_WORLD_CLASS_COUNTS.items():
+        pred = FRAME_CLASSES[corpus_runs()[name][0].frame_class]
+        expected = sum(1 << k for k, fr in enumerate(frames) if pred(fr))
+        assert reports[name].valid_in == expected, name
+        assert expected.bit_count() == count, name
+    elapsed = time.monotonic() - t0
+    print(f"\nACCEPTANCE 3 (frame soundness, 66066 frames): PASS ({elapsed:.1f} s)")
 
 
 def test_criterion_4_known_correspondents():

@@ -1,6 +1,7 @@
 """Schema registry: every base-system axiom and derived fact is a validity."""
 
 from hybridcorr.axioms import (
+    Schema,
     all_schemas,
     axiom_schemas,
     check_schemas,
@@ -8,6 +9,7 @@ from hybridcorr.axioms import (
     distribution_schemas,
     justification_schemas,
 )
+from hybridcorr.syntax import parse
 
 
 def test_axiom_names_cover_the_base_system():
@@ -49,3 +51,9 @@ def test_registry_has_instances_everywhere():
     for name, schema in justification_schemas().items():
         assert schema.instances, name
     assert all(s.instances for s in all_schemas())
+
+
+def test_failure_names_the_first_refuting_frame():
+    (check,) = check_schemas(schemas=[Schema("bad", (parse("<>p -> p"),))])
+    assert not check.ok
+    assert check.failures == ["<>p -> p fails on worlds=2; rel={(0,1)}"]

@@ -140,6 +140,23 @@ class TestHostileInput:
         code, out, err = run_cli(capsys, "classify", "<>" * 3000 + "p -> p")
         self.one_line_error(code, out, err)
 
+    def test_verify_world_cap_below_one(self, capsys):
+        # no frames would be checked, so nothing could disagree
+        for cap in ("0", "-2"):
+            code, out, err = run_cli(capsys, "verify", "p -> <>p", "--max-worlds", cap)
+            self.one_line_error(code, out, err)
+            assert "below 1" in err
+
+    def test_verify_world_cap_below_one_from_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYBRIDCORR_MAX_WORLDS", "0")
+        code, out, err = run_cli(capsys, "verify", "p -> <>p", "--json")
+        self.one_line_error(code, out, err)
+
+    def test_axioms_check_world_cap_below_one(self, capsys):
+        code, out, err = run_cli(capsys, "axioms-check", "--max-worlds", "0")
+        self.one_line_error(code, out, err)
+        assert "below 1" in err
+
 
 class TestAxiomsCheck:
     def test_small_bound(self, capsys):

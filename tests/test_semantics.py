@@ -15,6 +15,9 @@ from hybridcorr.semantics import (
     enumerate_frames,
     eval_at,
     frame_agreement,
+    frame_at,
+    frame_blocks,
+    frame_indices,
     frame_valid,
     frame_valid_quasi,
     frame_valid_quasi_set,
@@ -43,7 +46,7 @@ from hybridcorr.syntax import (
     svar,
 )
 
-from strategies import formulas, models_for
+from strategies import formulas, models_for, pure_quasis
 
 P = prop("p")
 X = svar("x")
@@ -51,6 +54,38 @@ I = nom("i")
 
 LOOP1 = KripkeFrame(1, frozenset({(0, 0)}))
 BARE1 = KripkeFrame(1, frozenset())
+# The one block of each size up to 2.
+BLOCKS = list(frame_blocks(2))
+
+
+def models_on(fr, sides):
+    """Every model on fr, with an assignment, over the symbols of sides."""
+    ps = sorted(set().union(*map(props, sides)), key=str)
+    ns = sorted(set().union(*map(nominals, sides)), key=str)
+    vs = sorted(set().union(*map(free_state_vars, sides)), key=str)
+    n = fr.size
+    world_sets = [frozenset(w for w in range(n) if (m >> w) & 1) for m in range(1 << n)]
+    for nv in itertools.product(range(n), repeat=len(ns)):
+        for pv in itertools.product(world_sets, repeat=len(ps)):
+            mdl = KripkeModel(fr, dict(zip(ps, pv)), dict(zip(ns, nv)))
+            for gv in itertools.product(range(n), repeat=len(vs)):
+                yield mdl, dict(zip(vs, gv))
+
+
+def oracle_valid(fr, f):
+    """Frame validity of f decided clause by clause with eval_at."""
+    return all(
+        eval_at(mdl, g, w, f) for mdl, g in models_on(fr, [f]) for w in range(fr.size)
+    )
+
+
+def oracle_valid_quasi(fr, q):
+    sides = [s for i in (*q.antecedents, q.conclusion) for s in (i.lhs, i.rhs)]
+    return all(holds_quasi(mdl, g, q) for mdl, g in models_on(fr, sides))
+
+
+def mask_bits(mask, count):
+    return [(mask >> m) & 1 for m in range(count)]
 
 
 def model(frame, pv=None, nv=None):
@@ -160,30 +195,37 @@ class TestFrameValid:
         ]
         for fr in enumerate_frames(2):
             for f in fs:
-                ps = sorted(props(f), key=str)
-                ns = sorted(nominals(f), key=str)
-                vs = sorted(free_state_vars(f), key=str)
-                n = fr.size
-                expect = True
-                world_sets = [
-                    frozenset(w for w in range(n) if (m >> w) & 1)
-                    for m in range(1 << n)
-                ]
-                for nv in itertools.product(range(n), repeat=len(ns)):
-                    for pv in itertools.product(world_sets, repeat=len(ps)):
-                        mdl = KripkeModel(fr, dict(zip(ps, pv)), dict(zip(ns, nv)))
-                        for gv in itertools.product(range(n), repeat=len(vs)):
-                            g = dict(zip(vs, gv))
-                            if not all(
-                                eval_at(mdl, g, w, f) for w in range(n)
-                            ):
-                                expect = False
-                assert frame_valid(fr, f) == expect
+                assert frame_valid(fr, f) == oracle_valid(fr, f)
 
     def test_cap_guard(self):
         f = parse("p & q & r & p1")
         with pytest.raises(EnumerationCapError):
             frame_valid(LOOP1, f)
+
+
+class TestSlicedAgainstOracle:
+    """Bit m of a block's validity mask against the oracle on frame m."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(formulas(6))
+    def test_frame_valid_bits(self, f):
+        for block in BLOCKS:
+            expect = [int(oracle_valid(frame_at(block.size, m), f)) for m in range(block.count)]
+            assert mask_bits(frame_valid(block, f), block.count) == expect
+
+    @settings(max_examples=150, deadline=None)
+    @given(pure_quasis())
+    def test_frame_valid_quasi_bits(self, q):
+        for block in BLOCKS:
+            expect = [
+                int(oracle_valid_quasi(frame_at(block.size, m), q)) for m in range(block.count)
+            ]
+            assert mask_bits(frame_valid_quasi(block, q), block.count) == expect
+
+    def test_single_frame_is_a_block_of_one(self):
+        assert frame_valid(LOOP1, parse("[]p -> p")) == 1
+        assert frame_valid(BARE1, parse("[]p -> p")) == 0
+        assert frame_valid_quasi_set(BARE1, []) == 1
 
 
 class TestFrameValidQuasi:
@@ -253,10 +295,10 @@ class TestFrameAgreement:
             report = frame_agreement(ineq, quasis, self.LIMITS)
             f = Implies(ineq.lhs, ineq.rhs)
             assert report.frames == len(frames) == 18
-            assert report.valid_in == [
+            assert list(frame_indices(report.valid_in)) == [
                 k for k, fr in enumerate(frames) if frame_valid(fr, f, self.LIMITS)
             ]
-            assert report.valid_out == [
+            assert list(frame_indices(report.valid_out)) == [
                 k
                 for k, fr in enumerate(frames)
                 if frame_valid_quasi_set(fr, quasis, self.LIMITS)
@@ -299,6 +341,62 @@ class TestEnumerateFrames:
         with pytest.raises(EnumerationCapError):
             list(enumerate_frames(4))
         assert sum(1 for _ in enumerate_frames(4, EnumerationLimits(max_worlds=4))) > 530
+
+
+class TestFrameBlocks:
+    def test_decoder_matches_enumeration_order(self):
+        offset = 0
+        for n in (1, 2, 3):
+            pairs = [(a, b) for a in range(n) for b in range(n)]
+            decoded = [frame_at(n, m) for m in range(2 ** (n * n))]
+            assert decoded == list(enumerate_frames(n))[offset:]
+            # bit k of m is the k-th world pair in lexicographic order
+            assert [fr.relation for fr in decoded] == [
+                frozenset(p for k, p in enumerate(pairs) if (m >> k) & 1)
+                for m in range(2 ** (n * n))
+            ]
+            offset += len(decoded)
+
+    def test_block_edges_decode_to_frames(self):
+        for block in frame_blocks(3):
+            n = block.size
+            for j in range(block.count):
+                held = {(u, v) for u in range(n) for v in range(n) if (block.edges[u][v] >> j) & 1}
+                assert held == frame_at(n, block.start + j).relation
+
+    def test_one_block_per_size_up_to_four(self):
+        blocks = list(frame_blocks(4, EnumerationLimits(max_worlds=4)))
+        assert [(b.size, b.start, b.count) for b in blocks] == [
+            (1, 0, 2), (2, 0, 16), (3, 0, 512), (4, 0, 65536)
+        ]
+        assert [b.index for b in blocks] == [0, 2, 18, 530]
+
+    def test_five_worlds_split_into_blocks_of_2_16(self):
+        # decoding only: no formula is evaluated at five worlds
+        blocks = [
+            b for b in frame_blocks(5, EnumerationLimits(max_worlds=5)) if b.size == 5
+        ]
+        assert len(blocks) == 512
+        assert all(b.count == 1 << 16 for b in blocks)
+        assert [b.start for b in blocks] == [k << 16 for k in range(512)]
+        for k in (0, 1, 200, 511):
+            for j in (0, 1, 0x1234, 0xFFFF):
+                held = {
+                    (u, v) for u in range(5) for v in range(5)
+                    if (blocks[k].edges[u][v] >> j) & 1
+                }
+                assert held == frame_at(5, (k << 16) + j).relation
+
+    def test_frame_indices(self):
+        assert list(frame_indices(0)) == []
+        assert list(frame_indices(0b101001)) == [0, 3, 5]
+
+    def test_world_cap_below_one(self):
+        for cap in (0, -2):
+            with pytest.raises(ValueError):
+                frame_blocks(cap)
+            with pytest.raises(ValueError):
+                list(enumerate_frames(cap))
 
 
 class TestModelFixtures:
