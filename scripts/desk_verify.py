@@ -4,7 +4,8 @@
 Runs the shipped corpus plus a batch of generated skeletal inequalities
 through the full pipeline and checks, on every frame up to the world cap,
 that input and pure output define the same frame class, and that the
-translation is model-equivalent to the output.  Prints one line per case.
+translation is equivalent to the output on every model (frame and
+nominal placement) up to the world cap.  Prints one line per case.
 
 Usage: python scripts/desk_verify.py [--generated N] [--seed S] [--max-worlds W]
 """
@@ -30,15 +31,17 @@ def check_case(name, ineq, result, limits):
     if not agreement.ok:
         print(f"FAIL {name}: disagreement on {agreement.counterexamples[0]}")
         return False
+    models = 0
     for q in result.quasis:
-        report = verify_tr_equivalence(q, samples=50, seed=0)
+        report = verify_tr_equivalence(q, limits)
         if not report.ok:
             print(f"FAIL {name}: translation mismatch {report.mismatches[0]}")
             return False
+        models += report.checked
     dt = time.monotonic() - t0
     print(
         f"ok   {name}: valid on {agreement.valid_in.bit_count()}/{agreement.frames} frames, "
-        f"{len(result.quasis)} quasi(s), {dt:.2f}s"
+        f"{len(result.quasis)} quasi(s), translation equivalent on {models} models, {dt:.2f}s"
     )
     return True
 

@@ -9,6 +9,7 @@ only, the logic lives in the library modules.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -141,7 +142,7 @@ def cmd_verify(args) -> int:
         print(f"failure: {result.reason}", file=sys.stderr)
         return EXIT_FAILURE
     agreement = frame_agreement(ineq, result.quasis, limits)
-    tr_reports = [verify_tr_equivalence(q, samples=100) for q in result.quasis]
+    tr_reports = [verify_tr_equivalence(q, limits) for q in result.quasis]
     tr_ok = all(r.ok for r in tr_reports)
     report = {
         "input": str(ineq),
@@ -198,7 +199,10 @@ def cmd_corpus(args) -> int:
     return EXIT_OK if ok else EXIT_ERROR
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args returns a
+    fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="hybridcorr",
         description="Skeletal Sahlqvist classification and pure hybrid correspondents",

@@ -18,7 +18,9 @@ that occur in the formula under test.  Each size is one block while it has
 at most 2^16 frames; larger sizes split into blocks of 2^16 frames, so a
 value never exceeds 8 KB.  The validity checks return the mask of the
 block's frames on which the formula is valid, and ``frame_agreement`` runs
-them for an input and its pure outputs side by side.
+them for an input and its pure outputs side by side.  ``_quasi_placements``
+is the one loop over placements of nominals and state variables: both
+``frame_valid_quasi`` and the translation check in ``translate`` run on it.
 """
 
 from __future__ import annotations
@@ -505,23 +507,25 @@ def frame_valid(
     return valid
 
 
-def frame_valid_quasi(
+def _quasi_placements(
     frames: FrameBlock | KripkeFrame,
     q: QuasiInequality,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> int:
-    """Mask of the frames on which q holds under every nominal placement
-    (and assignment); 0 or 1 for a single frame.
+    limits: EnumerationLimits,
+):
+    """Compile q on frames and return (slots, placements, holds).
 
-    Requires a pure quasi-inequality; the antecedents and the conclusion are
-    judged against one shared valuation and assignment.
+    slots numbers q's nominals and then its state variables; placements
+    yields, in lexicographic order, an environment list for every placement
+    of them in the frames' worlds (the same list, updated in place);
+    holds(env, care) is the mask of the frames among care on which q holds
+    under that placement.  Requires a pure quasi-inequality; the
+    antecedents and the conclusion are judged against one shared placement.
     """
     prop_syms, nom_syms, svar_syms = sorted_symbols(q)
     if prop_syms:
         raise ValueError(f"quasi-inequality is not pure: contains {prop_syms}")
     _check_budget(frames, [], nom_syms, svar_syms, limits)
 
-    n = frames.size
     full = frames.full
     slots = {s: k for k, s in enumerate(nom_syms + svar_syms)}
     *antecedents, conclusion = [
@@ -536,23 +540,40 @@ def frame_valid_quasi(
             m &= (full ^ x) | y
         return m
 
-    env: list = [0] * len(slots)
-    nn, ns = len(nom_syms), len(svar_syms)
-    valid = full
-    for nom_worlds in itertools.product(range(n), repeat=nn):
-        env[0:nn] = nom_worlds
-        for svar_worlds in itertools.product(range(n), repeat=ns):
-            env[nn : nn + ns] = svar_worlds
-            held = valid
-            for lf, rf in antecedents:
-                held &= included(lf, rf, env)
-                if not held:
-                    break
+    def holds(env, care: int) -> int:
+        held = care
+        for lf, rf in antecedents:
+            held &= included(lf, rf, env)
             if not held:
-                continue
-            valid &= (full ^ held) | included(*conclusion, env)
-            if not valid:
-                return 0
+                return care
+        return (care ^ held) | (held & included(*conclusion, env))
+
+    def placements() -> Iterator[list]:
+        env: list = [0] * len(slots)
+        for worlds in itertools.product(range(frames.size), repeat=len(slots)):
+            env[:] = worlds
+            yield env
+
+    return slots, placements(), holds
+
+
+def frame_valid_quasi(
+    frames: FrameBlock | KripkeFrame,
+    q: QuasiInequality,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
+) -> int:
+    """Mask of the frames on which q holds under every nominal placement
+    (and assignment); 0 or 1 for a single frame.
+
+    Requires a pure quasi-inequality; the antecedents and the conclusion are
+    judged against one shared valuation and assignment.
+    """
+    _, placements, holds = _quasi_placements(frames, q, limits)
+    valid = frames.full
+    for env in placements:
+        valid = holds(env, valid)
+        if not valid:
+            return 0
     return valid
 
 
@@ -596,6 +617,17 @@ class FrameAgreement:
         return self.valid_in == self.valid_out
 
 
+def valid_frame_mask(check, item, limits: EnumerationLimits = DEFAULT_LIMITS) -> int:
+    """Mask of the frames with up to limits.max_worlds worlds (bit k for
+    frame k in enumerate_frames order) on which item is valid, where
+    check(block, item, limits) is a block validity check such as
+    frame_valid or frame_valid_quasi_set."""
+    valid = 0
+    for block in frame_blocks(limits.max_worlds, limits):
+        valid |= check(block, item, limits) << block.index
+    return valid
+
+
 def frame_agreement(
     formula: Formula | Inequality,
     quasis: Iterable[QuasiInequality],
@@ -606,11 +638,8 @@ def frame_agreement(
     quasi-inequalities are valid."""
     if isinstance(formula, Inequality):
         formula = Implies(formula.lhs, formula.rhs)
-    quasis = tuple(quasis)
-    valid_in = valid_out = 0
-    for block in frame_blocks(limits.max_worlds, limits):
-        valid_in |= frame_valid(block, formula, limits) << block.index
-        valid_out |= frame_valid_quasi_set(block, quasis, limits) << block.index
+    valid_in = valid_frame_mask(frame_valid, formula, limits)
+    valid_out = valid_frame_mask(frame_valid_quasi_set, tuple(quasis), limits)
     counterexamples = [
         f"{_frame_at_index(k)}: input={bool(valid_in >> k & 1)} output={bool(valid_out >> k & 1)}"
         for k in itertools.islice(frame_indices(valid_in ^ valid_out), MAX_COUNTEREXAMPLES)

@@ -6,20 +6,30 @@ An inequality with an atom on the left becomes a satisfaction statement
 a negated satisfaction statement (g <= ~atom maps to ~@atom g).  When both
 readings apply the left-atom clause wins; the readings are equivalent and
 the test suite checks that.
+
+``verify_tr_equivalence`` checks the translation exhaustively: on every
+frame with up to ``limits.max_worlds`` worlds (the cap the frame-agreement
+check uses) and under every placement of the item's nominals and state
+variables, the item holds iff its translation is globally true.  It runs on
+the sliced evaluator of ``semantics``, one frame block at a time, and
+reports the number of models checked and the first refuting ones.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .alba import atom_term, neg_atom_term
 from .semantics import (
+    DEFAULT_LIMITS,
+    MAX_COUNTEREXAMPLES,
+    EnumerationLimits,
     KripkeModel,
-    globally_true,
-    holds_inequality,
-    holds_quasi,
-    random_model,
+    _compile,
+    _quasi_placements,
+    frame_at,
+    frame_blocks,
+    model_to_json,
 )
 from .syntax import (
     TOP,
@@ -32,8 +42,6 @@ from .syntax import (
     Nom,
     Not,
     QuasiInequality,
-    Symbol,
-    sorted_symbols,
 )
 
 
@@ -90,53 +98,69 @@ def tr_quasiset(qs: list[QuasiInequality] | tuple[QuasiInequality, ...]) -> Form
 
 @dataclass
 class TrEquivalenceReport:
+    """Models checked, models on which the two sides differ, and the first
+    few of those models decoded."""
+
     checked: int
+    mismatched: int
     mismatches: list[dict]
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        return not self.mismatched
 
     def to_json(self) -> dict:
-        return {"checked": self.checked, "mismatches": self.mismatches, "ok": self.ok}
+        return {
+            "checked": self.checked,
+            "mismatched": self.mismatched,
+            "mismatches": self.mismatches,
+            "ok": self.ok,
+        }
 
 
 def verify_tr_equivalence(
     item: Inequality | QuasiInequality,
-    models: list[tuple[KripkeModel, dict[Symbol, int]]] | None = None,
-    samples: int = 200,
-    seed: int = 0,
-    max_worlds: int = 3,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> TrEquivalenceReport:
-    """Check holds(item) == globally-true(Tr(item)) model by model.
+    """Check holds(item) == globally-true(Tr(item)) on every model with up to
+    limits.max_worlds worlds: every frame and every placement of the item's
+    nominals and state variables.
 
-    With no model list given, draws random models over the item's symbols.
+    The item must be pure.  Both sides are compiled once per frame block
+    with one slot map and decided for every frame of the block at once.
     """
-    translation = tr_ineq(item) if isinstance(item, Inequality) else tr_quasi(item)
-    if models is None:
-        ps, ns, vs = sorted_symbols(item)
-        rng = random.Random(seed)
-        models = []
-        for _ in range(samples):
-            m = random_model(rng, ps, ns, max_worlds)
-            g = {x: rng.randrange(m.frame.size) for x in vs}
-            models.append((m, g))
+    if isinstance(item, Inequality):
+        translation = tr_ineq(item)
+        quasi = QuasiInequality((), item)
+    else:
+        translation = tr_quasi(item)
+        quasi = item
+    checked = mismatched = 0
     mismatches: list[dict] = []
-    for m, g in models:
-        direct = (
-            holds_inequality(m, g, item)
-            if isinstance(item, Inequality)
-            else holds_quasi(m, g, item)
-        )
-        translated = globally_true(m, g, translation)
-        if direct != translated:
-            from .semantics import model_to_json
-
-            mismatches.append(
-                {
-                    "model": model_to_json(m, g),
-                    "direct": direct,
-                    "translated": translated,
-                }
-            )
-    return TrEquivalenceReport(len(models), mismatches)
+    for block in frame_blocks(limits.max_worlds, limits):
+        slots, placements, holds = _quasi_placements(block, quasi, limits)
+        translated_at = _compile(translation, block, slots)
+        full = block.full
+        for env in placements:
+            translated = full
+            for x in translated_at(env):
+                translated &= x
+            diff = holds(env, full) ^ translated
+            checked += block.count
+            if not diff:
+                continue
+            mismatched += diff.bit_count()
+            if len(mismatches) < MAX_COUNTEREXAMPLES:
+                j = (diff & -diff).bit_length() - 1
+                values = dict(zip(slots, env))
+                model = KripkeModel(
+                    frame_at(block.size, block.start + j),
+                    {},
+                    {s: w for s, w in values.items() if s.kind is Kind.NOM},
+                )
+                g = {s: w for s, w in values.items() if s.kind is Kind.SVAR}
+                held = bool(translated >> j & 1)
+                mismatches.append(
+                    {"model": model_to_json(model, g), "direct": not held, "translated": held}
+                )
+    return TrEquivalenceReport(checked, mismatched, mismatches)

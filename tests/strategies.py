@@ -75,6 +75,31 @@ def pure_quasis(max_leaves: int = 5) -> st.SearchStrategy[QuasiInequality]:
     )
 
 
+_terms = st.sampled_from([Nom(s) for s in NOMS] + [Svar(s) for s in SVARS])
+
+
+def translatable_inequalities(max_leaves: int = 5) -> st.SearchStrategy[Inequality]:
+    """Pure inequalities of the two translatable shapes: a nominal or state
+    variable on the left, or a negated one on the right."""
+    pure = formulas(max_leaves, pure=True)
+    return st.one_of(
+        st.builds(Inequality, _terms, pure),
+        st.builds(Inequality, pure, st.builds(Not, _terms)),
+    )
+
+
+def translatable_quasis(max_leaves: int = 5) -> st.SearchStrategy[QuasiInequality]:
+    """Pure quasi-inequalities that tr_quasi accepts: translatable
+    antecedents and a conclusion 'i <= ~'j."""
+    noms = st.sampled_from([Nom(s) for s in NOMS])
+    conclusion = st.builds(Inequality, noms, st.builds(Not, noms))
+    return st.builds(
+        QuasiInequality,
+        st.lists(translatable_inequalities(max_leaves), max_size=2).map(tuple),
+        conclusion,
+    )
+
+
 @st.composite
 def models_for(draw, f: Formula, max_worlds: int = 3):
     """A model plus assignment covering every symbol of f."""

@@ -21,6 +21,31 @@ def load_schema(name):
         return json.load(fh)
 
 
+class TestParser:
+    def test_built_once(self):
+        from hybridcorr.cli import build_parser
+
+        assert build_parser() is build_parser()
+
+    def test_no_state_leaks_between_calls(self, capsys, monkeypatch):
+        monkeypatch.delenv("HYBRIDCORR_MAX_WORLDS", raising=False)
+        code, out, _ = run_cli(
+            capsys, "correspond", "[]p -> p", "--json", "--trace", "--simplify"
+        )
+        assert code == 0 and "trace" in json.loads(out)
+        code, out, _ = run_cli(capsys, "correspond", "[]p -> p")
+        assert code == 0
+        assert not out.startswith("{") and "trace [" not in out
+        code, out, _ = run_cli(capsys, "verify", "p -> <>p", "--max-worlds", "2", "--json")
+        assert code == 0 and json.loads(out)["frames"] == 18
+        code, out, _ = run_cli(capsys, "verify", "p -> <>p")
+        assert code == 0 and "frames checked: 530" in out
+        code, _, _ = run_cli(capsys, "classify", "[]p -> p", "--eps", "p=1")
+        assert code == 3
+        code, out, _ = run_cli(capsys, "classify", "[]p -> p")
+        assert code == 0 and "skeletal:   True" in out
+
+
 class TestClassify:
     def test_skeletal_exit_zero(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "[]p -> p")

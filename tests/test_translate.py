@@ -1,10 +1,22 @@
 """The translation into hybrid formulas and its model-level equivalence."""
 
 import pytest
+from hypothesis import given, settings
 
-from hybridcorr.semantics import globally_true, holds_quasi
+from hybridcorr.semantics import (
+    EnumerationCapError,
+    EnumerationLimits,
+    KripkeFrame,
+    KripkeModel,
+    globally_true,
+    holds_inequality,
+    holds_quasi,
+)
 from hybridcorr.syntax import (
+    Implies,
+    Inequality,
     is_pure,
+    nom,
     parse,
     parse_inequality,
     parse_quasi,
@@ -18,7 +30,7 @@ from hybridcorr.translate import (
     verify_tr_equivalence,
 )
 
-from strategies import all_models_for_item
+from strategies import all_models_for_item, translatable_inequalities, translatable_quasis
 
 
 class TestTrIneq:
@@ -83,11 +95,41 @@ class TestTrQuasiSet:
         assert str(out) == f"({tr_quasi(a)}) & ({tr_quasi(b)})"
 
 
+def oracle_mismatches(item, translation, max_worlds=2):
+    """Models (from all_models_for_item) on which the item and its
+    translation disagree, decided by eval_at."""
+    holds = holds_inequality if isinstance(item, Inequality) else holds_quasi
+    models = all_models_for_item(item, max_worlds)
+    bad = [
+        (m, g)
+        for m, g in models
+        if holds(m, g, item) != globally_true(m, g, translation)
+    ]
+    return models, bad
+
+
+def models_up_to(max_worlds, placed):
+    """Frames with up to max_worlds worlds times placements of `placed` symbols."""
+    return sum(2 ** (n * n) * n**placed for n in range(1, max_worlds + 1))
+
+
+FIXTURES = [
+    "'i0 <= []~'i1 => 'i0 <= ~'i1",
+    "'i0 <= <>'j1 ; <>'j1 <= ~'i1 => 'i0 <= ~'i1",
+    "'i0 <= <>'j1 ; 'j1 <= <>'k1 ; <>'k1 <= ~'i1 => 'i0 <= ~'i1",
+    "=> 'i0 <= ~'i1",
+    "x <= <>'j ; <>x <= ~'k => 'j <= ~'k",
+    "'i <= !y.<>y => 'i <= ~'j",
+]
+
+
 class TestEquivalence:
+    LIMITS = EnumerationLimits(max_worlds=2)
+
     def test_inequality_exhaustive_small(self):
         ineq = parse_inequality("'i <= <>'j")
-        report = verify_tr_equivalence(ineq, models=all_models_for_item(ineq, 2))
-        assert report.ok and report.checked > 0
+        report = verify_tr_equivalence(ineq, self.LIMITS)
+        assert report.ok and report.checked == len(all_models_for_item(ineq, 2))
 
     def test_quasi_pointwise_definition(self):
         q = parse_quasi("'i0 <= []~'i1 => 'i0 <= ~'i1")
@@ -97,13 +139,89 @@ class TestEquivalence:
     def test_bottom_left_side(self):
         ineq = parse_inequality("F <= ~'i")
         assert tr_ineq(ineq) == parse("~@'i F")
-        report = verify_tr_equivalence(ineq, models=all_models_for_item(ineq, 2))
+        report = verify_tr_equivalence(ineq, self.LIMITS)
+        assert report.ok and report.checked == len(all_models_for_item(ineq, 2))
+
+    def test_exhaustive_report(self):
+        # three nominals: every frame up to 3 worlds times n^3 placements
+        q = parse_quasi("'i0 <= <>'j1 ; <>'j1 <= ~'i1 => 'i0 <= ~'i1")
+        report = verify_tr_equivalence(q, EnumerationLimits(max_worlds=3))
+        assert report.checked == models_up_to(3, 3) == 13_954
+        assert report.ok and report.mismatched == 0 and report.mismatches == []
+        assert report.to_json() == {
+            "checked": 13_954, "mismatched": 0, "mismatches": [], "ok": True
+        }
+
+    def test_four_worlds_cover_every_frame(self):
+        q = parse_quasi("'i0 <= <>'j1 ; <>'j1 <= ~'i1 => 'i0 <= ~'i1")
+        report = verify_tr_equivalence(q, EnumerationLimits(max_worlds=4))
+        # 2 + 16 + 512 + 65,536 = 66,066 frames, each under n^3 placements
+        assert report.checked == models_up_to(4, 3) == 4_208_258
         assert report.ok
 
-    def test_random_sampling_reports(self):
+    @pytest.mark.parametrize("text", FIXTURES)
+    def test_fixtures_agree_with_oracle(self, text):
+        q = parse_quasi(text)
+        assert self.checked_against_oracle(q, tr_quasi(q)).ok
+        for ineq in q.antecedents:
+            assert self.checked_against_oracle(ineq, tr_ineq(ineq)).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(translatable_quasis())
+    def test_quasis_agree_with_oracle(self, q):
+        assert self.checked_against_oracle(q, tr_quasi(q)).ok
+
+    @settings(max_examples=60, deadline=None)
+    @given(translatable_inequalities())
+    def test_inequalities_agree_with_oracle(self, ineq):
+        assert self.checked_against_oracle(ineq, tr_ineq(ineq)).ok
+
+    def checked_against_oracle(self, item, translation):
+        """The exhaustive report counts the models and the mismatches that
+        the per-model oracle finds at 2 worlds."""
+        report = verify_tr_equivalence(item, self.LIMITS)
+        models, bad = oracle_mismatches(item, translation)
+        assert report.checked == len(models)
+        assert report.mismatched == len(bad)
+        assert report.ok == (not bad)
+        return report
+
+    def test_dropped_negation_is_caught(self, monkeypatch):
+        import hybridcorr.translate as translate
+
+        original = translate.tr_quasi
+
+        def mutated(q):
+            f = original(q)
+            return Implies(f.lhs, f.rhs.child)  # ... -> @i j instead of ~@i j
+
+        monkeypatch.setattr(translate, "tr_quasi", mutated)
+        q = parse_quasi("'i <= <>'j ; <>'j <= ~'k => 'i <= ~'k")
+        report = self.checked_against_oracle(q, mutated(q))
+        assert not report.ok
+        assert report.to_json()["ok"] is False
+        # the first entry names a model that refutes the mutated translation
+        entry = report.mismatches[0]
+        frame = KripkeFrame(
+            entry["model"]["worlds"], frozenset(map(tuple, entry["model"]["relation"]))
+        )
+        model = KripkeModel(
+            frame, {}, {nom(name): w for name, w in entry["model"]["nominals"].items()}
+        )
+        assert holds_quasi(model, {}, q) == entry["direct"]
+        assert globally_true(model, {}, mutated(q)) == entry["translated"]
+        assert entry["direct"] != entry["translated"]
+
+    def test_impure_item_rejected(self):
+        with pytest.raises(ValueError, match="not pure"):
+            verify_tr_equivalence(parse_inequality("'i <= <>p"), self.LIMITS)
+
+    def test_caps_apply(self):
         q = parse_quasi("'i0 <= <>'j1 ; <>'j1 <= ~'i1 => 'i0 <= ~'i1")
-        report = verify_tr_equivalence(q, samples=150, seed=4)
-        assert report.checked == 150 and report.ok
+        with pytest.raises(EnumerationCapError):
+            verify_tr_equivalence(q, EnumerationLimits(max_worlds=2, max_nominals=2))
+        with pytest.raises(EnumerationCapError):
+            verify_tr_equivalence(q, EnumerationLimits(max_worlds=3, max_count=26))
 
     def test_purity_preserved(self):
         q = parse_quasi("'i0 <= []~'i1 => 'i0 <= ~'i1")
