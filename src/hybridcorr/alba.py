@@ -58,12 +58,12 @@ from .syntax import (
     as_inequality,
     children,
     free_state_vars,
-    inequality_to_json,
     is_pure,
     occurrence_signs,
     polarity,
     props,
     props_in_order,
+    quasi_to_json,
     replace_state_var,
     substitute_prop,
 )
@@ -697,7 +697,8 @@ def _fold_or(terms: list[Formula]) -> Formula:
     return acc
 
 
-def _fold_and(terms: list[Formula]) -> Formula:
+def fold_and(terms: list[Formula]) -> Formula:
+    """Left fold of the terms with And; top when there are none."""
     if not terms:
         return TOP
     acc = terms[0]
@@ -725,7 +726,7 @@ def ackermann(
         rule, just = f"ackermann-right({p})", "nominal-join"
     else:
         defs = [i for i in system.inequalities if _is_left_def(i, p)]
-        value = _fold_and([Not(term_formula(neg_atom_term(d.rhs))) for d in defs])
+        value = fold_and([Not(term_formula(neg_atom_term(d.rhs))) for d in defs])
         rule, just = f"ackermann-left({p})", "nominal-meet"
 
     consumed: list[Inequality] = []
@@ -924,16 +925,7 @@ class Success:
         out = {
             "status": "success",
             "order_type": self.eps.to_json() if self.eps is not None else None,
-            "pure": [
-                {
-                    "text": str(q),
-                    "ast": {
-                        "antecedents": [inequality_to_json(i) for i in q.antecedents],
-                        "conclusion": inequality_to_json(q.conclusion),
-                    },
-                }
-                for q in self.quasis
-            ],
+            "pure": [{"text": str(q), "ast": quasi_to_json(q)} for q in self.quasis],
         }
         if include_trace:
             out["trace"] = [t.to_json() for t in self.traces]

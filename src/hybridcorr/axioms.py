@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .semantics import EnumerationLimits, frame_at, frame_blocks, frame_indices, frame_valid
+from .semantics import (
+    DEFAULT_LIMITS,
+    EnumerationLimits,
+    frame_at,
+    frame_blocks,
+    frame_indices,
+    frame_valid,
+)
 from .syntax import (
     And,
     At,
@@ -328,18 +335,17 @@ class SchemaCheck:
 
 
 def check_schemas(
-    max_worlds: int = 3,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
     schemas: list[Schema] | None = None,
-    limits: EnumerationLimits | None = None,
 ) -> list[SchemaCheck]:
-    """Brute-force every schema instance on every frame up to the cap; a
-    failure names the first frame, in enumerate_frames order, that refutes it."""
-    limits = limits or EnumerationLimits(max_worlds=max(3, max_worlds))
+    """Brute-force every schema instance on every frame with up to
+    limits.max_worlds worlds; a failure names the first frame, in
+    enumerate_frames order, that refutes it."""
     out: list[SchemaCheck] = []
     for schema in schemas if schemas is not None else all_schemas():
         failures: list[str] = []
         for inst in schema.instances:
-            for block in frame_blocks(max_worlds, limits):
+            for block in frame_blocks(limits.max_worlds, limits):
                 invalid = block.full ^ frame_valid(block, inst, limits)
                 if invalid:
                     first = block.start + next(frame_indices(invalid))

@@ -319,7 +319,8 @@ class EnumerationError(Exception):
 
 def parse_order_type(text: str, variables: list[Symbol] | None = None) -> OrderType:
     """Parse ``p=1,q=d`` (values 1 and d/partial).  With a variable list the
-    shorthand ``1,d`` assigns by first-occurrence position."""
+    shorthand ``1,d`` assigns by first-occurrence position, and a named
+    order type must cover every listed variable."""
     text = text.strip()
     items: list[tuple[Symbol, Pol]] = []
     if "=" not in text:
@@ -336,7 +337,11 @@ def parse_order_type(text: str, variables: list[Symbol] | None = None) -> OrderT
     for part in text.split(","):
         name, _, value = part.partition("=")
         items.append((Symbol(Kind.PROP, name.strip()), _parse_pol(value.strip())))
-    return OrderType(tuple(items))
+    eps = OrderType(tuple(items))
+    for sym in variables or ():
+        if sym not in eps:
+            raise ValueError(f"order-type hint misses variable {sym}")
+    return eps
 
 
 def _parse_pol(v: str) -> Pol:

@@ -166,8 +166,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_axioms_check(args) -> int:
-    limits = _limits(args)
-    checks = check_schemas(limits.max_worlds, limits=limits)
+    checks = check_schemas(_limits(args))
     failures = [c for c in checks if not c.ok]
     if args.json:
         print(

@@ -18,9 +18,12 @@ that occur in the formula under test.  Each size is one block while it has
 at most 2^16 frames; larger sizes split into blocks of 2^16 frames, so a
 value never exceeds 8 KB.  The validity checks return the mask of the
 block's frames on which the formula is valid, and ``frame_agreement`` runs
-them for an input and its pure outputs side by side.  ``_quasi_placements``
-is the one loop over placements of nominals and state variables: both
-``frame_valid_quasi`` and the translation check in ``translate`` run on it.
+them for an input and its pure outputs side by side.  Every question is
+whether a quasi-inequality is valid: ``_quasi_placements`` is the one loop
+over valuations of props and placements of nominals and state variables;
+``frame_valid(f)`` decides ``=> as_inequality(f)`` on it, ``frame_valid_quasi``
+and the translation check in ``translate`` run on it too.  Purity is
+required only of the outputs in ``frame_agreement`` and of the translated item.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .syntax import (
     Svar,
     Symbol,
     Top,
+    as_inequality,
     sorted_symbols,
 )
 
@@ -66,6 +70,14 @@ class EnumerationCapError(Exception):
     """A brute-force enumeration would exceed the configured resource cap."""
 
 
+def _env_int(var: str, default: int) -> int:
+    text = os.environ.get(var)
+    try:
+        return default if text is None else int(text)
+    except ValueError:
+        raise ValueError(f"{var} must be an integer, got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class EnumerationLimits:
     max_worlds: int = 3
@@ -76,10 +88,10 @@ class EnumerationLimits:
     @classmethod
     def from_env(cls) -> EnumerationLimits:
         return cls(
-            max_worlds=int(os.environ.get("HYBRIDCORR_MAX_WORLDS", 3)),
-            max_props=int(os.environ.get("HYBRIDCORR_MAX_PROPS", 3)),
-            max_nominals=int(os.environ.get("HYBRIDCORR_MAX_NOMINALS", 4)),
-            max_count=int(os.environ.get("HYBRIDCORR_MAX_ENUM", 5_000_000)),
+            max_worlds=_env_int("HYBRIDCORR_MAX_WORLDS", 3),
+            max_props=_env_int("HYBRIDCORR_MAX_PROPS", 3),
+            max_nominals=_env_int("HYBRIDCORR_MAX_NOMINALS", 4),
+            max_count=_env_int("HYBRIDCORR_MAX_ENUM", 5_000_000),
         )
 
 
@@ -471,6 +483,79 @@ def _check_budget(
         raise EnumerationCapError(f"enumeration of {count} cases exceeds cap {limits.max_count}")
 
 
+def _quasi_placements(
+    frames: FrameBlock | KripkeFrame,
+    q: QuasiInequality,
+    limits: EnumerationLimits,
+):
+    """Compile q on frames and return (slots, placements, holds).
+
+    slots numbers q's props, then its nominals, then its state variables;
+    placements yields, in lexicographic order, an environment list for
+    every valuation of the props and placement of the nominals and state
+    variables in the frames' worlds (the same list, updated in place);
+    holds(env, care) is the mask of the frames among care on which q holds
+    under that environment.  The antecedents and the conclusion are judged
+    against one shared environment.
+    """
+    prop_syms, nom_syms, svar_syms = sorted_symbols(q)
+    _check_budget(frames, prop_syms, nom_syms, svar_syms, limits)
+
+    n = frames.size
+    full = frames.full
+    slots = {s: k for k, s in enumerate(prop_syms + nom_syms + svar_syms)}
+
+    def inclusion(i: Inequality):
+        lf, rf = _compile(i.lhs, frames, slots), _compile(i.rhs, frames, slots)
+
+        def included(env) -> int:
+            """Mask of the frames where lhs's truth set lies within rhs's."""
+            m = full
+            for x, y in zip(lf(env), rf(env)):
+                m &= (full ^ x) | y
+            return m
+
+        return included
+
+    *antecedents, conclusion = [inclusion(i) for i in (*q.antecedents, q.conclusion)]
+
+    def holds(env, care: int) -> int:
+        held = care
+        for included in antecedents:
+            held &= included(env)
+            if not held:
+                return care
+        return (care ^ held) | (held & conclusion(env))
+
+    def placements() -> Iterator[list]:
+        # A valuation of a prop is its per-world values: all-ones where it
+        # holds (the same in every frame of the block), 0 elsewhere.
+        valuations = [tuple(full if (s >> w) & 1 else 0 for w in range(n)) for s in range(1 << n)]
+        domains = [valuations] * len(prop_syms) + [range(n)] * (len(slots) - len(prop_syms))
+        env: list = [0] * len(slots)
+        for values in itertools.product(*domains):
+            env[:] = values
+            yield env
+
+    return slots, placements(), holds
+
+
+def _valid_mask(
+    frames: FrameBlock | KripkeFrame,
+    q: QuasiInequality,
+    limits: EnumerationLimits,
+) -> int:
+    """The loop behind frame_valid and frame_valid_quasi.  Neither calls the
+    other, so the perfbench tracer counts a call of either exactly once."""
+    _, placements, holds = _quasi_placements(frames, q, limits)
+    valid = frames.full
+    for env in placements:
+        valid = holds(env, valid)
+        if not valid:
+            return 0
+    return valid
+
+
 def frame_valid(
     frames: FrameBlock | KripkeFrame,
     f: Formula,
@@ -479,82 +564,12 @@ def frame_valid(
     """Mask of the frames on which f holds at every world under every
     valuation and assignment (0 or 1 for a single frame).
 
-    Only symbols occurring in f are enumerated; absent symbols cannot affect
-    the truth value.
+    f is decided as the quasi-inequality with no antecedents whose
+    conclusion is as_inequality(f): an implication l -> r as l <= r,
+    anything else as T <= f.  Only symbols occurring in f are enumerated;
+    absent symbols cannot affect the truth value.
     """
-    prop_syms, nom_syms, svar_syms = sorted_symbols(f)
-    _check_budget(frames, prop_syms, nom_syms, svar_syms, limits)
-
-    n = frames.size
-    full = frames.full
-    slots = {s: k for k, s in enumerate(prop_syms + nom_syms + svar_syms)}
-    fn = _compile(f, frames, slots)
-    # valuations[s]: the per-world values of a prop true at the worlds in s.
-    valuations = [tuple(full if (s >> w) & 1 else 0 for w in range(n)) for s in range(1 << n)]
-    env: list = [0] * len(slots)
-    np, nn, ns = len(prop_syms), len(nom_syms), len(svar_syms)
-    valid = full
-    for nom_worlds in itertools.product(range(n), repeat=nn):
-        env[np : np + nn] = nom_worlds
-        for prop_values in itertools.product(valuations, repeat=np):
-            env[0:np] = prop_values
-            for svar_worlds in itertools.product(range(n), repeat=ns):
-                env[np + nn : np + nn + ns] = svar_worlds
-                for x in fn(env):
-                    valid &= x
-                if not valid:
-                    return 0
-    return valid
-
-
-def _quasi_placements(
-    frames: FrameBlock | KripkeFrame,
-    q: QuasiInequality,
-    limits: EnumerationLimits,
-):
-    """Compile q on frames and return (slots, placements, holds).
-
-    slots numbers q's nominals and then its state variables; placements
-    yields, in lexicographic order, an environment list for every placement
-    of them in the frames' worlds (the same list, updated in place);
-    holds(env, care) is the mask of the frames among care on which q holds
-    under that placement.  Requires a pure quasi-inequality; the
-    antecedents and the conclusion are judged against one shared placement.
-    """
-    prop_syms, nom_syms, svar_syms = sorted_symbols(q)
-    if prop_syms:
-        raise ValueError(f"quasi-inequality is not pure: contains {prop_syms}")
-    _check_budget(frames, [], nom_syms, svar_syms, limits)
-
-    full = frames.full
-    slots = {s: k for k, s in enumerate(nom_syms + svar_syms)}
-    *antecedents, conclusion = [
-        (_compile(i.lhs, frames, slots), _compile(i.rhs, frames, slots))
-        for i in (*q.antecedents, q.conclusion)
-    ]
-
-    def included(lf, rf, env) -> int:
-        """Mask of the frames where lhs's truth set lies within rhs's."""
-        m = full
-        for x, y in zip(lf(env), rf(env)):
-            m &= (full ^ x) | y
-        return m
-
-    def holds(env, care: int) -> int:
-        held = care
-        for lf, rf in antecedents:
-            held &= included(lf, rf, env)
-            if not held:
-                return care
-        return (care ^ held) | (held & included(*conclusion, env))
-
-    def placements() -> Iterator[list]:
-        env: list = [0] * len(slots)
-        for worlds in itertools.product(range(frames.size), repeat=len(slots)):
-            env[:] = worlds
-            yield env
-
-    return slots, placements(), holds
+    return _valid_mask(frames, QuasiInequality((), as_inequality(f)), limits)
 
 
 def frame_valid_quasi(
@@ -562,19 +577,20 @@ def frame_valid_quasi(
     q: QuasiInequality,
     limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> int:
-    """Mask of the frames on which q holds under every nominal placement
-    (and assignment); 0 or 1 for a single frame.
+    """Mask of the frames on which q holds under every valuation, nominal
+    placement and assignment; 0 or 1 for a single frame.
 
-    Requires a pure quasi-inequality; the antecedents and the conclusion are
-    judged against one shared valuation and assignment.
+    The antecedents and the conclusion are judged against one shared
+    valuation and assignment.
     """
-    _, placements, holds = _quasi_placements(frames, q, limits)
-    valid = frames.full
-    for env in placements:
-        valid = holds(env, valid)
-        if not valid:
-            return 0
-    return valid
+    return _valid_mask(frames, q, limits)
+
+
+def require_pure(q: QuasiInequality) -> None:
+    """Raise ValueError if q mentions a propositional variable."""
+    prop_syms = sorted_symbols(q)[0]
+    if prop_syms:
+        raise ValueError(f"quasi-inequality is not pure: contains {prop_syms}")
 
 
 def frame_valid_quasi_set(
@@ -635,11 +651,14 @@ def frame_agreement(
 ) -> FrameAgreement:
     """Check on every frame up to limits.max_worlds worlds whether the input
     (an inequality is read as its implication) and the conjunction of the
-    quasi-inequalities are valid."""
+    quasi-inequalities, which must be pure, are valid."""
     if isinstance(formula, Inequality):
         formula = Implies(formula.lhs, formula.rhs)
+    quasis = tuple(quasis)
+    for q in quasis:
+        require_pure(q)
     valid_in = valid_frame_mask(frame_valid, formula, limits)
-    valid_out = valid_frame_mask(frame_valid_quasi_set, tuple(quasis), limits)
+    valid_out = valid_frame_mask(frame_valid_quasi_set, quasis, limits)
     counterexamples = [
         f"{_frame_at_index(k)}: input={bool(valid_in >> k & 1)} output={bool(valid_out >> k & 1)}"
         for k in itertools.islice(frame_indices(valid_in ^ valid_out), MAX_COUNTEREXAMPLES)

@@ -640,22 +640,11 @@ def inequality_to_json(i: Inequality) -> dict:
     return {"lhs": formula_to_json(i.lhs), "rhs": formula_to_json(i.rhs)}
 
 
-def inequality_from_json(d: dict) -> Inequality:
-    return Inequality(formula_from_json(d["lhs"]), formula_from_json(d["rhs"]))
-
-
 def quasi_to_json(q: QuasiInequality) -> dict:
     return {
         "antecedents": [inequality_to_json(i) for i in q.antecedents],
         "conclusion": inequality_to_json(q.conclusion),
     }
-
-
-def quasi_from_json(d: dict) -> QuasiInequality:
-    return QuasiInequality(
-        tuple(inequality_from_json(i) for i in d["antecedents"]),
-        inequality_from_json(d["conclusion"]),
-    )
 
 
 # ---------------------------------------------------------------------------

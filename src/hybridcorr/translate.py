@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .alba import atom_term, neg_atom_term
+from .alba import atom_term, fold_and, neg_atom_term
 from .semantics import (
     DEFAULT_LIMITS,
     MAX_COUNTEREXAMPLES,
@@ -30,10 +30,9 @@ from .semantics import (
     frame_at,
     frame_blocks,
     model_to_json,
+    require_pure,
 )
 from .syntax import (
-    TOP,
-    And,
     At,
     Formula,
     Implies,
@@ -45,7 +44,7 @@ from .syntax import (
 )
 
 
-class TranslationShapeError(Exception):
+class TranslationShapeError(ValueError):
     def __init__(self, item, detail: str):
         self.item = item
         super().__init__(f"cannot translate {item}: {detail}")
@@ -76,24 +75,13 @@ def tr_quasi(q: QuasiInequality) -> Formula:
         raise TranslationShapeError(
             q, "conclusion must be nominal <= ~nominal"
         )
-    body: Formula
-    if q.antecedents:
-        body = tr_ineq(q.antecedents[0])
-        for i in q.antecedents[1:]:
-            body = And(body, tr_ineq(i))
-    else:
-        body = TOP
+    body = fold_and([tr_ineq(i) for i in q.antecedents])
     return Implies(body, Not(At(ct, Nom(cn))))
 
 
 def tr_quasiset(qs: list[QuasiInequality] | tuple[QuasiInequality, ...]) -> Formula:
     """Conjunction in list order; the empty set translates to top."""
-    if not qs:
-        return TOP
-    out = tr_quasi(qs[0])
-    for q in qs[1:]:
-        out = And(out, tr_quasi(q))
-    return out
+    return fold_and([tr_quasi(q) for q in qs])
 
 
 @dataclass
@@ -135,6 +123,7 @@ def verify_tr_equivalence(
     else:
         translation = tr_quasi(item)
         quasi = item
+    require_pure(quasi)
     checked = mismatched = 0
     mismatches: list[dict] = []
     for block in frame_blocks(limits.max_worlds, limits):

@@ -67,9 +67,9 @@ def inequalities(max_leaves: int = 8) -> st.SearchStrategy[Inequality]:
     return st.builds(Inequality, formulas(max_leaves), formulas(max_leaves))
 
 
-def pure_quasis(max_leaves: int = 5) -> st.SearchStrategy[QuasiInequality]:
-    """Quasi-inequalities over pure formulas, with up to two antecedents."""
-    ineq = st.builds(Inequality, formulas(max_leaves, pure=True), formulas(max_leaves, pure=True))
+def quasis(max_leaves: int = 5, pure: bool = False) -> st.SearchStrategy[QuasiInequality]:
+    """Quasi-inequalities with up to two antecedents; pure ones leave PROPS out."""
+    ineq = st.builds(Inequality, formulas(max_leaves, pure), formulas(max_leaves, pure))
     return st.builds(
         QuasiInequality, st.lists(ineq, max_size=2).map(tuple), ineq
     )

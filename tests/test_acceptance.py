@@ -259,7 +259,7 @@ def test_criterion_5_translation_equivalence():
 
 
 def test_criterion_6_schema_validity():
-    checks = check_schemas(3)
+    checks = check_schemas(EnumerationLimits(max_worlds=3))
     failing = [c for c in checks if not c.ok]
     assert failing == [], [(c.name, c.failures[:1]) for c in failing]
     total = sum(c.instances for c in checks)

@@ -9,6 +9,7 @@ from hybridcorr.axioms import (
     distribution_schemas,
     justification_schemas,
 )
+from hybridcorr.semantics import EnumerationLimits
 from hybridcorr.syntax import parse
 
 
@@ -43,7 +44,7 @@ def test_distribution_equivalences_present():
 
 def test_all_schemas_valid_on_two_worlds():
     # the acceptance suite runs the full three-world check
-    checks = check_schemas(2)
+    checks = check_schemas(EnumerationLimits(max_worlds=2))
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
 
 

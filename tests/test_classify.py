@@ -220,6 +220,11 @@ class TestOrderTypeParsing:
         eps = parse_order_type("1,d", [P1, P2])
         assert eps[P1] is Pol.ONE and eps[P2] is Pol.PARTIAL
 
+    def test_named_must_cover_the_variables(self):
+        assert parse_order_type("p=1,q=d", [P])[P] is Pol.ONE
+        with pytest.raises(ValueError, match="misses variable p"):
+            parse_order_type("q=1", [P])
+
     def test_opposite_involution(self):
         eps = parse_order_type("p=1,q=d")
         assert eps.opposite().opposite() == eps

@@ -182,6 +182,23 @@ class TestHostileInput:
         self.one_line_error(code, out, err)
         assert "below 1" in err
 
+    def test_untranslatable_quasi(self, capsys):
+        code, out, err = run_cli(capsys, "translate", "'i <= p => 'i <= 'j")
+        self.one_line_error(code, out, err)
+        assert "cannot translate" in err
+
+    def test_order_type_missing_a_variable(self, capsys):
+        for command in ("classify", "correspond"):
+            code, out, err = run_cli(capsys, command, "p -> <>p", "--eps", "q=1")
+            self.one_line_error(code, out, err)
+            assert "misses variable p" in err
+
+    def test_limit_variable_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYBRIDCORR_MAX_WORLDS", "abc")
+        code, out, err = run_cli(capsys, "verify", "[]p -> p")
+        self.one_line_error(code, out, err)
+        assert "HYBRIDCORR_MAX_WORLDS" in err
+
 
 class TestAxiomsCheck:
     def test_small_bound(self, capsys):

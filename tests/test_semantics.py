@@ -43,10 +43,11 @@ from hybridcorr.syntax import (
     parse_quasi,
     prop,
     props,
+    props_in_order,
     svar,
 )
 
-from strategies import formulas, models_for, pure_quasis
+from strategies import formulas, models_for, quasis
 
 P = prop("p")
 X = svar("x")
@@ -213,14 +214,23 @@ class TestSlicedAgainstOracle:
             expect = [int(oracle_valid(frame_at(block.size, m), f)) for m in range(block.count)]
             assert mask_bits(frame_valid(block, f), block.count) == expect
 
-    @settings(max_examples=150, deadline=None)
-    @given(pure_quasis())
-    def test_frame_valid_quasi_bits(self, q):
+    def check_quasi_bits(self, q):
         for block in BLOCKS:
             expect = [
                 int(oracle_valid_quasi(frame_at(block.size, m), q)) for m in range(block.count)
             ]
             assert mask_bits(frame_valid_quasi(block, q), block.count) == expect
+
+    @settings(max_examples=150, deadline=None)
+    @given(quasis(pure=True))
+    def test_frame_valid_quasi_bits(self, q):
+        self.check_quasi_bits(q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(quasis(3).filter(props_in_order))
+    def test_frame_valid_quasi_bits_with_props(self, q):
+        # valuations of propositional variables run in the same placement loop
+        self.check_quasi_bits(q)
 
     def test_single_frame_is_a_block_of_one(self):
         assert frame_valid(LOOP1, parse("[]p -> p")) == 1
@@ -242,9 +252,12 @@ class TestFrameValidQuasi:
         assert frame_valid_quasi_set(BARE1, [])
 
     def test_purity_required(self):
+        # frame_valid_quasi decides any quasi-inequality; the outputs that
+        # frame_agreement compares with the input must be pure
         q = parse_quasi("'i <= p => 'i <= ~'j")
-        with pytest.raises(ValueError):
-            frame_valid_quasi(BARE1, q)
+        assert frame_valid_quasi(BARE1, q) == 0  # p true at the one world
+        with pytest.raises(ValueError, match="not pure"):
+            frame_agreement(parse("[]p -> p"), [q], EnumerationLimits(max_worlds=1))
 
     def test_binder_idempotence_against_replacement(self):
         # evaluating the binder equals naming the world with a fresh nominal
