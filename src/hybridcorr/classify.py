@@ -320,7 +320,8 @@ class EnumerationError(Exception):
 def parse_order_type(text: str, variables: list[Symbol] | None = None) -> OrderType:
     """Parse ``p=1,q=d`` (values 1 and d/partial).  With a variable list the
     shorthand ``1,d`` assigns by first-occurrence position, and a named
-    order type must cover every listed variable."""
+    order type must cover every listed variable.  A named order type names
+    each variable once, and never an empty one."""
     text = text.strip()
     items: list[tuple[Symbol, Pol]] = []
     if "=" not in text:
@@ -336,7 +337,13 @@ def parse_order_type(text: str, variables: list[Symbol] | None = None) -> OrderT
         return OrderType(tuple(items))
     for part in text.split(","):
         name, _, value = part.partition("=")
-        items.append((Symbol(Kind.PROP, name.strip()), _parse_pol(value.strip())))
+        name = name.strip()
+        if not name:
+            raise ValueError(f"order-type hint {part.strip()!r} names no variable")
+        sym = Symbol(Kind.PROP, name)
+        if any(sym == seen for seen, _ in items):
+            raise ValueError(f"order-type hint gives variable {sym} twice")
+        items.append((sym, _parse_pol(value.strip())))
     eps = OrderType(tuple(items))
     for sym in variables or ():
         if sym not in eps:

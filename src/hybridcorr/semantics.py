@@ -24,12 +24,22 @@ over valuations of props and placements of nominals and state variables;
 ``frame_valid(f)`` decides ``=> as_inequality(f)`` on it, ``frame_valid_quasi``
 and the translation check in ``translate`` run on it too.  Purity is
 required only of the outputs in ``frame_agreement`` and of the translated item.
+
+Renaming worlds preserves validity, so on a block that holds every frame of
+its size (every size up to 4) the loop places nominals and state variables
+canonically: one restricted growth string per orbit of the world
+permutations (``_canonical_placements``), under every valuation of the
+props.  ``_valid_mask`` then closes the mask under renaming with delta swaps
+on its index bits (``_close_under_renaming``), and the translation check
+weighs each placement by its orbit's size.  A single frame, or a block of a
+size above 4, renames nothing and keeps every placement.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 import random
 import re
@@ -483,20 +493,107 @@ def _check_budget(
         raise EnumerationCapError(f"enumeration of {count} cases exceeds cap {limits.max_count}")
 
 
+def _renamable(frames: FrameBlock | KripkeFrame) -> int:
+    """How many worlds can be permuted without leaving frames: all n of a
+    block that holds every frame of size n (n <= 4), else 1 (a single frame,
+    or a part of a size whose frames span several blocks)."""
+    if isinstance(frames, FrameBlock) and frames.count == 1 << (frames.size * frames.size):
+        return frames.size
+    return 1
+
+
+@functools.cache
+def _canonical_placements(k: int, n: int, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """One placement of k symbols in worlds 0..n-1 per orbit of the
+    permutations of worlds 0..m-1, with the orbit's size, in lexicographic
+    order.
+
+    A placement is canonical iff it is a restricted growth string on the
+    renamable worlds: each symbol goes to a renamable world at most one
+    above the highest renamable world used so far, or to any world >= m.
+    That is the least member of its orbit, and the orbit has
+    m(m-1)...(m-j+1) members if j renamable worlds are used.  With m = 1
+    every placement is canonical and has weight 1.
+    """
+    out = []
+    prefix = [0] * k
+
+    def grow(i: int, used: int) -> None:
+        """Extend prefix[:i], which uses renamable worlds 0..used-1."""
+        if i == k:
+            out.append((tuple(prefix), math.perm(m, used)))
+            return
+        for w in itertools.chain(range(min(used + 1, m)), range(m, n)):
+            prefix[i] = w
+            grow(i + 1, max(used, w + 1) if w < m else used)
+
+    grow(0, 0)
+    return tuple(out)
+
+
+@functools.cache
+def _world_swaps(n: int) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """For worlds j < k, the delta swaps (shift, selector) that rename j and
+    k in a mask over all 2^(n*n) frames of size n.
+
+    Renaming moves edge bit a*n + b of every frame number to the bit of the
+    renamed edge: it swaps the 2n-2 pairs (j,w)<->(k,w), (w,j)<->(w,k),
+    (j,j)<->(k,k) and (j,k)<->(k,j).  Swapping index bits lo < hi moves the
+    frames with bit lo set and bit hi clear up by 2^hi - 2^lo (Warren,
+    Hacker's Delight, 2nd ed., section 7-1).
+    """
+    slices = _edge_slices(n * n)
+    swaps = {}
+    for k in range(n):
+        for j in range(k):
+            rename = {j: k, k: j}
+            moved = [
+                (a * n + b, rename.get(a, a) * n + rename.get(b, b))
+                for a in range(n)
+                for b in range(n)
+            ]
+            swaps[j, k] = tuple(
+                ((1 << hi) - (1 << lo), slices[lo] & ~slices[hi]) for lo, hi in moved if lo < hi
+            )
+    return swaps
+
+
+def _close_under_renaming(mask: int, n: int, m: int) -> int:
+    """The frames of size n all of whose renamings under the permutations of
+    worlds 0..m-1 lie in mask.
+
+    Closing under the permutations of worlds 0..k-1 and then ANDing the
+    renamings by (j k), j < k, closes under those of worlds 0..k, because
+    the (j k) and the identity represent the cosets of S_k in S_(k+1).
+    """
+    for k in range(1, m):
+        closed = mask
+        for j in range(k):
+            renamed = mask
+            for shift, selector in _world_swaps(n)[j, k]:
+                t = ((renamed >> shift) ^ renamed) & selector
+                renamed ^= t | (t << shift)
+            closed &= renamed
+        mask = closed
+    return mask
+
+
 def _quasi_placements(
     frames: FrameBlock | KripkeFrame,
     q: QuasiInequality,
     limits: EnumerationLimits,
 ):
-    """Compile q on frames and return (slots, placements, holds).
+    """Compile q on frames and return (slots, env, placements, holds).
 
-    slots numbers q's props, then its nominals, then its state variables;
-    placements yields, in lexicographic order, an environment list for
-    every valuation of the props and placement of the nominals and state
-    variables in the frames' worlds (the same list, updated in place);
+    slots numbers q's props, then its nominals, then its state variables.
+    placements sets the list env, in lexicographic order, to every
+    valuation of the props combined with every canonical placement of the
+    nominals and state variables in the frames' worlds (see
+    _canonical_placements, with m = _renamable(frames)), and yields the
+    placement's weight: the number of placements renaming maps it to.
     holds(env, care) is the mask of the frames among care on which q holds
-    under that environment.  The antecedents and the conclusion are judged
-    against one shared environment.
+    under env.  The antecedents and the conclusion are judged against one
+    shared environment.
     """
     prop_syms, nom_syms, svar_syms = sorted_symbols(q)
     _check_budget(frames, prop_syms, nom_syms, svar_syms, limits)
@@ -527,17 +624,20 @@ def _quasi_placements(
                 return care
         return (care ^ held) | (held & conclusion(env))
 
-    def placements() -> Iterator[list]:
+    p = len(prop_syms)
+    env: list = [0] * len(slots)
+
+    def placements() -> Iterator[int]:
         # A valuation of a prop is its per-world values: all-ones where it
         # holds (the same in every frame of the block), 0 elsewhere.
         valuations = [tuple(full if (s >> w) & 1 else 0 for w in range(n)) for s in range(1 << n)]
-        domains = [valuations] * len(prop_syms) + [range(n)] * (len(slots) - len(prop_syms))
-        env: list = [0] * len(slots)
-        for values in itertools.product(*domains):
-            env[:] = values
-            yield env
+        canonical = _canonical_placements(len(slots) - p, n, _renamable(frames))
+        for values in itertools.product(*[valuations] * p, canonical):
+            env[:p] = values[:p]
+            env[p:], weight = values[p]
+            yield weight
 
-    return slots, placements(), holds
+    return slots, env, placements(), holds
 
 
 def _valid_mask(
@@ -546,14 +646,20 @@ def _valid_mask(
     limits: EnumerationLimits,
 ) -> int:
     """The loop behind frame_valid and frame_valid_quasi.  Neither calls the
-    other, so the perfbench tracer counts a call of either exactly once."""
-    _, placements, holds = _quasi_placements(frames, q, limits)
+    other, so the perfbench tracer counts a call of either exactly once.
+
+    Only canonical placements are decided; closing the mask under renaming
+    the worlds gives the frames on which q holds under every placement.
+    With no nominal or state variable every placement is decided already."""
+    slots, env, placements, holds = _quasi_placements(frames, q, limits)
     valid = frames.full
-    for env in placements:
+    for _ in placements:
         valid = holds(env, valid)
         if not valid:
             return 0
-    return valid
+    if all(s.kind is Kind.PROP for s in slots):
+        return valid
+    return _close_under_renaming(valid, frames.size, _renamable(frames))
 
 
 def frame_valid(

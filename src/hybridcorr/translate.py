@@ -12,7 +12,13 @@ frame with up to ``limits.max_worlds`` worlds (the cap the frame-agreement
 check uses) and under every placement of the item's nominals and state
 variables, the item holds iff its translation is globally true.  It runs on
 the sliced evaluator of ``semantics``, one frame block at a time, and
-reports the number of models checked and the first refuting ones.
+reports the number of models checked and the first refuting ones.  On a
+block that holds every frame of its size only one placement per orbit of
+the world permutations is decided, counted as many times as its orbit has
+members: renaming maps the block's frames onto themselves, so both counts
+stay exact.  The first refuting model reported is the one a walk over every
+placement would report first, since a canonical placement is the least of
+its orbit; later ones come from canonical placements only.
 """
 
 from __future__ import annotations
@@ -127,18 +133,18 @@ def verify_tr_equivalence(
     checked = mismatched = 0
     mismatches: list[dict] = []
     for block in frame_blocks(limits.max_worlds, limits):
-        slots, placements, holds = _quasi_placements(block, quasi, limits)
+        slots, env, placements, holds = _quasi_placements(block, quasi, limits)
         translated_at = _compile(translation, block, slots)
         full = block.full
-        for env in placements:
+        for weight in placements:
             translated = full
             for x in translated_at(env):
                 translated &= x
             diff = holds(env, full) ^ translated
-            checked += block.count
+            checked += block.count * weight
             if not diff:
                 continue
-            mismatched += diff.bit_count()
+            mismatched += weight * diff.bit_count()
             if len(mismatches) < MAX_COUNTEREXAMPLES:
                 j = (diff & -diff).bit_length() - 1
                 values = dict(zip(slots, env))

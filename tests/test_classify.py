@@ -225,6 +225,14 @@ class TestOrderTypeParsing:
         with pytest.raises(ValueError, match="misses variable p"):
             parse_order_type("q=1", [P])
 
+    def test_named_variables_are_nonempty_and_distinct(self):
+        with pytest.raises(ValueError, match="names no variable"):
+            parse_order_type("p=1,=d")
+        with pytest.raises(ValueError, match="gives variable p twice"):
+            parse_order_type("p=1,p=d")
+        with pytest.raises(ValueError, match="gives variable p twice"):
+            parse_order_type("p=1,q=d,p=1", [P, Q])
+
     def test_opposite_involution(self):
         eps = parse_order_type("p=1,q=d")
         assert eps.opposite().opposite() == eps

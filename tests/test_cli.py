@@ -193,6 +193,13 @@ class TestHostileInput:
             self.one_line_error(code, out, err)
             assert "misses variable p" in err
 
+    def test_order_type_empty_or_repeated_variable(self, capsys):
+        for command in ("classify", "correspond"):
+            for eps, message in (("p=1,=d", "names no variable"), ("p=1,p=d", "p twice")):
+                code, out, err = run_cli(capsys, command, "p -> p", "--eps", eps)
+                self.one_line_error(code, out, err)
+                assert message in err
+
     def test_limit_variable_not_an_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("HYBRIDCORR_MAX_WORLDS", "abc")
         code, out, err = run_cli(capsys, "verify", "[]p -> p")

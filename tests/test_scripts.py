@@ -26,3 +26,9 @@ def test_sample_outputs_small():
     proc = run_script("sample_outputs.py", "--count", "2")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "[1] input:" in proc.stdout
+
+
+def test_desk_verify_four_worlds():
+    proc = run_script("desk_verify.py", "--generated", "5", "--max-worlds", "4")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "all checks passed" in proc.stdout

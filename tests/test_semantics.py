@@ -5,8 +5,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridcorr.semantics import (
+    FRAME_CLASSES,
     EnumerationCapError,
     EnumerationLimits,
     KripkeFrame,
@@ -29,11 +31,15 @@ from hybridcorr.semantics import (
     random_model,
     truth_mask,
 )
+from hybridcorr.semantics import _canonical_placements, _close_under_renaming
 from hybridcorr.syntax import (
     BOT,
     TOP,
+    And,
     Implies,
     Inequality,
+    Or,
+    QuasiInequality,
     free_state_vars,
     nom,
     nominals,
@@ -44,6 +50,7 @@ from hybridcorr.syntax import (
     prop,
     props,
     props_in_order,
+    sorted_symbols,
     svar,
 )
 
@@ -236,6 +243,164 @@ class TestSlicedAgainstOracle:
         assert frame_valid(LOOP1, parse("[]p -> p")) == 1
         assert frame_valid(BARE1, parse("[]p -> p")) == 0
         assert frame_valid_quasi_set(BARE1, []) == 1
+
+
+def placed(*items):
+    """Number of nominals and free state variables of the items."""
+    _, ns, vs = sorted_symbols(*items)
+    return len(ns) + len(vs)
+
+
+def per_frame(check, item, n, frames, limits=EnumerationLimits(max_worlds=4)):
+    """The mask of check(frame_at(n, m), item) over the frame numbers m.
+    A single frame renames no world, so it decides every placement."""
+    return sum(check(frame_at(n, m), item, limits) << m for m in frames)
+
+
+def stirling2(k, j):
+    """Ways to split k labelled symbols into j nonempty groups."""
+    if k == j:
+        return 1
+    if j == 0 or j > k:
+        return 0
+    return j * stirling2(k - 1, j) + stirling2(k - 1, j - 1)
+
+
+def renamings(n, m):
+    """The frame numbers of frame m of size n under every permutation of its worlds."""
+    relation = frame_at(n, m).relation
+    return {
+        sum(1 << (pi[a] * n + pi[b]) for a, b in relation)
+        for pi in itertools.permutations(range(n))
+    }
+
+
+def block_of_size(n):
+    return next(b for b in frame_blocks(n, EnumerationLimits(max_worlds=n)) if b.size == n)
+
+
+THREE = block_of_size(3)
+
+
+class TestCanonicalPlacements:
+    @pytest.mark.parametrize("k", range(8))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_one_per_orbit(self, k, n):
+        canonical = _canonical_placements(k, n, n)
+        # one placement per partition of the symbols into at most n groups
+        assert len(canonical) == sum(stirling2(k, j) for j in range(min(k, n) + 1))
+        # orbit sizes add up to every placement
+        assert sum(weight for _, weight in canonical) == n**k
+        # each is the least member of its orbit, and they come in order
+        placements = [p for p, _ in canonical]
+        assert placements == sorted(placements)
+        for p, weight in canonical:
+            orbit = {tuple(pi[w] for w in p) for pi in itertools.permutations(range(n))}
+            assert min(orbit) == p and len(orbit) == weight
+
+    def test_sizes_named_in_the_docs(self):
+        assert len(_canonical_placements(6, 3, 3)) == 122
+        assert len(_canonical_placements(7, 4, 4)) == 715
+
+    @pytest.mark.parametrize("k", range(6))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_nothing_renamable_is_the_full_product(self, k, n):
+        canonical = _canonical_placements(k, n, 1)
+        assert [p for p, _ in canonical] == list(itertools.product(range(n), repeat=k))
+        assert {weight for _, weight in canonical} == {1}
+
+
+class TestRenamingClosure:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_frame_classes_are_fixed_points(self, n):
+        frames = [frame_at(n, m) for m in range(1 << (n * n))]
+        for name, pred in FRAME_CLASSES.items():
+            mask = sum(1 << m for m, fr in enumerate(frames) if pred(fr))
+            assert _close_under_renaming(mask, n, n) == mask, name
+
+    @pytest.mark.parametrize(
+        "n, frames",
+        [(2, range(16)), (3, range(512)), (4, random.Random(4).sample(range(1 << 16), 12))],
+    )
+    def test_dropping_one_frame_drops_its_isomorphism_class(self, n, frames):
+        full = (1 << (1 << (n * n))) - 1
+        for m in frames:
+            closed = _close_under_renaming(full ^ (1 << m), n, n)
+            assert sum(1 << r for r in renamings(n, m)) == full ^ closed, m
+
+    def test_nothing_renamable_leaves_the_mask(self):
+        assert _close_under_renaming(0b1011, 2, 1) == 0b1011
+
+
+# Formulas that mention the prop p and nothing else propositional.
+_p_parts = st.sampled_from([parse("p"), parse("~p"), parse("<>p"), parse("[]~p")])
+_joins = st.sampled_from([And, Or, Implies, lambda a, b: Implies(b, a)])
+
+
+def with_p(f):
+    """f joined with a formula in p, so that one prop is valued."""
+    return st.builds(lambda part, join: join(f, part), _p_parts, _joins)
+
+
+def quasi_with_p(q):
+    """q with a formula in p joined to one side of its conclusion."""
+    return st.builds(
+        lambda part, join, left: QuasiInequality(
+            q.antecedents,
+            Inequality(join(q.conclusion.lhs, part), q.conclusion.rhs)
+            if left
+            else Inequality(q.conclusion.lhs, join(q.conclusion.rhs, part)),
+        ),
+        _p_parts,
+        _joins,
+        st.booleans(),
+    )
+
+
+class TestSymmetryReduction:
+    """Bit m of the 3-world block's mask, decided on canonical placements and
+    closed under renaming, against the same check on frame m alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(formulas(6, pure=True).filter(lambda f: placed(f) >= 2))
+    def test_frame_valid(self, f):
+        assert frame_valid(THREE, f) == per_frame(frame_valid, f, 3, range(512))
+
+    @settings(max_examples=10, deadline=None)
+    @given(formulas(5, pure=True).filter(lambda f: placed(f) >= 2).flatmap(with_p))
+    def test_frame_valid_with_a_prop(self, f):
+        assert frame_valid(THREE, f) == per_frame(frame_valid, f, 3, range(512))
+
+    @settings(max_examples=15, deadline=None)
+    @given(quasis(pure=True).filter(lambda q: 2 <= placed(q) <= 3))
+    def test_frame_valid_quasi(self, q):
+        assert frame_valid_quasi(THREE, q) == per_frame(frame_valid_quasi, q, 3, range(512))
+
+    @settings(max_examples=6, deadline=None)
+    @given(quasis(3, pure=True).filter(lambda q: 2 <= placed(q) <= 3).flatmap(quasi_with_p))
+    def test_frame_valid_quasi_with_a_prop(self, q):
+        assert frame_valid_quasi(THREE, q) == per_frame(frame_valid_quasi, q, 3, range(512))
+
+    def test_four_world_corpus_on_sampled_frames(self):
+        from hybridcorr.alba import run
+        from hybridcorr.corpus import CORPUS
+
+        limits = EnumerationLimits(max_worlds=4, max_nominals=12, max_count=50_000_000)
+        block = block_of_size(4)
+        sample = sorted(random.Random(1).sample(range(1 << 16), 32))
+        keep = sum(1 << m for m in sample)
+        for entry in CORPUS:
+            if not entry.expect_skeletal:
+                continue
+            ineq = parse_input(entry.input_text)
+            f = Implies(ineq.lhs, ineq.rhs)
+            quasis = run(ineq).quasis
+            assert frame_valid(block, f, limits) & keep == per_frame(
+                frame_valid, f, 4, sample, limits
+            ), entry.name
+            assert frame_valid_quasi_set(block, quasis, limits) & keep == per_frame(
+                frame_valid_quasi_set, quasis, 4, sample, limits
+            ), entry.name
 
 
 class TestFrameValidQuasi:

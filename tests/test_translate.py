@@ -11,6 +11,7 @@ from hybridcorr.semantics import (
     globally_true,
     holds_inequality,
     holds_quasi,
+    model_to_json,
 )
 from hybridcorr.syntax import (
     Implies,
@@ -113,6 +114,12 @@ def models_up_to(max_worlds, placed):
     return sum(2 ** (n * n) * n**placed for n in range(1, max_worlds + 1))
 
 
+def dropped_negation(q):
+    """The translation of q with the negation of its conclusion dropped."""
+    f = tr_quasi(q)
+    return Implies(f.lhs, f.rhs.child)  # ... -> @i j instead of ~@i j
+
+
 FIXTURES = [
     "'i0 <= []~'i1 => 'i0 <= ~'i1",
     "'i0 <= <>'j1 ; <>'j1 <= ~'i1 => 'i0 <= ~'i1",
@@ -189,15 +196,9 @@ class TestEquivalence:
     def test_dropped_negation_is_caught(self, monkeypatch):
         import hybridcorr.translate as translate
 
-        original = translate.tr_quasi
-
-        def mutated(q):
-            f = original(q)
-            return Implies(f.lhs, f.rhs.child)  # ... -> @i j instead of ~@i j
-
-        monkeypatch.setattr(translate, "tr_quasi", mutated)
+        monkeypatch.setattr(translate, "tr_quasi", dropped_negation)
         q = parse_quasi("'i <= <>'j ; <>'j <= ~'k => 'i <= ~'k")
-        report = self.checked_against_oracle(q, mutated(q))
+        report = self.checked_against_oracle(q, dropped_negation(q))
         assert not report.ok
         assert report.to_json()["ok"] is False
         # the first entry names a model that refutes the mutated translation
@@ -209,7 +210,7 @@ class TestEquivalence:
             frame, {}, {nom(name): w for name, w in entry["model"]["nominals"].items()}
         )
         assert holds_quasi(model, {}, q) == entry["direct"]
-        assert globally_true(model, {}, mutated(q)) == entry["translated"]
+        assert globally_true(model, {}, dropped_negation(q)) == entry["translated"]
         assert entry["direct"] != entry["translated"]
 
     def test_impure_item_rejected(self):
@@ -227,3 +228,49 @@ class TestEquivalence:
         q = parse_quasi("'i0 <= []~'i1 => 'i0 <= ~'i1")
         assert is_pure(tr_quasi(q))
         assert not props(tr_quasiset([q]))
+
+
+class TestWeightedCounts:
+    """At 3 worlds the check decides one placement per orbit of the world
+    permutations and weighs it by the orbit's size."""
+
+    LIMITS = EnumerationLimits(max_worlds=3)
+
+    def against_oracle(self, q, translation):
+        report = verify_tr_equivalence(q, self.LIMITS)
+        models, bad = oracle_mismatches(q, translation, max_worlds=3)
+        assert report.checked == len(models)
+        assert report.mismatched == len(bad)
+        return report, bad
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "'i <= <>'j ; <>'j <= ~'k => 'i <= ~'k",
+            "x <= <>'j ; <>x <= ~'k => 'j <= ~'k",
+        ],
+    )
+    def test_counts_equal_the_oracle(self, text):
+        q = parse_quasi(text)
+        report, bad = self.against_oracle(q, tr_quasi(q))
+        assert report.ok and bad == []
+
+    def test_mismatches_are_weighted(self, monkeypatch):
+        import hybridcorr.translate as translate
+
+        monkeypatch.setattr(translate, "tr_quasi", dropped_negation)
+        q = parse_quasi("'i <= <>'j ; <>'j <= ~'k => 'i <= ~'k")
+        report, bad = self.against_oracle(q, dropped_negation(q))
+        assert report.mismatched > 0
+        # The report walks sizes, then placements in order, then frames;
+        # its first entry is the oracle's first refuting model in that order.
+        names = sorted(report.mismatches[0]["model"]["nominals"])
+        first = min(
+            bad,
+            key=lambda mg: (
+                mg[0].frame.size,
+                [mg[0].nom_val[nom(name)] for name in names],
+                sum(1 << (a * mg[0].frame.size + b) for a, b in mg[0].frame.relation),
+            ),
+        )
+        assert report.mismatches[0]["model"] == model_to_json(*first)
