@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .classify import (
     OrderType,
     Pol,
-    Sign,
     find_order_type,
     inequality_props,
     is_definite,
@@ -37,6 +36,7 @@ from .syntax import (
     TOP,
     And,
     At,
+    Bot,
     Box,
     CaptureError,
     Dia,
@@ -52,8 +52,10 @@ from .syntax import (
     Polarity,
     Prop,
     QuasiInequality,
+    Sign,
     Svar,
     Symbol,
+    Top,
     all_symbols,
     as_inequality,
     children,
@@ -65,7 +67,10 @@ from .syntax import (
     props_in_order,
     quasi_to_json,
     replace_state_var,
+    signed_children,
     substitute_prop,
+    term_formula,
+    with_children,
 )
 
 DEFAULT_STEP_BUDGET = 10_000
@@ -177,10 +182,6 @@ def neg_atom_term(f: Formula) -> Symbol | None:
             return s
         case _:
             return None
-
-
-def term_formula(t: Symbol) -> Formula:
-    return Nom(t) if t.kind is Kind.NOM else Svar(t)
 
 
 def has_system_shape(ineq: Inequality) -> bool:
@@ -324,25 +325,11 @@ def _root_redex(f: Formula, sign: Sign) -> tuple[str, str, Formula] | None:
     return None
 
 
-def _child_signs(f: Formula, sign: Sign) -> list[Sign]:
-    match f:
-        case Not(_):
-            return [sign.flip()]
-        case Implies(_, _):
-            return [sign.flip(), sign]
-        case Or(_, _) | And(_, _):
-            return [sign, sign]
-        case Dia(_) | Box(_) | At(_, _) | Down(_, _):
-            return [sign]
-        case _:
-            return []
-
-
 def _find_redex(
     f: Formula, sign: Sign
 ) -> tuple[tuple[int, ...], str, str, Formula] | None:
     """Leftmost-innermost distribution redex: children first, then the root."""
-    for k, (c, s) in enumerate(zip(children(f), _child_signs(f, sign))):
+    for k, (c, s) in enumerate(signed_children(f, sign)):
         found = _find_redex(c, s)
         if found is not None:
             path, rule, just, new = found
@@ -357,32 +344,11 @@ def _find_redex(
 def _rewrite_at(f: Formula, path: tuple[int, ...], new: Formula) -> Formula:
     if not path:
         return new
-    k, rest = path[0], path[1:]
-    match f:
-        case Not(c):
-            return Not(_rewrite_at(c, rest, new))
-        case Dia(c):
-            return Dia(_rewrite_at(c, rest, new))
-        case Box(c):
-            return Box(_rewrite_at(c, rest, new))
-        case At(t, c):
-            return At(t, _rewrite_at(c, rest, new))
-        case Down(v, c):
-            return Down(v, _rewrite_at(c, rest, new))
-        case Or(a, b):
-            return Or(_rewrite_at(a, rest, new), b) if k == 0 else Or(a, _rewrite_at(b, rest, new))
-        case And(a, b):
-            return (
-                And(_rewrite_at(a, rest, new), b) if k == 0 else And(a, _rewrite_at(b, rest, new))
-            )
-        case Implies(a, b):
-            return (
-                Implies(_rewrite_at(a, rest, new), b)
-                if k == 0
-                else Implies(a, _rewrite_at(b, rest, new))
-            )
-        case _:
-            raise EngineInvariantError(f"bad rewrite path {path} in {f}")
+    kids = list(children(f))
+    if path[0] >= len(kids):
+        raise EngineInvariantError(f"bad rewrite path {path} in {f}")
+    kids[path[0]] = _rewrite_at(kids[path[0]], path[1:], new)
+    return with_children(f, kids)
 
 
 def _distribution_step(ineq: Inequality) -> Rewrite | None:
@@ -416,8 +382,10 @@ def _split_step(ineq: Inequality) -> Rewrite | None:
     return None
 
 
-def _occurrence_sign_set(ineq: Inequality, p: Symbol) -> set[int]:
-    return set(occurrence_signs(ineq.lhs, p, +1)) | set(occurrence_signs(ineq.rhs, p, -1))
+def _occurrence_sign_set(ineq: Inequality, p: Symbol) -> set[Sign]:
+    return set(occurrence_signs(ineq.lhs, p, Sign.PLUS)) | set(
+        occurrence_signs(ineq.rhs, p, Sign.MINUS)
+    )
 
 
 def _uniform_step(ineq: Inequality) -> Rewrite | None:
@@ -425,10 +393,10 @@ def _uniform_step(ineq: Inequality) -> Rewrite | None:
     share one sign: all positive substitutes top, all negative bottom."""
     for p in inequality_props(ineq):
         signs = _occurrence_sign_set(ineq, p)
-        if signs == {+1}:
+        if signs == {Sign.PLUS}:
             value: Formula = TOP
             rule, just = "eliminate-top", "monotone-substitution"
-        elif signs == {-1}:
+        elif signs == {Sign.MINUS}:
             value = BOT
             rule, just = "eliminate-bot", "antitone-substitution"
         else:
@@ -602,13 +570,17 @@ def _match_decomposition(
     return None
 
 
-def _assert_shapes(system: System, where: str) -> None:
-    for ineq in system.inequalities:
+def _assert_shapes(ineqs: Iterable[Inequality], where: str) -> None:
+    for ineq in ineqs:
         if not has_system_shape(ineq):
             raise EngineInvariantError(
                 f"{where}: inequality {ineq} lost the system shape "
                 "(no atom on the left, no negated atom on the right)"
             )
+
+
+def _ineq_symbols(ineq: Inequality) -> set[Symbol]:
+    return all_symbols(ineq.lhs) | all_symbols(ineq.rhs)
 
 
 def reduce_substage1(
@@ -618,13 +590,18 @@ def reduce_substage1(
     trace: AlbaTrace | None = None,
 ) -> System:
     """Decompose to saturation, processing inequalities first-in-first-out
-    and each produced inequality immediately (innermost first).  Freshly
-    introduced nominals are checked against the current system; shapes are
-    checked after every step."""
+    and each produced inequality immediately (innermost first).
+
+    The state is always ``done + queue``, the edit apply_step makes, so
+    ``done`` is the output.  Freshly introduced nominals are checked against
+    every symbol the system has held so far; shapes are checked on the input
+    and on what each step produces.
+    """
     budget = _Budget(budget_limit)
     queue = list(system.inequalities)
     done: list[Inequality] = []
-    state = system.inequalities
+    seen: set[Symbol] = set().union(*map(_ineq_symbols, queue))
+    _assert_shapes(queue, "substage-1 input")
     while queue:
         ineq = queue.pop(0)
         found = _match_decomposition(ineq, system.ctx)
@@ -632,21 +609,18 @@ def reduce_substage1(
             done.append(ineq)
             continue
         rule, just, produced, fresh_syms = found
-        system_syms = {s for i in (*queue, *done, ineq) for s in all_symbols(i.lhs) | all_symbols(i.rhs)}
         for s in fresh_syms:
-            if s in system_syms:
+            if s in seen:
                 raise EngineInvariantError(
                     f"approximation reused nominal {s} already in the system"
                 )
         budget.tick()
-        step = TraceStep(rule, (ineq,), produced, just)
         if trace is not None:
-            trace.steps.append(step)
-        state = apply_step(state, step)
-        queue[0:0] = list(produced)
-        current = System(state, system.conclusion, system.ctx, system.origin)
-        _assert_shapes(current, f"substage-1 {rule}")
-    result = System(state, system.conclusion, system.ctx, system.origin)
+            trace.steps.append(TraceStep(rule, (ineq,), produced, just))
+        _assert_shapes(produced, f"substage-1 {rule}")
+        seen.update(*map(_ineq_symbols, produced))
+        queue[0:0] = produced
+    result = System(tuple(done), system.conclusion, system.ctx, system.origin)
     if eps is not None:
         for ineq in result.inequalities:
             if final_form(ineq, eps) is None:
@@ -750,7 +724,7 @@ def ackermann(
         trace.steps.append(step)
     state = apply_step(system.inequalities, step)
     result = System(state, system.conclusion, system.ctx, system.origin)
-    _assert_shapes(result, rule)
+    _assert_shapes(result.inequalities, rule)
     if p in {q for i in result.inequalities for q in ineq_props(i)}:
         raise EngineInvariantError(f"{p} survived its own elimination")
     return result
@@ -839,62 +813,22 @@ def finalize(system: System, trace: AlbaTrace | None = None) -> QuasiInequality:
 
 
 def simplify_formula(f: Formula) -> Formula:
-    """Constant folding for top/bottom; keeps outputs otherwise untouched."""
+    """Constant folding for top/bottom; keeps outputs otherwise untouched.
+    The children are folded first, then the node by the first rule that
+    matches it."""
+    f = with_children(f, [simplify_formula(c) for c in children(f)])
     match f:
-        case Not(c):
-            c = simplify_formula(c)
-            if c == TOP:
-                return BOT
-            if c == BOT:
-                return TOP
-            return Not(c)
-        case And(a, b):
-            a, b = simplify_formula(a), simplify_formula(b)
-            if a == TOP:
-                return b
-            if b == TOP:
-                return a
-            if a == BOT or b == BOT:
-                return BOT
-            return And(a, b)
-        case Or(a, b):
-            a, b = simplify_formula(a), simplify_formula(b)
-            if a == BOT:
-                return b
-            if b == BOT:
-                return a
-            if a == TOP or b == TOP:
-                return TOP
-            return Or(a, b)
-        case Implies(a, b):
-            a, b = simplify_formula(a), simplify_formula(b)
-            if a == TOP:
-                return b
-            if a == BOT or b == TOP:
-                return TOP
-            return Implies(a, b)
-        case Dia(c):
-            c = simplify_formula(c)
-            if c == BOT:
-                return BOT
-            return Dia(c)
-        case Box(c):
-            c = simplify_formula(c)
-            if c == TOP:
-                return TOP
-            return Box(c)
-        case At(t, c):
-            c = simplify_formula(c)
-            if c in (TOP, BOT):
-                return c
-            return At(t, c)
-        case Down(v, c):
-            c = simplify_formula(c)
-            if c in (TOP, BOT):
-                return c
-            return Down(v, c)
-        case _:
-            return f
+        case And(Top(), c) | And(c, Top()) | Or(Bot(), c) | Or(c, Bot()) | Implies(Top(), c):
+            return c
+        case At(_, (Top() | Bot()) as c) | Down(_, (Top() | Bot()) as c):
+            return c
+        case Not(Top()) | And(Bot(), _) | And(_, Bot()) | Dia(Bot()):
+            return BOT
+        case Not(Bot()) | Or(Top(), _) | Or(_, Top()) | Implies(Bot(), _) | Implies(_, Top()):
+            return TOP
+        case Box(Top()):
+            return TOP
+    return f
 
 
 def simplify_quasi(q: QuasiInequality) -> QuasiInequality:

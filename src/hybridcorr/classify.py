@@ -29,22 +29,13 @@ from .syntax import (
     Not,
     Or,
     Prop,
+    Sign,
     Svar,
     Symbol,
     Top,
     props_in_order,
+    signed_children,
 )
-
-
-class Sign(enum.Enum):
-    PLUS = "+"
-    MINUS = "-"
-
-    def flip(self) -> Sign:
-        return Sign.MINUS if self is Sign.PLUS else Sign.PLUS
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class Pol(enum.Enum):
@@ -91,24 +82,18 @@ class OrderType:
         return ",".join(f"{s}={pol.value}" for s, pol in self.assignment)
 
 
-# Skeletal node table, keyed by (sign, node label).
-_SKELETAL: frozenset[tuple[Sign, str]] = frozenset(
-    [
-        (Sign.PLUS, "or"),
-        (Sign.PLUS, "and"),
-        (Sign.PLUS, "dia"),
-        (Sign.PLUS, "not"),
-        (Sign.PLUS, "down"),
-        (Sign.PLUS, "at"),
-        (Sign.MINUS, "and"),
-        (Sign.MINUS, "or"),
-        (Sign.MINUS, "box"),
-        (Sign.MINUS, "not"),
-        (Sign.MINUS, "down"),
-        (Sign.MINUS, "at"),
-        (Sign.MINUS, "implies"),
-    ]
+# Skeletal nodes as (sign, node label).  The order is the one in which the
+# generator draws spine nodes for each sign.
+SKELETAL_NODES: tuple[tuple[Sign, str], ...] = (
+    *((Sign.PLUS, label) for label in ("or", "and", "dia", "not", "down", "at")),
+    *((Sign.MINUS, label) for label in ("and", "or", "box", "not", "down", "at", "implies")),
 )
+_SKELETAL = frozenset(SKELETAL_NODES)
+
+_LABELS: dict[type, str] = {
+    cls: cls.__name__.lower()
+    for cls in (Prop, Svar, Nom, Bot, Top, Not, Or, And, Implies, Dia, Box, At, Down)
+}
 
 _ATOM_LABELS = frozenset(["prop", "svar", "nom", "top", "bot"])
 
@@ -137,43 +122,22 @@ class SignedTree:
 
 def signed_tree(f: Formula, sign: Sign) -> SignedTree:
     """Label the generation tree of f starting from the given root sign."""
-
-    def leaf(label: str, sym: Symbol | None) -> SignedTree:
-        return SignedTree(label, sign, f, sym, (), False)
-
-    def node(label: str, sym: Symbol | None, kids: tuple[SignedTree, ...]) -> SignedTree:
-        return SignedTree(label, sign, f, sym, kids, (sign, label) in _SKELETAL)
-
+    label = _LABELS.get(type(f))
+    if label is None:
+        raise TypeError(f"not a formula: {f!r}")
     match f:
-        case Prop(s):
-            return leaf("prop", s)
-        case Svar(s):
-            return leaf("svar", s)
-        case Nom(s):
-            return leaf("nom", s)
-        case Bot():
-            return leaf("bot", None)
-        case Top():
-            return leaf("top", None)
-        case Not(c):
-            return node("not", None, (signed_tree(c, sign.flip()),))
-        case Or(a, b):
-            return node("or", None, (signed_tree(a, sign), signed_tree(b, sign)))
-        case And(a, b):
-            return node("and", None, (signed_tree(a, sign), signed_tree(b, sign)))
-        case Implies(a, b):
-            return node("implies", None, (signed_tree(a, sign.flip()), signed_tree(b, sign)))
-        case Dia(c):
-            return node("dia", None, (signed_tree(c, sign),))
-        case Box(c):
-            return node("box", None, (signed_tree(c, sign),))
-        case At(t, c):
-            # The term is part of the node; only the formula child is signed.
-            return node("at", t, (signed_tree(c, sign),))
-        case Down(v, c):
-            return node("down", v, (signed_tree(c, sign),))
+        case Prop(s) | Svar(s) | Nom(s) | At(s, _) | Down(s, _):
+            # An @ term or a binder variable is part of its node; only the
+            # formula child is signed.
+            symbol = s
         case _:
-            raise TypeError(f"not a formula: {f!r}")
+            symbol = None
+    # Atoms have no children; skipping signed_children for them keeps
+    # classification as fast as a per-node match.
+    kids = () if label in _ATOM_LABELS else tuple(
+        [signed_tree(c, s) for c, s in signed_children(f, sign)]
+    )
+    return SignedTree(label, sign, f, symbol, kids, (sign, label) in _SKELETAL)
 
 
 @dataclass(frozen=True)
@@ -274,14 +238,7 @@ def is_definite(ineq: Inequality, eps: OrderType) -> bool:
 
 def is_epsilon_uniform(ineq: Inequality, eps: OrderType) -> bool:
     """Every p occurrence in +lhs and -rhs carries the eps-indicated sign."""
-    plus, minus = inequality_trees(ineq)
-
-    def ok(node: SignedTree) -> bool:
-        if node.label == "prop":
-            return node.symbol in eps and eps.indicated_sign(node.symbol) is node.sign
-        return all(ok(c) for c in node.children)
-
-    return ok(plus) and ok(minus)
+    return all(tree_agrees_with(t, eps) for t in inequality_trees(ineq))
 
 
 def tree_agrees_with(t: SignedTree, eps: OrderType) -> bool:

@@ -97,7 +97,11 @@ def cmd_correspond(args) -> int:
     if args.require_skeletal:
         check = eps if eps is not None else find_order_type(ineq)
         if check is None or not is_skeletal_sahlqvist(ineq, check):
-            print("input is not skeletal Sahlqvist", file=sys.stderr)
+            reason = "input is not skeletal Sahlqvist"
+            if args.json:
+                report = {"status": "failure", "order_type": None, "reason": reason}
+                print(json.dumps(report, indent=2))
+            print(reason, file=sys.stderr)
             return EXIT_NOT_SKELETAL
     result = alba.run(ineq, eps_hint=eps, simplify=args.simplify)
     if args.json:
@@ -139,6 +143,8 @@ def cmd_verify(args) -> int:
     limits = _limits(args)
     result = alba.run(ineq)
     if not result.ok:
+        if args.json:
+            print(json.dumps(result.to_json(), indent=2))
         print(f"failure: {result.reason}", file=sys.stderr)
         return EXIT_FAILURE
     agreement = frame_agreement(ineq, result.quasis, limits)

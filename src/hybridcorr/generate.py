@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .classify import OrderType, Pol, Sign, is_skeletal_sahlqvist
+from .classify import SKELETAL_NODES, OrderType, Pol, Sign, is_skeletal_sahlqvist
 from .syntax import (
     BOT,
     TOP,
@@ -36,8 +36,11 @@ from .syntax import (
     svar,
 )
 
-_SKELETAL_PLUS = ("or", "and", "dia", "not", "down", "at")
-_SKELETAL_MINUS = ("and", "or", "box", "not", "down", "at", "implies")
+# The spine labels of each sign, in the skeletal table's order; the
+# generator's draws, and so every seeded input set, depend on that order.
+_SPINE_LABELS = {
+    sign: tuple(label for s, label in SKELETAL_NODES if s is sign) for sign in Sign
+}
 
 
 @dataclass
@@ -103,8 +106,7 @@ class SkeletalGenerator:
         """Grow a branch of skeletal nodes ending in a critical leaf."""
         if depth <= 0 or self.rng.random() < 0.25:
             return self._critical_leaf(sign, eps)
-        table = _SKELETAL_PLUS if sign is Sign.PLUS else _SKELETAL_MINUS
-        label = self.rng.choice(table)
+        label = self.rng.choice(_SPINE_LABELS[sign])
         d = depth - 1
         if label == "not":
             return Not(self._spine(sign.flip(), eps, d, scope))

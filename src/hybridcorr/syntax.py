@@ -10,6 +10,15 @@ binds a state variable to the evaluation world.
 Inequalities ``phi <= psi`` and quasi-inequalities
 ``ineq ; ... ; ineq => ineq`` are thin wrappers over formulas; they are the
 objects the rewriting engine manipulates.
+
+``children``, ``with_children`` and ``signed_children`` are the only code
+that knows a node's arity and constructor, and which child positions flip
+the sign of the signed generation tree (negation and an implication's
+antecedent).  Every structural recursion that rebuilds a formula or tracks
+signs, here and in ``classify`` and ``alba``, goes through them.  The
+evaluators (``semantics.eval_at``, the reference oracle, and
+``semantics._compile``), the printer, the JSON codec and the symbol walkers
+keep their own per-node code.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 
 class Kind(enum.Enum):
@@ -183,12 +192,56 @@ class QuasiInequality:
 # ---------------------------------------------------------------------------
 
 
+class Sign(enum.Enum):
+    """The sign of a node in a signed generation tree."""
+
+    PLUS = "+"
+    MINUS = "-"
+
+    def flip(self) -> Sign:
+        return Sign.MINUS if self is Sign.PLUS else Sign.PLUS
+
+    def __str__(self) -> str:
+        return self.value
+
+
 def children(f: Formula) -> tuple[Formula, ...]:
     match f:
         case Not(c) | Dia(c) | Box(c) | At(_, c) | Down(_, c):
             return (c,)
         case Or(a, b) | And(a, b) | Implies(a, b):
             return (a, b)
+        case _:
+            return ()
+
+
+def with_children(f: Formula, kids: Sequence[Formula]) -> Formula:
+    """f rebuilt around new children, given in children(f) order; a leaf
+    comes back unchanged."""
+    match f:
+        case Not() | Dia() | Box() | Or() | And() | Implies():
+            return type(f)(*kids)
+        case At(s, _) | Down(s, _):
+            return type(f)(s, *kids)
+        case Prop() | Svar() | Nom() | Bot() | Top():
+            return f
+        case _:
+            raise TypeError(f"not a formula: {f!r}")
+
+
+def signed_children(f: Formula, sign: Sign) -> tuple[tuple[Formula, Sign], ...]:
+    """The children of the node f signed ``sign``, in children(f) order,
+    each with its own sign: negation and an implication's antecedent flip
+    it, every other position keeps it."""
+    match f:
+        case Not(c):
+            return ((c, sign.flip()),)
+        case Implies(a, b):
+            return ((a, sign.flip()), (b, sign))
+        case Or(a, b) | And(a, b):
+            return ((a, sign), (b, sign))
+        case Dia(c) | Box(c) | At(_, c) | Down(_, c):
+            return ((c, sign),)
         case _:
             return ()
 
@@ -325,20 +378,14 @@ class Polarity(enum.Enum):
     ABSENT = "absent"
 
 
-def occurrence_signs(f: Formula, p: Symbol, sign: int = +1) -> list[int]:
-    """Signs (+1/-1) of the occurrences of p in the signed tree sign*f."""
-    match f:
-        case Prop(s) if s == p:
-            return [sign]
-        case Not(c):
-            return occurrence_signs(c, p, -sign)
-        case Implies(a, b):
-            return occurrence_signs(a, p, -sign) + occurrence_signs(b, p, sign)
-        case _:
-            out: list[int] = []
-            for c in children(f):
-                out += occurrence_signs(c, p, sign)
-            return out
+def occurrence_signs(f: Formula, p: Symbol, sign: Sign = Sign.PLUS) -> list[Sign]:
+    """Signs of the occurrences of p in the signed tree of f rooted at sign."""
+    if isinstance(f, Prop):
+        return [sign] if f.sym == p else []
+    out: list[Sign] = []
+    for c, s in signed_children(f, sign):
+        out += occurrence_signs(c, p, s)
+    return out
 
 
 def polarity(f: Formula, p: Symbol) -> Polarity:
@@ -348,9 +395,9 @@ def polarity(f: Formula, p: Symbol) -> Polarity:
     signs = set(occurrence_signs(f, p))
     if not signs:
         return Polarity.ABSENT
-    if signs == {+1}:
+    if signs == {Sign.PLUS}:
         return Polarity.POSITIVE
-    if signs == {-1}:
+    if signs == {Sign.MINUS}:
         return Polarity.NEGATIVE
     return Polarity.BOTH
 
@@ -387,28 +434,16 @@ def substitute_prop(f: Formula, p: Symbol, theta: Formula) -> Formula:
                 if captured:
                     raise CaptureError(min(captured, key=str), path)
                 return theta
-            case Prop(_) | Svar(_) | Nom(_) | Bot() | Top():
-                return g
-            case Not(c):
-                return Not(go(c, scope, path + (0,)))
-            case Or(a, b):
-                return Or(go(a, scope, path + (0,)), go(b, scope, path + (1,)))
-            case And(a, b):
-                return And(go(a, scope, path + (0,)), go(b, scope, path + (1,)))
-            case Implies(a, b):
-                return Implies(go(a, scope, path + (0,)), go(b, scope, path + (1,)))
-            case Dia(c):
-                return Dia(go(c, scope, path + (0,)))
-            case Box(c):
-                return Box(go(c, scope, path + (0,)))
-            case At(t, c):
-                return At(t, go(c, scope, path + (0,)))
-            case Down(v, c):
-                return Down(v, go(c, scope | {v}, path + (0,)))
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
+            case Down(v, _):
+                scope = scope | {v}
+        return with_children(g, [go(c, scope, path + (k,)) for k, c in enumerate(children(g))])
 
     return go(f, frozenset(), ())
+
+
+def term_formula(t: Symbol) -> Formula:
+    """The atom formula of a nominal or state-variable term."""
+    return Nom(t) if t.kind is Kind.NOM else Svar(t)
 
 
 def replace_state_var(f: Formula, x: Symbol, t: Symbol) -> Formula:
@@ -419,33 +454,17 @@ def replace_state_var(f: Formula, x: Symbol, t: Symbol) -> Formula:
     """
     if t.kind not in (Kind.NOM, Kind.SVAR):
         raise ValueError(f"replacement term must be a nominal or state variable: {t}")
-    t_formula: Formula = Nom(t) if t.kind is Kind.NOM else Svar(t)
+    t_formula = term_formula(t)
 
     def go(g: Formula) -> Formula:
         match g:
             case Svar(s) if s == x:
                 return t_formula
-            case Prop(_) | Svar(_) | Nom(_) | Bot() | Top():
+            case Down(v, _) if v == x:
                 return g
-            case Not(c):
-                return Not(go(c))
-            case Or(a, b):
-                return Or(go(a), go(b))
-            case And(a, b):
-                return And(go(a), go(b))
-            case Implies(a, b):
-                return Implies(go(a), go(b))
-            case Dia(c):
-                return Dia(go(c))
-            case Box(c):
-                return Box(go(c))
-            case At(term, c):
-                new_term = t if term == x else term
-                return At(new_term, go(c))
-            case Down(v, c):
-                return Down(v, c) if v == x else Down(v, go(c))
-            case _:
-                raise TypeError(f"not a formula: {g!r}")
+            case At(term, c) if term == x:
+                return At(t, go(c))
+        return with_children(g, [go(c) for c in children(g)])
 
     return go(f)
 

@@ -21,12 +21,14 @@ from hybridcorr.alba import (
     preprocess,
     reduce_substage1,
     replay,
+    _rewrite_at,
     run,
     simplify_formula,
 )
 from hybridcorr.classify import OrderType, Pol, find_order_type
 from hybridcorr.semantics import (
     enumerate_frames,
+    eval_at,
     frame_valid,
     frame_valid_quasi_set,
     holds_inequality,
@@ -43,7 +45,7 @@ from hybridcorr.syntax import (
     prop,
 )
 
-from strategies import inequalities
+from strategies import formulas, inequalities, models_for
 
 P = prop("p")
 Q = prop("q")
@@ -67,6 +69,11 @@ def make_system(*texts, conclusion="'i0 <= ~'i1"):
 
 
 class TestPreprocess:
+    def test_rewrite_at_a_path(self):
+        assert _rewrite_at(parse("p -> <>q"), (1, 0), parse("r")) == parse("p -> <>r")
+        with pytest.raises(EngineInvariantError):
+            _rewrite_at(parse("<>p"), (0, 0), parse("T"))
+
     def test_figure_unchanged(self):
         eps = find_order_type(FIGURE)
         assert preprocess(FIGURE, eps) == [FIGURE]
@@ -507,6 +514,15 @@ class TestSimplify:
         assert simplify_formula(parse("<>F | p")) == parse("p")
         assert simplify_formula(parse("[]T & @'i T")) == parse("T")
         assert simplify_formula(parse("T -> ~F")) == parse("T")
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(10).flatmap(lambda f: models_for(f).map(lambda mg: (f, *mg))))
+    def test_same_truth_set_and_idempotent(self, case):
+        f, m, g = case
+        folded = simplify_formula(f)
+        for w in range(m.frame.size):
+            assert eval_at(m, g, w, folded) == eval_at(m, g, w, f)
+        assert simplify_formula(folded) == folded
 
     def test_simplification_preserves_frame_classes(self):
         ineq = parse_inequality("<>r & p <= p")

@@ -98,6 +98,20 @@ class TestCorrespond:
         code, _, err = run_cli(capsys, "correspond", "[]p -> <>p", "--require-skeletal")
         assert code == 3
 
+    def test_require_skeletal_json(self, capsys):
+        code, out, err = run_cli(
+            capsys, "correspond", "[]p -> <>p", "--json", "--require-skeletal"
+        )
+        assert code == 3
+        report = json.loads(out)
+        jsonschema.validate(report, load_schema("correspond.json"))
+        assert report == {
+            "status": "failure",
+            "order_type": None,
+            "reason": "input is not skeletal Sahlqvist",
+        }
+        assert err == "input is not skeletal Sahlqvist\n"
+
     def test_parse_error_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "correspond", "p -> ->")
         assert code == 1
@@ -140,6 +154,14 @@ class TestVerify:
         assert report["agreements"] == 18
         assert report["valid_frames"] == 5  # reflexive frames of size <= 2
         assert report["translation_equivalence_ok"] is True
+
+    def test_failure_json(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "[]p -> <>p", "--json")
+        assert code == 2
+        report = json.loads(out)
+        jsonschema.validate(report, load_schema("correspond.json"))
+        assert report["status"] == "failure"
+        assert err.startswith("failure: ") and err.count("\n") == 1
 
 
 class TestHostileInput:

@@ -1,0 +1,49 @@
+"""The engine's output, pinned byte for byte.
+
+A refactor of the formula layer or the engine must leave every trace and
+every correspondent unchanged.  This test hashes the stdout and exit code
+of ``correspond --json --trace`` on the corpus plus the first 200 draws of
+``SkeletalGenerator(1)``, and of ``correspond --simplify --trace`` on the
+first 50 of those draws.  It also pins the generator's draws, which the
+benchmark's workloads depend on.
+
+The digest was recorded before the formula-layer refactor with
+
+    PYTHONPATH=src:tests python -c "import test_output_pin as t; print(t.output_digest())"
+
+A change that means to alter the output records the new digest the same
+way and says why in CHANGES.md.
+"""
+
+import contextlib
+import hashlib
+import io
+
+from hybridcorr.cli import main
+from hybridcorr.corpus import CORPUS
+from hybridcorr.generate import SkeletalGenerator
+
+PINNED_DIGEST = "8cc1872f8c48d2885983a21e63d254d3fe09afc3d299b6b59bb9339c59e28a08"
+
+
+def _runs() -> list[list[str]]:
+    gen = SkeletalGenerator(1)
+    drawn = [str(gen.inequality()[0]) for _ in range(200)]
+    texts = [e.input_text for e in CORPUS] + drawn
+    return [["correspond", t, "--json", "--trace"] for t in texts] + [
+        ["correspond", t, "--simplify", "--trace"] for t in drawn[:50]
+    ]
+
+
+def output_digest() -> str:
+    h = hashlib.sha256()
+    for argv in _runs():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        h.update(f"{argv}\n{code}\n{out.getvalue()}".encode())
+    return h.hexdigest()
+
+
+def test_correspond_output_is_pinned():
+    assert output_digest() == PINNED_DIGEST

@@ -21,7 +21,9 @@ from hybridcorr.syntax import (
     ParseError,
     Polarity,
     Prop,
+    Sign,
     Svar,
+    children,
     fmt,
     formula_from_json,
     formula_to_json,
@@ -38,9 +40,11 @@ from hybridcorr.syntax import (
     props,
     props_in_order,
     replace_state_var,
+    signed_children,
     sorted_symbols,
     substitute_prop,
     svar,
+    with_children,
 )
 
 from strategies import formulas
@@ -204,6 +208,49 @@ class TestReplaceStateVar:
         assert replace_state_var(once, X, I1) == once
 
 
+def _prop_signs_via_json(f, sign="+"):
+    """Independent sign oracle: (name, sign) of every propositional leaf,
+    left to right, from a walk of the JSON tree that flips the sign under
+    negation and in an implication's antecedent.  No shared code path."""
+    out = []
+
+    def walk(d, s):
+        node = d["node"]
+        flipped = "-" if s == "+" else "+"
+        if node == "prop":
+            out.append((d["sym"]["name"], s))
+        elif node == "not":
+            walk(d["child"], flipped)
+        elif node == "implies":
+            walk(d["lhs"], flipped)
+            walk(d["rhs"], s)
+        else:
+            for key in ("child", "lhs", "rhs"):
+                if key in d:
+                    walk(d[key], s)
+
+    walk(formula_to_json(f), sign)
+    return out
+
+
+class TestNodeInterface:
+    @settings(max_examples=200)
+    @given(formulas(10))
+    def test_rebuild_from_own_children_is_identity(self, f):
+        assert with_children(f, children(f)) == f
+
+    @settings(max_examples=200)
+    @given(formulas(10), st.sampled_from(list(Sign)))
+    def test_signed_children_follow_children_order(self, f, sign):
+        assert tuple(c for c, _ in signed_children(f, sign)) == children(f)
+
+    def test_non_formula_rejected(self):
+        with pytest.raises(TypeError):
+            with_children("p", ())
+        with pytest.raises(TypeError):
+            with_children(Inequality(Prop(P), Prop(P)), ())
+
+
 class TestPolarity:
     def test_examples(self):
         assert polarity(parse("[]p -> p"), P) == Polarity.BOTH
@@ -237,6 +284,34 @@ class TestPolarity:
             frozenset({Sign.PLUS, Sign.MINUS}): Polarity.BOTH,
         }[frozenset(signs)]
         assert polarity(f, P) == expected
+
+    @settings(max_examples=200)
+    @given(formulas(8))
+    def test_agrees_with_json_sign_oracle(self, f):
+        signs = {s for name, s in _prop_signs_via_json(f) if name == "p"}
+        expected = {
+            frozenset(): Polarity.ABSENT,
+            frozenset({"+"}): Polarity.POSITIVE,
+            frozenset({"-"}): Polarity.NEGATIVE,
+            frozenset({"+", "-"}): Polarity.BOTH,
+        }[frozenset(signs)]
+        assert polarity(f, P) == expected
+
+    @settings(max_examples=200)
+    @given(formulas(8), st.sampled_from(list(Sign)))
+    def test_signed_tree_leaves_agree_with_json_sign_oracle(self, f, sign):
+        from hybridcorr.classify import signed_tree
+
+        leaves = []
+
+        def walk(t):
+            if t.label == "prop":
+                leaves.append((t.symbol.name, str(t.sign)))
+            for c in t.children:
+                walk(c)
+
+        walk(signed_tree(f, sign))
+        assert leaves == _prop_signs_via_json(f, str(sign))
 
 
 class TestQueries:
