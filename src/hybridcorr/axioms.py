@@ -15,10 +15,11 @@ from typing import Callable, Iterable
 from .semantics import (
     DEFAULT_LIMITS,
     EnumerationLimits,
-    frame_at,
-    frame_blocks,
+    FramesUpTo,
+    frame_at_index,
     frame_indices,
     frame_valid,
+    valid_frame_mask,
 )
 from .syntax import (
     And,
@@ -345,11 +346,9 @@ def check_schemas(
     for schema in schemas if schemas is not None else all_schemas():
         failures: list[str] = []
         for inst in schema.instances:
-            for block in frame_blocks(limits.max_worlds, limits):
-                invalid = block.full ^ frame_valid(block, inst, limits)
-                if invalid:
-                    first = block.start + next(frame_indices(invalid))
-                    failures.append(f"{inst} fails on {frame_at(block.size, first)}")
-                    break
+            valid = valid_frame_mask(frame_valid, inst, limits)
+            invalid = FramesUpTo(limits.max_worlds).full ^ valid
+            if invalid:
+                failures.append(f"{inst} fails on {frame_at_index(next(frame_indices(invalid)))}")
         out.append(SchemaCheck(schema.name, len(schema.instances), failures))
     return out

@@ -17,26 +17,33 @@ frames for sizes 1..3, 66,066 up to 4) and every valuation of the symbols
 that occur in the formula under test.  Each size is one block while it has
 at most 2^16 frames; larger sizes split into blocks of 2^16 frames, so a
 value never exceeds 8 KB.  The validity checks return the mask of the
-block's frames on which the formula is valid, and ``frame_agreement`` runs
-them for an input and its pure outputs side by side.  Every question is
-whether a quasi-inequality is valid: ``_quasi_placements`` is the one loop
-over valuations of props and placements of nominals and state variables;
-``frame_valid(f)`` decides ``=> as_inequality(f)`` on it, ``frame_valid_quasi``
-and the translation check in ``translate`` run on it too.  Purity is
-required only of the outputs in ``frame_agreement`` and of the translated item.
+frames on which the formula is valid; given ``FramesUpTo(cap)`` they decide
+one item on every frame up to the cap in one call, and ``frame_agreement``
+runs them for an input and its pure outputs side by side.  Every question
+is whether a quasi-inequality is valid: ``_quasi_program`` compiles it once
+(symbols, slot map, compiled sides) and then, block by block, re-binds the
+compiled closures to the block and runs the one loop over valuations of
+props and placements of nominals and state variables.  ``frame_valid(f)``
+decides ``=> as_inequality(f)`` on it, ``frame_valid_quasi`` and the
+translation check in ``translate`` run on it too.  Purity is required only
+of the outputs in ``frame_agreement`` and of the translated item.
 
-Renaming worlds preserves validity, so on a block that holds every frame of
-its size (every size up to 4) the loop places nominals and state variables
-canonically: one restricted growth string per orbit of the world
-permutations (``_canonical_placements``), under every valuation of the
-props.  ``_valid_mask`` then closes the mask under renaming with delta swaps
-on its index bits (``_close_under_renaming``), and the translation check
-weighs each placement by its orbit's size.  A single frame, or a block of a
-size above 4, renames nothing and keeps every placement.
+Renaming worlds preserves validity: (F, V) satisfies q iff (pi F, pi V)
+does.  So on a block that holds every frame of its size (every size up to
+4) the loop decides one valuation and placement per orbit of the world
+permutations (``_canonical_placements``): the worlds are coloured by the
+props that hold there, the colours must not decrease, and nominals and
+state variables follow a restricted growth string within each run of equal
+colour.  ``_valid_mask`` then closes each block's mask under renaming with
+delta swaps on its index bits (``_close_under_renaming``), and the
+translation check weighs each placement by its orbit's size.  A single
+frame, or a block of a size above 4, renames nothing and decides every
+valuation and placement, generated lazily.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -44,7 +51,7 @@ import os
 import random
 import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 from .syntax import (
     And,
@@ -118,6 +125,7 @@ class KripkeFrame:
 
     size: int
     relation: frozenset[tuple[int, int]]
+    count: ClassVar[int] = 1  # the block's frames
     full: ClassVar[int] = 1  # the mask of the block's frames
 
     def __post_init__(self) -> None:
@@ -221,7 +229,9 @@ def truth_mask(model: KripkeModel, g: Assignment, f: Formula) -> int:
     values.update(model.nom_val)
     values.update(g)
     slots = {s: k for k, s in enumerate(values)}
-    held = _compile(f, model.frame, slots)(list(values.values()))
+    (held_at,), bind = _compile([f], slots)
+    bind(model.frame)
+    held = held_at(list(values.values()))
     return sum(x << w for w, x in enumerate(held))
 
 
@@ -286,6 +296,23 @@ def _frames_below(n: int) -> int:
     return sum(1 << (k * k) for k in range(1, n))
 
 
+@dataclass(frozen=True)
+class FramesUpTo:
+    """Every frame with 1..size worlds, in enumerate_frames order: the
+    validity checks decide an item on all of them in one call, one block
+    after another, and bit k of their mask stands for frame k."""
+
+    size: int
+
+    @property
+    def count(self) -> int:
+        return _frames_below(self.size + 1)
+
+    @property
+    def full(self) -> int:
+        return (1 << self.count) - 1
+
+
 @functools.cache
 def _edge_slices(bits: int) -> tuple[int, ...]:
     """Slice k has bit m set iff bit k of m is set, for m < 2^bits."""
@@ -338,7 +365,7 @@ def frame_at(n: int, m: int) -> KripkeFrame:
     )
 
 
-def _frame_at_index(idx: int) -> KripkeFrame:
+def frame_at_index(idx: int) -> KripkeFrame:
     """Frame idx in enumerate_frames order."""
     n = 1
     while idx >= 1 << (n * n):
@@ -373,24 +400,30 @@ def enumerate_frames(
 # The sliced evaluator
 # ---------------------------------------------------------------------------
 #
-# The formula is compiled once per block into nested closures over a flat
-# environment list: a prop holds its per-world values (all-ones or 0, since
-# a valuation is the same in every frame of the block), nominals and state
-# variables hold world numbers.  ``slots`` maps each free symbol to its
+# Formulas are compiled once per validity question into nested closures over
+# a flat environment list: a prop holds its per-world values (all-ones or 0,
+# since a valuation is the same in every frame of the block), nominals and
+# state variables hold world numbers.  ``slots`` maps each free symbol to its
 # index in that list and must number them 0..len(slots)-1; a binder takes
-# the next index for the extent of its scope.
+# the next index for the extent of its scope.  The closures read the block
+# only through cells that ``bind`` re-points, so one compilation serves every
+# block at no cost per evaluation.
 
 
-def _compile(f: Formula, frames: FrameBlock | KripkeFrame, slots: dict[Symbol, int]):
-    """Closure computing f's per-world frame masks from an environment list."""
-    n = frames.size
-    full = frames.full
-    rows = frames.edges
-    worlds = range(n)
-    top = (full,) * n
-    bot = (0,) * n
-    # units[w]: the values of a nominal or state variable placed at w.
-    units = [tuple(full if v == w else 0 for v in worlds) for w in worlds]
+def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
+    """Closures computing the per-world frame masks of each formula of fs
+    from an environment list, and bind(frames), which points all of them at
+    a block (or a frame) before they are called."""
+    n = full = 0
+    rows = worlds = top = bot = units = ()
+
+    def bind(frames: FrameBlock | KripkeFrame) -> None:
+        nonlocal n, full, rows, worlds, top, bot, units
+        n, full, rows = frames.size, frames.full, frames.edges
+        worlds = range(n)
+        top, bot = (full,) * n, (0,) * n
+        # units[w]: the values of a nominal or state variable placed at w.
+        units = [tuple(full if v == w else 0 for v in worlds) for w in worlds]
 
     def dia(xs) -> list[int]:
         out = []
@@ -466,7 +499,7 @@ def _compile(f: Formula, frames: FrameBlock | KripkeFrame, slots: dict[Symbol, i
             case _:
                 raise TypeError(f"not a formula: {h!r}")
 
-    return go(f)
+    return [go(f) for f in fs], bind
 
 
 def _enumeration_count(n: int, n_props: int, n_noms: int, n_svars: int) -> int:
@@ -502,32 +535,84 @@ def _renamable(frames: FrameBlock | KripkeFrame) -> int:
     return 1
 
 
-@functools.cache
-def _canonical_placements(k: int, n: int, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """One placement of k symbols in worlds 0..n-1 per orbit of the
-    permutations of worlds 0..m-1, with the orbit's size, in lexicographic
-    order.
+# (valuation, placement, weight): see _canonical_placements
+Representative = tuple[tuple[int, ...], tuple[int, ...], int]
 
-    A placement is canonical iff it is a restricted growth string on the
-    renamable worlds: each symbol goes to a renamable world at most one
-    above the highest renamable world used so far, or to any world >= m.
-    That is the least member of its orbit, and the orbit has
-    m(m-1)...(m-j+1) members if j renamable worlds are used.  With m = 1
-    every placement is canonical and has weight 1.
+
+def _canonical_placements(p: int, k: int, n: int, m: int) -> Iterable[Representative]:
+    """One valuation of p props and placement of k symbols in worlds
+    0..n-1 per orbit of the permutations of worlds 0..m-1, as (valuation,
+    placement, orbit size) in lexicographic order.
+
+    A valuation is a tuple of p masks over the worlds (bit w of the i-th is
+    set iff prop i holds at w).  With m = 1 nothing is renamable: every
+    valuation and placement comes with weight 1, generated lazily in the
+    order of the full product.  Otherwise see _orbit_representatives.
+    """
+    if m == 1:
+        return (
+            (valuation, placement, 1)
+            for valuation in itertools.product(range(1 << n), repeat=p)
+            for placement in itertools.product(range(n), repeat=k)
+        )
+    return _orbit_representatives(p, k, n, m)
+
+
+@functools.cache
+def _orbit_representatives(p: int, k: int, n: int, m: int) -> tuple[Representative, ...]:
+    """The canonical members of the orbits of _canonical_placements, m > 1.
+
+    Colour each world by its prop bits, prop 1 the most significant.  A
+    valuation is canonical iff the colours do not decrease over the
+    renamable worlds; its stabiliser permutes each run of equal colour.
+    Within that, a placement is canonical iff it is a restricted growth
+    string on each run: a symbol goes to a world of a run at most one above
+    the highest world of that run used so far, or to any world >= m.  That
+    is the least member of its orbit, ordering pairs by their colours world
+    by world and then by the placement.  With runs of lengths r_i of which
+    j_i worlds are used, the orbit has (m! / prod r_i!) * prod
+    r_i(r_i-1)...(r_i-j_i+1) members.  With no props there is one run and
+    these are the restricted growth strings of the placements.
     """
     out = []
     prefix = [0] * k
+    colours = range(1 << p)
+    for renamable in itertools.combinations_with_replacement(colours, m):
+        for fixed in itertools.product(colours, repeat=n - m):
+            colour = renamable + fixed
+            valuation = tuple(
+                sum(((c >> (p - 1 - i)) & 1) << w for w, c in enumerate(colour))
+                for i in range(p)
+            )
+            # run[w]: the first world of w's run of equal colour
+            run = [0] * m
+            for w in range(1, m):
+                run[w] = run[w - 1] if colour[w] == colour[w - 1] else w
+            lengths = collections.Counter(run)
+            orbit = math.factorial(m) // math.prod(map(math.factorial, lengths.values()))
+            used = dict.fromkeys(lengths, 0)
 
-    def grow(i: int, used: int) -> None:
-        """Extend prefix[:i], which uses renamable worlds 0..used-1."""
-        if i == k:
-            out.append((tuple(prefix), math.perm(m, used)))
-            return
-        for w in itertools.chain(range(min(used + 1, m)), range(m, n)):
-            prefix[i] = w
-            grow(i + 1, max(used, w + 1) if w < m else used)
+            def grow(i: int) -> None:
+                """Extend prefix[:i], which uses worlds run..run+used[run]-1 of each run."""
+                if i == k:
+                    weight = orbit * math.prod(math.perm(lengths[r], used[r]) for r in lengths)
+                    out.append((valuation, tuple(prefix), weight))
+                    return
+                for w in range(n):
+                    if w >= m:
+                        prefix[i] = w
+                        grow(i + 1)
+                        continue
+                    r = run[w]
+                    before = used[r]
+                    if w - r > before:
+                        continue
+                    prefix[i] = w
+                    used[r] = max(before, w - r + 1)
+                    grow(i + 1)
+                    used[r] = before
 
-    grow(0, 0)
+            grow(0)
     return tuple(out)
 
 
@@ -578,33 +663,35 @@ def _close_under_renaming(mask: int, n: int, m: int) -> int:
     return mask
 
 
-def _quasi_placements(
-    frames: FrameBlock | KripkeFrame,
+def _quasi_program(
     q: QuasiInequality,
+    first: FrameBlock | KripkeFrame,
     limits: EnumerationLimits,
+    extra: Sequence[Formula] = (),
 ):
-    """Compile q on frames and return (slots, env, placements, holds).
+    """Compile q, and the formulas extra with the same slots, once for a
+    run of blocks whose first is first; return (slots, env, holds,
+    placements, extra_at).
 
     slots numbers q's props, then its nominals, then its state variables.
-    placements sets the list env, in lexicographic order, to every
-    valuation of the props combined with every canonical placement of the
-    nominals and state variables in the frames' worlds (see
-    _canonical_placements, with m = _renamable(frames)), and yields the
-    placement's weight: the number of placements renaming maps it to.
-    holds(env, care) is the mask of the frames among care on which q holds
-    under env.  The antecedents and the conclusion are judged against one
-    shared environment.
+    placements(block) checks the budget for block, binds the compiled
+    formulas to it, and then sets the list env, in lexicographic order, to
+    every canonical valuation of the props and placement of the nominals
+    and state variables in the block's worlds (see _canonical_placements,
+    with m = _renamable(block)); it yields each one's weight, the number of
+    valuations and placements renaming maps it to.  holds(env, care) is the
+    mask of the frames among care on which q holds under env: the
+    antecedents and the conclusion are judged against one shared
+    environment.  extra_at holds the closures of the extra formulas.
     """
     prop_syms, nom_syms, svar_syms = sorted_symbols(q)
-    _check_budget(frames, prop_syms, nom_syms, svar_syms, limits)
-
-    n = frames.size
-    full = frames.full
+    _check_budget(first, prop_syms, nom_syms, svar_syms, limits)
     slots = {s: k for k, s in enumerate(prop_syms + nom_syms + svar_syms)}
+    ineqs = (*q.antecedents, q.conclusion)
+    compiled, bind = _compile([f for i in ineqs for f in (i.lhs, i.rhs)] + list(extra), slots)
+    full = 0
 
-    def inclusion(i: Inequality):
-        lf, rf = _compile(i.lhs, frames, slots), _compile(i.rhs, frames, slots)
-
+    def inclusion(lf, rf):
         def included(env) -> int:
             """Mask of the frames where lhs's truth set lies within rhs's."""
             m = full
@@ -614,7 +701,8 @@ def _quasi_placements(
 
         return included
 
-    *antecedents, conclusion = [inclusion(i) for i in (*q.antecedents, q.conclusion)]
+    sides = compiled[: 2 * len(ineqs)]
+    *antecedents, conclusion = [inclusion(lf, rf) for lf, rf in zip(sides[::2], sides[1::2])]
 
     def holds(env, care: int) -> int:
         held = care
@@ -627,43 +715,84 @@ def _quasi_placements(
     p = len(prop_syms)
     env: list = [0] * len(slots)
 
-    def placements() -> Iterator[int]:
-        # A valuation of a prop is its per-world values: all-ones where it
-        # holds (the same in every frame of the block), 0 elsewhere.
-        valuations = [tuple(full if (s >> w) & 1 else 0 for w in range(n)) for s in range(1 << n)]
-        canonical = _canonical_placements(len(slots) - p, n, _renamable(frames))
-        for values in itertools.product(*[valuations] * p, canonical):
-            env[:p] = values[:p]
-            env[p:], weight = values[p]
+    def placements(block: FrameBlock | KripkeFrame) -> Iterator[int]:
+        nonlocal full
+        _check_budget(block, prop_syms, nom_syms, svar_syms, limits)
+        bind(block)
+        n, full = block.size, block.full
+        # values[s]: the per-world values of a prop that holds at the worlds
+        # of the set bits of s, all-ones there (the same in every frame of
+        # the block) and 0 elsewhere.
+        values: list[tuple[int, ...]] = [()]
+        for _ in range(n if p else 0):
+            values = [v + (0,) for v in values] + [v + (full,) for v in values]
+        for valuation, placement, weight in _canonical_placements(
+            p, len(slots) - p, n, _renamable(block)
+        ):
+            env[:p] = [values[s] for s in valuation]
+            env[p:] = placement
             yield weight
 
-    return slots, env, placements(), holds
+    return slots, env, holds, placements, compiled[2 * len(ineqs) :]
 
 
 def _valid_mask(
-    frames: FrameBlock | KripkeFrame,
+    frames: FramesUpTo | FrameBlock | KripkeFrame,
     q: QuasiInequality,
     limits: EnumerationLimits,
 ) -> int:
     """The loop behind frame_valid and frame_valid_quasi.  Neither calls the
     other, so the perfbench tracer counts a call of either exactly once.
 
-    Only canonical placements are decided; closing the mask under renaming
-    the worlds gives the frames on which q holds under every placement.
-    With no nominal or state variable every placement is decided already."""
-    slots, env, placements, holds = _quasi_placements(frames, q, limits)
-    valid = frames.full
-    for _ in placements:
-        valid = holds(env, valid)
-        if not valid:
-            return 0
-    if all(s.kind is Kind.PROP for s in slots):
-        return valid
-    return _close_under_renaming(valid, frames.size, _renamable(frames))
+    q is compiled once and decided block by block.  Only canonical
+    valuations and placements are decided; closing each block's mask under
+    renaming its worlds gives the frames on which q holds under every one.
+    With no symbol at all the one empty placement is decided already."""
+    if isinstance(frames, FramesUpTo):
+        blocks = list(frame_blocks(frames.size, limits))
+    else:
+        blocks = [frames]
+    slots, env, holds, placements, _ = _quasi_program(q, blocks[0], limits)
+
+    def decided(block: FrameBlock | KripkeFrame) -> tuple[int, int]:
+        mask = block.full
+        for _ in placements(block):
+            mask = holds(env, mask)
+            if not mask:
+                break
+        if mask and slots:
+            mask = _close_under_renaming(mask, block.size, _renamable(block))
+        return mask, block.count
+
+    return _concatenated(map(decided, blocks))
+
+
+def _concatenated(parts: Iterable[tuple[int, int]]) -> int:
+    """The masks of parts, given as (mask, width) in order, laid end to end.
+
+    A part is merged into the one before it once it is at least as wide,
+    as in a binary counter, so each bit is copied about log2(number of
+    parts) times and the pending parts never outgrow the result; adding
+    each part at its offset into the whole would copy the whole once per
+    part (512 times 4 MB at 5 worlds).
+    """
+    stack: list[tuple[int, int]] = []
+
+    def merge_top() -> None:
+        (lo, width), (hi, w) = stack[-2:]
+        stack[-2:] = [(lo | hi << width, width + w)]
+
+    for part in parts:
+        stack.append(part)
+        while len(stack) > 1 and stack[-2][1] <= stack[-1][1]:
+            merge_top()
+    while len(stack) > 1:
+        merge_top()
+    return stack[0][0]
 
 
 def frame_valid(
-    frames: FrameBlock | KripkeFrame,
+    frames: FramesUpTo | FrameBlock | KripkeFrame,
     f: Formula,
     limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> int:
@@ -679,7 +808,7 @@ def frame_valid(
 
 
 def frame_valid_quasi(
-    frames: FrameBlock | KripkeFrame,
+    frames: FramesUpTo | FrameBlock | KripkeFrame,
     q: QuasiInequality,
     limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> int:
@@ -700,17 +829,17 @@ def require_pure(q: QuasiInequality) -> None:
 
 
 def frame_valid_quasi_set(
-    frames: FrameBlock | KripkeFrame,
+    frames: FramesUpTo | FrameBlock | KripkeFrame,
     qs: Iterable[QuasiInequality],
     limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> int:
     """Mask of the frames on which every quasi-inequality of qs is valid."""
-    valid = frames.full
+    valid = -1  # every bit set, without building frames.full (4 MB at 5 worlds)
     for q in qs:
         valid &= frame_valid_quasi(frames, q, limits)
         if not valid:
             break
-    return valid
+    return frames.full if valid == -1 else valid
 
 
 MAX_COUNTEREXAMPLES = 5
@@ -742,12 +871,10 @@ class FrameAgreement:
 def valid_frame_mask(check, item, limits: EnumerationLimits = DEFAULT_LIMITS) -> int:
     """Mask of the frames with up to limits.max_worlds worlds (bit k for
     frame k in enumerate_frames order) on which item is valid, where
-    check(block, item, limits) is a block validity check such as
-    frame_valid or frame_valid_quasi_set."""
-    valid = 0
-    for block in frame_blocks(limits.max_worlds, limits):
-        valid |= check(block, item, limits) << block.index
-    return valid
+    check(frames, item, limits) is a validity check such as frame_valid or
+    frame_valid_quasi_set, called once on FramesUpTo(limits.max_worlds)."""
+    _check_world_cap(limits.max_worlds, limits)
+    return check(FramesUpTo(limits.max_worlds), item, limits)
 
 
 def frame_agreement(
@@ -766,11 +893,11 @@ def frame_agreement(
     valid_in = valid_frame_mask(frame_valid, formula, limits)
     valid_out = valid_frame_mask(frame_valid_quasi_set, quasis, limits)
     counterexamples = [
-        f"{_frame_at_index(k)}: input={bool(valid_in >> k & 1)} output={bool(valid_out >> k & 1)}"
+        f"{frame_at_index(k)}: input={bool(valid_in >> k & 1)} output={bool(valid_out >> k & 1)}"
         for k in itertools.islice(frame_indices(valid_in ^ valid_out), MAX_COUNTEREXAMPLES)
     ]
     return FrameAgreement(
-        _frames_below(limits.max_worlds + 1), valid_in, valid_out, counterexamples
+        FramesUpTo(limits.max_worlds).count, valid_in, valid_out, counterexamples
     )
 
 

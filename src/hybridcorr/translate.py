@@ -31,8 +31,7 @@ from .semantics import (
     MAX_COUNTEREXAMPLES,
     EnumerationLimits,
     KripkeModel,
-    _compile,
-    _quasi_placements,
+    _quasi_program,
     frame_at,
     frame_blocks,
     model_to_json,
@@ -120,8 +119,8 @@ def verify_tr_equivalence(
     limits.max_worlds worlds: every frame and every placement of the item's
     nominals and state variables.
 
-    The item must be pure.  Both sides are compiled once per frame block
-    with one slot map and decided for every frame of the block at once.
+    The item must be pure.  Both sides are compiled once, with one slot
+    map, and decided for every frame of a block at once.
     """
     if isinstance(item, Inequality):
         translation = tr_ineq(item)
@@ -132,11 +131,13 @@ def verify_tr_equivalence(
     require_pure(quasi)
     checked = mismatched = 0
     mismatches: list[dict] = []
-    for block in frame_blocks(limits.max_worlds, limits):
-        slots, env, placements, holds = _quasi_placements(block, quasi, limits)
-        translated_at = _compile(translation, block, slots)
+    blocks = list(frame_blocks(limits.max_worlds, limits))
+    slots, env, holds, placements, (translated_at,) = _quasi_program(
+        quasi, blocks[0], limits, (translation,)
+    )
+    for block in blocks:
         full = block.full
-        for weight in placements:
+        for weight in placements(block):
             translated = full
             for x in translated_at(env):
                 translated &= x

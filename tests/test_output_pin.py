@@ -18,12 +18,15 @@ way and says why in CHANGES.md.
 import contextlib
 import hashlib
 import io
+import os
+from unittest import mock
 
 from hybridcorr.cli import main
 from hybridcorr.corpus import CORPUS
 from hybridcorr.generate import SkeletalGenerator
 
 PINNED_DIGEST = "8cc1872f8c48d2885983a21e63d254d3fe09afc3d299b6b59bb9339c59e28a08"
+ENUMERATION_DIGEST = "961fc793ecf9ec635a7047b88a163663eb7e916290a0d636031ca788a2f8ea28"
 
 
 def _runs() -> list[list[str]]:
@@ -35,11 +38,22 @@ def _runs() -> list[list[str]]:
     ]
 
 
-def output_digest() -> str:
+def enumeration_runs() -> list[list[str]]:
+    runs = [["axioms-check", "--json", "--max-worlds", str(k)] for k in (1, 2, 3)]
+    return runs + [
+        ["verify", e.input_text, "--json", "--max-worlds", "3"]
+        for e in CORPUS
+        if e.expect_skeletal
+    ]
+
+
+def output_digest(runs: list[list[str]] | None = None) -> str:
+    # the default caps, whatever the environment sets
+    env = {k: v for k, v in os.environ.items() if not k.startswith("HYBRIDCORR_")}
     h = hashlib.sha256()
-    for argv in _runs():
+    for argv in _runs() if runs is None else runs:
         out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), mock.patch.dict(os.environ, env, clear=True):
             code = main(argv)
         h.update(f"{argv}\n{code}\n{out.getvalue()}".encode())
     return h.hexdigest()
@@ -47,3 +61,7 @@ def output_digest() -> str:
 
 def test_correspond_output_is_pinned():
     assert output_digest() == PINNED_DIGEST
+
+
+def test_enumeration_output_is_pinned():
+    assert output_digest(enumeration_runs()) == ENUMERATION_DIGEST

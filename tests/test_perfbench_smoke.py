@@ -1,0 +1,32 @@
+"""Smoke runs of the benchmark's traced mode.
+
+The tracer in perfbench/ wraps semantics.frame_valid and
+semantics.frame_valid_quasi and reads the frames' ``.size`` and the item
+from their first two arguments.  A change to those functions that breaks
+that contract, or any known answer, fails here in about a second per
+workload.  A traced run writes its spans only under perfbench/out/.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+
+
+@pytest.mark.parametrize("workload", ["axioms", "agree4"])
+def test_traced_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, str(RUN), "--workload", workload, "--seconds", "0.2", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    metrics = result["metrics"]
+    assert metrics["semantics.frame_valid_calls"]["value"] > 0

@@ -4,13 +4,14 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridcorr.semantics import (
     FRAME_CLASSES,
     EnumerationCapError,
     EnumerationLimits,
+    FramesUpTo,
     KripkeFrame,
     KripkeModel,
     UnboundSymbolError,
@@ -18,6 +19,7 @@ from hybridcorr.semantics import (
     eval_at,
     frame_agreement,
     frame_at,
+    frame_at_index,
     frame_blocks,
     frame_indices,
     frame_valid,
@@ -31,7 +33,7 @@ from hybridcorr.semantics import (
     random_model,
     truth_mask,
 )
-from hybridcorr.semantics import _canonical_placements, _close_under_renaming
+from hybridcorr.semantics import _canonical_placements, _close_under_renaming, _concatenated
 from hybridcorr.syntax import (
     BOT,
     TOP,
@@ -282,32 +284,89 @@ def block_of_size(n):
 THREE = block_of_size(3)
 
 
+def orbit_key(valuation, placement, n):
+    """The order in which a canonical valuation and placement is the least
+    of its orbit: the colours (tuples of prop bits) world by world, then
+    the placement."""
+    return tuple(tuple((v >> w) & 1 for v in valuation) for w in range(n)), placement
+
+
+def renamed(pi, valuation, placement):
+    """A valuation and placement with every world w renamed to pi[w]."""
+    moved = tuple(sum(1 << pi[w] for w in range(len(pi)) if (v >> w) & 1) for v in valuation)
+    return moved, tuple(pi[w] for w in placement)
+
+
 class TestCanonicalPlacements:
     @pytest.mark.parametrize("k", range(8))
     @pytest.mark.parametrize("n", range(1, 5))
     def test_one_per_orbit(self, k, n):
-        canonical = _canonical_placements(k, n, n)
+        canonical = list(_canonical_placements(0, k, n, n))
         # one placement per partition of the symbols into at most n groups
         assert len(canonical) == sum(stirling2(k, j) for j in range(min(k, n) + 1))
         # orbit sizes add up to every placement
-        assert sum(weight for _, weight in canonical) == n**k
+        assert sum(weight for _, _, weight in canonical) == n**k
         # each is the least member of its orbit, and they come in order
-        placements = [p for p, _ in canonical]
+        assert {valuation for valuation, _, _ in canonical} == {()}
+        placements = [p for _, p, _ in canonical]
         assert placements == sorted(placements)
-        for p, weight in canonical:
+        for _, p, weight in canonical:
             orbit = {tuple(pi[w] for w in p) for pi in itertools.permutations(range(n))}
             assert min(orbit) == p and len(orbit) == weight
 
     def test_sizes_named_in_the_docs(self):
-        assert len(_canonical_placements(6, 3, 3)) == 122
-        assert len(_canonical_placements(7, 4, 4)) == 715
+        assert len(list(_canonical_placements(0, 6, 3, 3))) == 122
+        assert len(list(_canonical_placements(0, 7, 4, 4))) == 715
 
     @pytest.mark.parametrize("k", range(6))
     @pytest.mark.parametrize("n", range(1, 5))
     def test_nothing_renamable_is_the_full_product(self, k, n):
-        canonical = _canonical_placements(k, n, 1)
-        assert [p for p, _ in canonical] == list(itertools.product(range(n), repeat=k))
-        assert {weight for _, weight in canonical} == {1}
+        canonical = _canonical_placements(0, k, n, 1)
+        # generated lazily, not kept
+        assert iter(canonical) is canonical
+        canonical = list(canonical)
+        assert [p for _, p, _ in canonical] == list(itertools.product(range(n), repeat=k))
+        assert {weight for _, _, weight in canonical} == {1}
+
+
+class TestCanonicalValuations:
+    """Canonical valuations of props together with placements."""
+
+    @pytest.mark.parametrize("p, k, n", itertools.product((1, 2), range(4), range(1, 5)))
+    def test_weights_count_every_valuation_and_placement(self, p, k, n):
+        canonical = _canonical_placements(p, k, n, n)
+        assert sum(weight for _, _, weight in canonical) == 2 ** (p * n) * n**k
+
+    @pytest.mark.parametrize("p, k, n", itertools.product((1, 2), range(4), range(1, 4)))
+    def test_least_member_of_its_orbit(self, p, k, n):
+        canonical = list(_canonical_placements(p, k, n, n))
+        keys = [orbit_key(v, pl, n) for v, pl, _ in canonical]
+        assert keys == sorted(set(keys))
+        for valuation, placement, weight in canonical:
+            orbit = {
+                orbit_key(*renamed(pi, valuation, placement), n)
+                for pi in itertools.permutations(range(n))
+            }
+            assert min(orbit) == orbit_key(valuation, placement, n)
+            assert len(orbit) == weight
+
+    @pytest.mark.parametrize(
+        "p, k, n, count, of",
+        [(1, 0, 3, 4, 8), (2, 0, 3, 20, 64), (1, 2, 3, 14, 72), (1, 0, 4, 5, 16)],
+    )
+    def test_counts_named_in_the_docs(self, p, k, n, count, of):
+        canonical = _canonical_placements(p, k, n, n)
+        assert len(canonical) == count
+        assert sum(weight for _, _, weight in canonical) == of
+
+    @pytest.mark.parametrize("p, k, n", [(1, 0, 3), (1, 2, 2), (2, 1, 2), (3, 0, 1)])
+    def test_nothing_renamable_is_the_full_product(self, p, k, n):
+        canonical = list(_canonical_placements(p, k, n, 1))
+        assert [(v, pl) for v, pl, _ in canonical] == list(
+            itertools.product(itertools.product(range(1 << n), repeat=p),
+                              itertools.product(range(n), repeat=k))
+        )
+        assert {weight for _, _, weight in canonical} == {1}
 
 
 class TestRenamingClosure:
@@ -384,11 +443,24 @@ class TestSymmetryReduction:
     def test_four_world_corpus_on_sampled_frames(self):
         from hybridcorr.alba import run
         from hybridcorr.corpus import CORPUS
+        from hybridcorr.generate import GeneratorConfig, SkeletalGenerator
 
         limits = EnumerationLimits(max_worlds=4, max_nominals=12, max_count=50_000_000)
         block = block_of_size(4)
         sample = sorted(random.Random(1).sample(range(1 << 16), 32))
         keep = sum(1 << m for m in sample)
+        # generated inputs with two props (the soundness sweep's draws),
+        # whose input side runs on canonical valuations
+        config = GeneratorConfig(max_depth=4, max_props=2, max_nominals=1, filler_depth=2)
+        gen = SkeletalGenerator(7, config)
+        drawn = [gen.inequality()[0] for _ in range(30)]
+        two_props = [i for i in drawn if len(sorted_symbols(i)[0]) == 2][:6]
+        assert len(two_props) == 6
+        for ineq in two_props:
+            f = Implies(ineq.lhs, ineq.rhs)
+            assert frame_valid(block, f, limits) & keep == per_frame(
+                frame_valid, f, 4, sample, limits
+            ), str(ineq)
         for entry in CORPUS:
             if not entry.expect_skeletal:
                 continue
@@ -401,6 +473,47 @@ class TestSymmetryReduction:
             assert frame_valid_quasi_set(block, quasis, limits) & keep == per_frame(
                 frame_valid_quasi_set, quasis, 4, sample, limits
             ), entry.name
+
+
+def with_props(item, most_placed):
+    """Whether item has one or two props and at most most_placed nominals
+    and free state variables."""
+    return 1 <= len(sorted_symbols(item)[0]) <= 2 and placed(item) <= most_placed
+
+
+class TestRenamingWithProps:
+    """Free differential check: on the block of every frame of size n, an
+    item with props decided on canonical valuations and placements gives a
+    mask closed under renaming worlds, equal to the mask from deciding each
+    frame alone, which renames nothing and decides every valuation."""
+
+    def check(self, check, item, n):
+        mask = check(block_of_size(n), item, EnumerationLimits(max_worlds=4))
+        assert _close_under_renaming(mask, n, n) == mask
+        assert mask == per_frame(check, item, n, range(1 << (n * n)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(formulas(6).filter(lambda f: with_props(f, 3)))
+    # refuted only by placing the nominals in worlds of different colours
+    @example(parse("@'i p -> @'j p"))
+    def test_frame_valid_on_two_worlds(self, f):
+        self.check(frame_valid, f, 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(quasis(3).filter(lambda q: with_props(q, 3)))
+    def test_frame_valid_quasi_on_two_worlds(self, q):
+        self.check(frame_valid_quasi, q, 2)
+
+    @settings(max_examples=10, deadline=None)
+    @given(formulas(6).filter(lambda f: with_props(f, 2)))
+    @example(parse("@'i (p & ~q) -> @'j (p | q)"))
+    def test_frame_valid_on_three_worlds(self, f):
+        self.check(frame_valid, f, 3)
+
+    @settings(max_examples=6, deadline=None)
+    @given(quasis(3).filter(lambda q: with_props(q, 2)))
+    def test_frame_valid_quasi_on_three_worlds(self, q):
+        self.check(frame_valid_quasi, q, 3)
 
 
 class TestFrameValidQuasi:
@@ -564,6 +677,17 @@ class TestFrameBlocks:
                     if (blocks[k].edges[u][v] >> j) & 1
                 }
                 assert held == frame_at(5, (k << 16) + j).relation
+
+    def test_masks_of_blocks_laid_end_to_end(self):
+        assert _concatenated([(0b1, 1)]) == 0b1
+        assert _concatenated([(0b1, 1), (0b10, 2), (0b101, 3)]) == 0b101_10_1
+        # five worlds: 4 single blocks, then 512 blocks of 2^16 frames
+        limits = EnumerationLimits(max_worlds=5)
+        serial = frame_valid(FramesUpTo(5), parse("<>T"), limits)
+        for k in random.Random(5).sample(range(FramesUpTo(5).count), 200):
+            fr = frame_at_index(k)
+            sources = {u for u, _ in fr.relation}
+            assert (serial >> k) & 1 == (len(sources) == fr.size), k
 
     def test_frame_indices(self):
         assert list(frame_indices(0)) == []
