@@ -280,47 +280,38 @@ def distribution_schemas() -> list[Schema]:
     ]
 
 
+def tag_schemas() -> list[Schema]:
+    """Tags covered by classical reasoning or by the anchoring facts rather
+    than a single equivalence; the representative instances are proved by
+    the same brute-force check."""
+    p, q = Prop(_P), Prop(_Q)
+    return [
+        Schema("cpc-case-split", (Implies(Implies(Or(p, q), q), Implies(p, q)),)),
+        Schema("cpc-conj-intro", (Implies(Implies(p, And(p, q)), Implies(p, q)),)),
+        Schema("monotone-substitution", (parse("(T -> p) -> (T -> p | q)"),)),
+        Schema("antitone-substitution", (parse("(p & q -> F) -> (p & F -> F)"),)),
+        Schema(
+            "anchor-nominals",
+            (
+                Implies(And(At(_J, p), At(_I, Nom(_J))), At(_I, p)),
+                Implies(At(_I, Nom(_J)), At(_J, Nom(_I))),
+            ),
+        ),
+        Schema("svar-naming", (Implies(Down(_X, At(_X, Prop(_P))), Prop(_P)),)),
+    ]
+
+
 def justification_schemas() -> dict[str, Schema]:
     """Registry keyed by the justification tags the engine writes."""
-    registry: dict[str, Schema] = {}
-    for s in distribution_schemas() + derived_schemas():
-        registry[s.name] = s
-    # Tags covered by classical reasoning or by the anchoring facts rather
-    # than a single equivalence; the representative instances are proved by
-    # the same brute-force check.
-    p, q = Prop(_P), Prop(_Q)
-    registry["cpc-case-split"] = Schema(
-        "cpc-case-split", (Implies(Implies(Or(p, q), q), Implies(p, q)),)
-    )
-    registry["cpc-conj-intro"] = Schema(
-        "cpc-conj-intro", (Implies(Implies(p, And(p, q)), Implies(p, q)),)
-    )
-    registry["monotone-substitution"] = Schema(
-        "monotone-substitution", (parse("(T -> p) -> (T -> p | q)"),)
-    )
-    registry["antitone-substitution"] = Schema(
-        "antitone-substitution", (parse("(p & q -> F) -> (p & F -> F)"),)
-    )
-    registry["anchor-nominals"] = Schema(
-        "anchor-nominals",
-        (
-            Implies(And(At(_J, p), At(_I, Nom(_J))), At(_I, p)),
-            Implies(At(_I, Nom(_J)), At(_J, Nom(_I))),
-        ),
-    )
-    registry["svar-naming"] = Schema(
-        "svar-naming",
-        (Implies(Down(_X, At(_X, Prop(_P))), Prop(_P)),),
-    )
-    return registry
+    return {s.name: s for s in distribution_schemas() + derived_schemas() + tag_schemas()}
 
 
 def all_schemas() -> list[Schema]:
+    """Every schema once by name, each list built once: the axioms, the
+    derived theorems, the distribution equivalences, then the other tags."""
     seen: dict[str, Schema] = {}
-    for s in axiom_schemas() + derived_schemas() + distribution_schemas():
+    for s in axiom_schemas() + derived_schemas() + distribution_schemas() + tag_schemas():
         seen.setdefault(s.name, s)
-    for name, s in justification_schemas().items():
-        seen.setdefault(name, s)
     return list(seen.values())
 
 

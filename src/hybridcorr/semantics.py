@@ -1,16 +1,17 @@
 """Kripke-model evaluation and brute-force frame validity.
 
 Two evaluators live here on purpose.  ``eval_at`` implements the
-satisfaction clauses world by world and is the reference oracle.
-``_compile`` is the sliced evaluator: it turns a formula into closures that
-decide it on a whole block of frames at once.  A block holds frames of one
-size n in ``enumerate_frames`` order; a compiled formula returns one int per
-world, whose bit j says whether the formula holds there in frame j of the
-block (the bitslicing technique of Biham, "A fast new DES implementation in
-software", FSE 1997, applied to frames).  ``truth_mask``, ``frame_valid``
-and ``frame_valid_quasi`` all evaluate through it; a ``KripkeFrame`` is a
-block of one frame.  The property suite keeps it in agreement with the
-oracle.
+satisfaction clauses world by world and is the reference oracle, which
+``globally_true`` and the ``holds_*`` checks use.  ``_compile`` is the
+sliced evaluator: it turns a formula into closures that decide it on a
+whole block of frames at once.  A block holds frames of one size n in
+``enumerate_frames`` order; every symbol and every compiled formula has one
+int per world, whose bit j says whether it holds there (a nominal or state
+variable: is placed there) in frame j of the block (the bitslicing
+technique of Biham, "A fast new DES implementation in software", FSE 1997,
+applied to frames).  ``truth_mask``, ``frame_valid`` and
+``frame_valid_quasi`` all evaluate through it; a ``KripkeFrame`` is a block
+of one frame.  The property suite keeps it in agreement with the oracle.
 
 Verification enumerates every frame up to a size cap (2 + 16 + 512 = 530
 frames for sizes 1..3, 66,066 up to 4) and every valuation of the symbols
@@ -39,6 +40,18 @@ delta swaps on its index bits (``_close_under_renaming``), and the
 translation check weighs each placement by its orbit's size.  A single
 frame, or a block of a size above 4, renames nothing and decides every
 valuation and placement, generated lazily.
+
+The loop runs in batches.  On a whole-size block narrower than 2^16
+frames (sizes 1..3) one evaluation decides up to 2^16 / 2^(n*n) canonical
+valuations and placements side by side (a batch): bit b*2^(n*n) + j of
+a value stands for member b of the batch in frame j, and the closures are
+bound to the block repeated once per member (``_replicated_block``), so a
+value still stays within 8 KB.  A batch's mask is its segments ANDed by
+halving, with the unused tail of a partial last batch set first.  The
+environment of a table that fits in one batch is widened once per process
+for each (props, symbols, size) (``_widened_table``); a larger one is
+widened batch by batch, in linear time, from the cached representatives.
+Blocks of 4 or more worlds and single frames decide batches of one.
 """
 
 from __future__ import annotations
@@ -223,11 +236,11 @@ def eval_at(model: KripkeModel, g: Assignment, w: int, f: Formula) -> bool:
 def truth_mask(model: KripkeModel, g: Assignment, f: Formula) -> int:
     """Truth set of f as a bitmask over worlds (bit w set iff f holds at w)."""
     worlds = range(model.frame.size)
-    values: dict[Symbol, object] = {
+    values: dict[Symbol, tuple[int, ...]] = {
         s: tuple(int(w in ws) for w in worlds) for s, ws in model.prop_val.items()
     }
-    values.update(model.nom_val)
-    values.update(g)
+    for s, at in [*model.nom_val.items(), *g.items()]:
+        values[s] = tuple(int(w == at) for w in worlds)
     slots = {s: k for k, s in enumerate(values)}
     (held_at,), bind = _compile([f], slots)
     bind(model.frame)
@@ -236,8 +249,8 @@ def truth_mask(model: KripkeModel, g: Assignment, f: Formula) -> int:
 
 
 def globally_true(model: KripkeModel, g: Assignment, f: Formula) -> bool:
-    full = (1 << model.frame.size) - 1
-    return truth_mask(model, g, f) == full
+    """Whether f holds at every world, by the reference oracle."""
+    return all(eval_at(model, g, w, f) for w in range(model.frame.size))
 
 
 def holds_inequality(model: KripkeModel, g: Assignment, ineq: Inequality) -> bool:
@@ -344,7 +357,11 @@ def frame_blocks(
     return (block for n in range(1, max_size + 1) for block in _blocks_of_size(n))
 
 
-def _blocks_of_size(n: int) -> Iterator[FrameBlock]:
+def _blocks_of_size(n: int) -> Iterable[FrameBlock]:
+    return (_whole_block(n),) if n * n <= BLOCK_EDGE_BITS else _blocks(n)
+
+
+def _blocks(n: int) -> Iterator[FrameBlock]:
     bits = n * n
     low = min(bits, BLOCK_EDGE_BITS)
     slices = _edge_slices(low)
@@ -356,6 +373,12 @@ def _blocks_of_size(n: int) -> Iterator[FrameBlock]:
         )
         edges = tuple(masks[u * n : (u + 1) * n] for u in range(n))
         yield FrameBlock(n, high << low, count, edges)
+
+
+@functools.cache
+def _whole_block(n: int) -> FrameBlock:
+    """The one block of every frame of size n (n <= 4), built once per process."""
+    return next(_blocks(n))
 
 
 def frame_at(n: int, m: int) -> KripkeFrame:
@@ -401,29 +424,30 @@ def enumerate_frames(
 # ---------------------------------------------------------------------------
 #
 # Formulas are compiled once per validity question into nested closures over
-# a flat environment list: a prop holds its per-world values (all-ones or 0,
-# since a valuation is the same in every frame of the block), nominals and
-# state variables hold world numbers.  ``slots`` maps each free symbol to its
-# index in that list and must number them 0..len(slots)-1; a binder takes
-# the next index for the extent of its scope.  The closures read the block
-# only through cells that ``bind`` re-points, so one compilation serves every
-# block at no cost per evaluation.
+# a flat environment list that holds the per-world values of every symbol:
+# a prop's bit is set where it holds, a nominal's or a state variable's
+# where it is placed.  ``slots`` maps each free symbol to its index in that
+# list and must number them 0..len(slots)-1; a binder takes the next index
+# for the extent of its scope.  The closures read the block only through
+# cells that ``bind`` re-points, so one compilation serves every block at no
+# cost per evaluation.
 
 
 def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
     """Closures computing the per-world frame masks of each formula of fs
     from an environment list, and bind(frames), which points all of them at
-    a block (or a frame) before they are called."""
+    a block (or a frame) before they are called and returns the block's
+    full mask, the object unit values should hold."""
     n = full = 0
-    rows = worlds = top = bot = units = ()
+    rows = top = bot = units = ()
 
-    def bind(frames: FrameBlock | KripkeFrame) -> None:
-        nonlocal n, full, rows, worlds, top, bot, units
+    def bind(frames: FrameBlock | KripkeFrame) -> int:
+        nonlocal n, full, rows, top, bot, units
         n, full, rows = frames.size, frames.full, frames.edges
-        worlds = range(n)
         top, bot = (full,) * n, (0,) * n
-        # units[w]: the values of a nominal or state variable placed at w.
-        units = [tuple(full if v == w else 0 for v in worlds) for w in worlds]
+        # units[w]: the values of a binder's state variable set to w.
+        units = [tuple(full if v == w else 0 for v in range(n)) for w in range(n)]
+        return full
 
     def dia(xs) -> list[int]:
         out = []
@@ -441,12 +465,9 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
 
     def go(h: Formula):
         match h:
-            case Prop(s):
+            case Prop(s) | Svar(s) | Nom(s):
                 k = slot(s)
                 return lambda env: env[k]
-            case Svar(s) | Nom(s):
-                k = slot(s)
-                return lambda env: units[env[k]]
             case Bot():
                 return lambda env: bot
             case Top():
@@ -472,7 +493,20 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
             case At(t, c):
                 k = slot(t)
                 a = go(c)
-                return lambda env: (a(env)[env[k]],) * n
+
+                def at(env):
+                    xs, ys = env[k], a(env)
+                    if full in xs:
+                        # t is at that world in every frame and member, so
+                        # nowhere else.  Unit values hold the bound full
+                        # itself, so this is an identity test for them.
+                        return (ys[xs.index(full)],) * n
+                    acc = 0
+                    for x, y in zip(xs, ys):
+                        acc |= x & y
+                    return (acc,) * n
+
+                return at
             case Down(v, c):
                 scoped = v not in slots
                 if scoped:
@@ -486,10 +520,10 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
                 def down(env):
                     saved = env[k] if k < len(env) else None
                     while len(env) <= k:
-                        env.append(0)
+                        env.append(None)
                     out = []
-                    for w in worlds:
-                        env[k] = w
+                    for w, unit in enumerate(units):
+                        env[k] = unit
                         out.append(a(env)[w])
                     if saved is not None:
                         env[k] = saved
@@ -526,17 +560,22 @@ def _check_budget(
         raise EnumerationCapError(f"enumeration of {count} cases exceeds cap {limits.max_count}")
 
 
+def _whole(frames: FrameBlock | KripkeFrame) -> bool:
+    """Whether frames is a block that holds every frame of its size (n <= 4)."""
+    return isinstance(frames, FrameBlock) and frames.count == 1 << (frames.size * frames.size)
+
+
 def _renamable(frames: FrameBlock | KripkeFrame) -> int:
     """How many worlds can be permuted without leaving frames: all n of a
-    block that holds every frame of size n (n <= 4), else 1 (a single frame,
-    or a part of a size whose frames span several blocks)."""
-    if isinstance(frames, FrameBlock) and frames.count == 1 << (frames.size * frames.size):
-        return frames.size
-    return 1
+    whole-size block, else 1 (a single frame, or a part of a size whose
+    frames span several blocks)."""
+    return frames.size if _whole(frames) else 1
 
 
 # (valuation, placement, weight): see _canonical_placements
 Representative = tuple[tuple[int, ...], tuple[int, ...], int]
+# Representatives decided side by side: see _quasi_program
+Batch = Sequence[Representative]
 
 
 def _canonical_placements(p: int, k: int, n: int, m: int) -> Iterable[Representative]:
@@ -663,6 +702,125 @@ def _close_under_renaming(mask: int, n: int, m: int) -> int:
     return mask
 
 
+# ---------------------------------------------------------------------------
+# Batches
+# ---------------------------------------------------------------------------
+#
+# On a whole-size block of fewer than 2^_BATCH_BITS frames (sizes 1..3) the
+# loop decides up to 2^_BATCH_BITS / 2^(n*n) canonical valuations and
+# placements side by side: bit b*2^(n*n) + j of a value stands for the
+# batch's member b in frame j, in segment b of the value.  The closures are
+# bound to the block repeated once per member (_replicated_block), so one
+# evaluation decides the batch.  Everywhere else a batch has one member and
+# the values are the block's.
+
+_BATCH_BITS = BLOCK_EDGE_BITS
+
+
+def _spread(mask: int, count: int, members: int) -> int:
+    """mask, over a block's count frames, in each segment of a batch of
+    members; doubling keeps it linear in the result."""
+    if members == 1:
+        return mask
+    have = 1
+    while have < members:
+        mask |= mask << have * count
+        have *= 2
+    return mask & ((1 << members * count) - 1)
+
+
+def _fold(mask: int, count: int, members: int) -> int:
+    """The frames whose bits are set in every segment of mask that a batch
+    of members uses.  The unused tail is set, up to a power of two
+    segments, and the halves are ANDed until one segment is left."""
+    if members == 1:
+        return mask
+    segments = 1 << (members - 1).bit_length()
+    mask |= (1 << segments * count) - (1 << members * count)
+    while segments > 1:
+        segments >>= 1
+        mask &= mask >> segments * count
+    return mask
+
+
+def _segments(mask: int, count: int, members: int) -> list[int]:
+    """mask split into one mask over a block's count frames per member."""
+    frames = (1 << count) - 1
+    return [mask >> b * count & frames for b in range(members)]
+
+
+def _batch_width(frames: FrameBlock | KripkeFrame) -> int:
+    """How many canonical valuations and placements at most are decided side
+    by side on frames: as many as fit in 2^_BATCH_BITS bits on a whole-size
+    block, else one."""
+    if not _whole(frames):
+        return 1
+    return max(1, (1 << _BATCH_BITS) >> frames.size * frames.size)
+
+
+@functools.lru_cache(maxsize=32)
+def _replicated_block(n: int, width: int) -> FrameBlock:
+    """The whole block of size n repeated width times side by side, which a
+    batch of that width is decided on: its frame b*2^(n*n) + j is frame j."""
+    block = _whole_block(n)
+    edges = tuple(tuple(_spread(e, block.count, width) for e in row) for row in block.edges)
+    return FrameBlock(n, 0, width * block.count, edges)
+
+
+@functools.cache
+def _segment_pieces(count: int) -> tuple[int, dict[tuple[int, ...], bytes]]:
+    """(per, pieces): per segments of count bits fill whole bytes, and
+    pieces maps their flags to those bytes, a segment all ones iff its flag
+    is 1."""
+    per = max(1, 8 // count)
+    ones = (1 << count) - 1
+    pieces = {
+        flags: sum(ones << i * count for i, f in enumerate(flags) if f).to_bytes(
+            max(1, count // 8), "little"
+        )
+        for flags in itertools.product((0, 1), repeat=per)
+    }
+    return per, pieces
+
+
+def _widen(reps: Sequence[Representative], n: int) -> tuple[tuple[int, ...], ...]:
+    """The environment that decides reps side by side on the whole block of
+    size n: for each slot its per-world values, whose segment b is all ones
+    iff, under reps[b], the prop holds (the symbol is placed) at that world.
+    Each value is joined from bytes, in time linear in its size."""
+    per, pieces = _segment_pieces(1 << n * n)
+    pad = [0] * (-len(reps) % per)
+
+    def widened(flags: list[int]) -> int:
+        groups = zip(*[iter(flags + pad)] * per)
+        return int.from_bytes(b"".join(map(pieces.__getitem__, groups)), "little")
+
+    rows = (valuation + tuple(1 << w for w in placement) for valuation, placement, _ in reps)
+    return tuple(
+        tuple(widened([x >> w & 1 for x in column]) for w in range(n)) for column in zip(*rows)
+    )
+
+
+@functools.cache
+def _widened_table(p: int, k: int, n: int) -> tuple[Batch, tuple[tuple[int, ...], ...]]:
+    """Every canonical valuation of p props and placement of k symbols at
+    size n as one batch, with its environment; only built when they fit in
+    one batch."""
+    reps = _orbit_representatives(p, k, n, n)
+    return reps, _widen(reps, n)
+
+
+def _widened(p: int, k: int, n: int, width: int) -> Iterable[tuple[Batch, tuple]]:
+    """The canonical valuations and placements at size n in batches of
+    width, with their environments: cached when they fit in one batch,
+    else widened batch by batch."""
+    reps = _orbit_representatives(p, k, n, n)
+    if len(reps) <= width:
+        return (_widened_table(p, k, n),)
+    chunks = (reps[i : i + width] for i in range(0, len(reps), width))
+    return ((chunk, _widen(chunk, n)) for chunk in chunks)
+
+
 def _quasi_program(
     q: QuasiInequality,
     first: FrameBlock | KripkeFrame,
@@ -671,17 +829,19 @@ def _quasi_program(
 ):
     """Compile q, and the formulas extra with the same slots, once for a
     run of blocks whose first is first; return (slots, env, holds,
-    placements, extra_at).
+    batches, extra_at).
 
     slots numbers q's props, then its nominals, then its state variables.
-    placements(block) checks the budget for block, binds the compiled
-    formulas to it, and then sets the list env, in lexicographic order, to
-    every canonical valuation of the props and placement of the nominals
-    and state variables in the block's worlds (see _canonical_placements,
-    with m = _renamable(block)); it yields each one's weight, the number of
-    valuations and placements renaming maps it to.  holds(env, care) is the
-    mask of the frames among care on which q holds under env: the
-    antecedents and the conclusion are judged against one shared
+    batches(block) checks the budget for block, binds the compiled formulas
+    to it, and then sets the list env, in lexicographic order, to batches of
+    the canonical valuations of the props and placements of the nominals and
+    state variables in the block's worlds (see _canonical_placements, with
+    m = _renamable(block)), and yields each batch: its representatives,
+    member b in segment b of every value (bits b*block.count up).  A batch
+    has more than one member only on a whole-size block of sizes 1..3; the
+    closures are then bound to the block repeated once per member.  holds(env, care) is
+    the mask of the frames (and members) among care on which q holds under
+    env: the antecedents and the conclusion are judged against one shared
     environment.  extra_at holds the closures of the extra formulas.
     """
     prop_syms, nom_syms, svar_syms = sorted_symbols(q)
@@ -712,28 +872,35 @@ def _quasi_program(
                 return care
         return (care ^ held) | (held & conclusion(env))
 
-    p = len(prop_syms)
-    env: list = [0] * len(slots)
+    p, k = len(prop_syms), len(slots) - len(prop_syms)
+    env: list[tuple[int, ...]] = [()] * len(slots)
 
-    def placements(block: FrameBlock | KripkeFrame) -> Iterator[int]:
+    def batches(block: FrameBlock | KripkeFrame) -> Iterator[Batch]:
         nonlocal full
         _check_budget(block, prop_syms, nom_syms, svar_syms, limits)
-        bind(block)
-        n, full = block.size, block.full
-        # values[s]: the per-world values of a prop that holds at the worlds
-        # of the set bits of s, all-ones there (the same in every frame of
-        # the block) and 0 elsewhere.
+        n = block.size
+        width = _batch_width(block)
+        if width > 1:
+            width = min(width, len(_orbit_representatives(p, k, n, n)))
+        full = bind(_replicated_block(n, width) if width > 1 else block)
+        if width > 1:
+            for batch, values in _widened(p, k, n, width):
+                env[:] = values
+                yield batch
+            return
+        # values[s]: the per-world values of a symbol that holds (is placed)
+        # at the worlds of the set bits of s, all-ones there (the same in
+        # every frame of the block) and 0 elsewhere.
         values: list[tuple[int, ...]] = [()]
-        for _ in range(n if p else 0):
+        for _ in range(n):
             values = [v + (0,) for v in values] + [v + (full,) for v in values]
-        for valuation, placement, weight in _canonical_placements(
-            p, len(slots) - p, n, _renamable(block)
-        ):
-            env[:p] = [values[s] for s in valuation]
-            env[p:] = placement
-            yield weight
+        units = [values[1 << w] for w in range(n)]
+        for rep in _canonical_placements(p, k, n, _renamable(block)):
+            valuation, placement, _ = rep
+            env[:] = [values[s] for s in valuation] + [units[w] for w in placement]
+            yield (rep,)
 
-    return slots, env, holds, placements, compiled[2 * len(ineqs) :]
+    return slots, env, holds, batches, compiled[2 * len(ineqs) :]
 
 
 def _valid_mask(
@@ -744,20 +911,23 @@ def _valid_mask(
     """The loop behind frame_valid and frame_valid_quasi.  Neither calls the
     other, so the perfbench tracer counts a call of either exactly once.
 
-    q is compiled once and decided block by block.  Only canonical
-    valuations and placements are decided; closing each block's mask under
-    renaming its worlds gives the frames on which q holds under every one.
-    With no symbol at all the one empty placement is decided already."""
+    q is compiled once and decided block by block, a batch at a time.  Only
+    canonical valuations and placements are decided; closing each block's
+    mask under renaming its worlds gives the frames on which q holds under
+    every one.  With no symbol at all the one empty placement is decided
+    already."""
     if isinstance(frames, FramesUpTo):
         blocks = list(frame_blocks(frames.size, limits))
     else:
         blocks = [frames]
-    slots, env, holds, placements, _ = _quasi_program(q, blocks[0], limits)
+    slots, env, holds, batches, _ = _quasi_program(q, blocks[0], limits)
 
     def decided(block: FrameBlock | KripkeFrame) -> tuple[int, int]:
-        mask = block.full
-        for _ in placements(block):
-            mask = holds(env, mask)
+        mask, count = block.full, block.count
+        for batch in batches(block):
+            # Every segment of the spread mask lies within mask, so the fold does.
+            members = len(batch)
+            mask = _fold(holds(env, _spread(mask, count, members)), count, members)
             if not mask:
                 break
         if mask and slots:

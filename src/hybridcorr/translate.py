@@ -11,14 +11,16 @@ the test suite checks that.
 frame with up to ``limits.max_worlds`` worlds (the cap the frame-agreement
 check uses) and under every placement of the item's nominals and state
 variables, the item holds iff its translation is globally true.  It runs on
-the sliced evaluator of ``semantics``, one frame block at a time, and
-reports the number of models checked and the first refuting ones.  On a
-block that holds every frame of its size only one placement per orbit of
-the world permutations is decided, counted as many times as its orbit has
-members: renaming maps the block's frames onto themselves, so both counts
-stay exact.  The first refuting model reported is the one a walk over every
-placement would report first, since a canonical placement is the least of
-its orbit; later ones come from canonical placements only.
+the sliced evaluator of ``semantics``, one frame block and one batch of
+placements at a time, and reports the number of models checked and the
+first refuting ones.  On a block that holds every frame of its size only
+one placement per orbit of the world permutations is decided, counted as
+many times as its orbit has members: renaming maps the block's frames onto
+themselves, so both counts stay exact.  A batch adds its frames times its
+summed weights to the models checked, and is split into its placements only
+when it has a mismatch.  The first refuting model reported is the one a
+walk over every placement would report first, since a canonical placement
+is the least of its orbit; later ones come from canonical placements only.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .semantics import (
     EnumerationLimits,
     KripkeModel,
     _quasi_program,
+    _segments,
+    _spread,
     frame_at,
     frame_blocks,
     model_to_json,
@@ -120,7 +124,8 @@ def verify_tr_equivalence(
     nominals and state variables.
 
     The item must be pure.  Both sides are compiled once, with one slot
-    map, and decided for every frame of a block at once.
+    map, and decided for every frame of a block and every placement of a
+    batch at once.
     """
     if isinstance(item, Inequality):
         translation = tr_ineq(item)
@@ -132,31 +137,40 @@ def verify_tr_equivalence(
     checked = mismatched = 0
     mismatches: list[dict] = []
     blocks = list(frame_blocks(limits.max_worlds, limits))
-    slots, env, holds, placements, (translated_at,) = _quasi_program(
+    slots, env, holds, batches, (translated_at,) = _quasi_program(
         quasi, blocks[0], limits, (translation,)
     )
     for block in blocks:
-        full = block.full
-        for weight in placements(block):
-            translated = full
+        full, count = block.full, block.count
+        for batch in batches(block):
+            care = _spread(full, count, len(batch))
+            translated = care
             for x in translated_at(env):
                 translated &= x
-            diff = holds(env, full) ^ translated
-            checked += block.count * weight
+            diff = holds(env, care) ^ translated
+            checked += count * sum(weight for *_, weight in batch)
             if not diff:
                 continue
-            mismatched += weight * diff.bit_count()
-            if len(mismatches) < MAX_COUNTEREXAMPLES:
-                j = (diff & -diff).bit_length() - 1
-                values = dict(zip(slots, env))
-                model = KripkeModel(
-                    frame_at(block.size, block.start + j),
-                    {},
-                    {s: w for s, w in values.items() if s.kind is Kind.NOM},
-                )
-                g = {s: w for s, w in values.items() if s.kind is Kind.SVAR}
-                held = bool(translated >> j & 1)
-                mismatches.append(
-                    {"model": model_to_json(model, g), "direct": not held, "translated": held}
-                )
+            parts = zip(
+                batch,
+                _segments(diff, count, len(batch)),
+                _segments(translated, count, len(batch)),
+            )
+            for (_, placement, weight), part, translated_part in parts:
+                if not part:
+                    continue
+                mismatched += weight * part.bit_count()
+                if len(mismatches) < MAX_COUNTEREXAMPLES:
+                    j = (part & -part).bit_length() - 1
+                    values = dict(zip(slots, placement))
+                    model = KripkeModel(
+                        frame_at(block.size, block.start + j),
+                        {},
+                        {s: w for s, w in values.items() if s.kind is Kind.NOM},
+                    )
+                    g = {s: w for s, w in values.items() if s.kind is Kind.SVAR}
+                    held = bool(translated_part >> j & 1)
+                    mismatches.append(
+                        {"model": model_to_json(model, g), "direct": not held, "translated": held}
+                    )
     return TrEquivalenceReport(checked, mismatched, mismatches)

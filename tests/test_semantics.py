@@ -33,7 +33,15 @@ from hybridcorr.semantics import (
     random_model,
     truth_mask,
 )
-from hybridcorr.semantics import _canonical_placements, _close_under_renaming, _concatenated
+from hybridcorr import semantics
+from hybridcorr.semantics import (
+    _batch_width,
+    _canonical_placements,
+    _close_under_renaming,
+    _concatenated,
+    _orbit_representatives,
+    _widened,
+)
 from hybridcorr.syntax import (
     BOT,
     TOP,
@@ -514,6 +522,53 @@ class TestRenamingWithProps:
     @given(quasis(3).filter(lambda q: with_props(q, 2)))
     def test_frame_valid_quasi_on_three_worlds(self, q):
         self.check(frame_valid_quasi, q, 3)
+
+
+class TestBatches:
+    """On the whole blocks of sizes 1..3 the loop decides a batch of
+    canonical valuations and placements per evaluation.  With the bound set
+    to 0 every batch has one member, which gives the reference masks."""
+
+    LIMITS = EnumerationLimits(max_worlds=3, max_nominals=7)
+
+    def test_batches_at_three_worlds(self):
+        # 7 nominals: 365 canonical placements, in batches of 2^16 / 512
+        assert _batch_width(THREE) == 128
+        assert len(_orbit_representatives(0, 7, 3, 3)) == 365
+        assert [len(batch) for batch, _ in _widened(0, 7, 3, 128)] == [128, 128, 109]
+        assert len(_orbit_representatives(1, 5, 3, 3)) == 326
+        assert len(_orbit_representatives(2, 3, 3, 3)) == 296
+
+    def test_widths_by_size(self):
+        whole = [block_of_size(n) for n in range(1, 5)]
+        assert [_batch_width(b) for b in whole] == [32_768, 4_096, 128, 1]
+        assert _batch_width(LOOP1) == 1
+
+    @pytest.mark.parametrize(
+        "check, text",
+        [
+            # 7 nominals
+            (
+                frame_valid_quasi,
+                "'a <= <>'b ; 'b <= <>'c ; 'c <= <>'d ; 'd <= <>'e ; 'e <= <>'f ; 'f <= <>'g"
+                " => 'a <= ~'g",
+            ),
+            (frame_valid, "@'a <>'b & @'b <>'c & @'c <>'d & @'e <>'f -> @'g <>'a"),
+            (frame_valid, "@'a <>'b & @'c <>'d & @'e []'f -> (@'g <>'a | @'b []'c)"),
+            # 1 prop and 5 nominals: 326 canonical pairs
+            (frame_valid, "@'a <>(p & 'b) & @'c <>'d & @'e <>p -> @'e <>'a"),
+            (frame_valid, "@'a <>(p & ~'b) & @'c []'d -> <>(p | 'e)"),
+            # 2 props and 3 nominals: 296 canonical pairs
+            (frame_valid, "(@'a p & @'b q & @'c <>(p & q)) -> <>(p | q)"),
+        ],
+    )
+    def test_against_batches_of_one(self, monkeypatch, check, text):
+        item = parse_quasi(text) if check is frame_valid_quasi else parse(text)
+        frames = FramesUpTo(3)
+        batched = check(frames, item, self.LIMITS)
+        monkeypatch.setattr(semantics, "_BATCH_BITS", 0)
+        assert batched == check(frames, item, self.LIMITS)
+        assert 0 < batched.bit_count() < frames.count
 
 
 class TestFrameValidQuasi:

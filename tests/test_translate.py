@@ -14,8 +14,10 @@ from hybridcorr.semantics import (
     model_to_json,
 )
 from hybridcorr.syntax import (
+    And,
     Implies,
     Inequality,
+    Not,
     is_pure,
     nom,
     parse,
@@ -274,3 +276,45 @@ class TestWeightedCounts:
             ),
         )
         assert report.mismatches[0]["model"] == model_to_json(*first)
+
+
+class TestBatches:
+    """At 3 worlds the check decides 128 canonical placements per evaluation
+    and splits a batch by placement only when it has a mismatch.  With the
+    batch bound set to 0 every batch has one member: the reference."""
+
+    LIMITS = EnumerationLimits(max_worlds=3, max_nominals=7)
+    # 7 nominals: 365 canonical placements at 3 worlds, in batches of 128
+    TEXT = "'a <= <>'b ; 'c <= <>'d ; 'e <= <>'f => 'g <= ~'a"
+
+    def reports(self, monkeypatch, item):
+        import hybridcorr.semantics as semantics
+
+        batched = verify_tr_equivalence(item, self.LIMITS)
+        monkeypatch.setattr(semantics, "_BATCH_BITS", 0)
+        return batched, verify_tr_equivalence(item, self.LIMITS)
+
+    def test_right_translation(self, monkeypatch):
+        batched, reference = self.reports(monkeypatch, parse_quasi(self.TEXT))
+        assert batched.ok and batched.checked == reference.checked == models_up_to(3, 7)
+
+    def test_first_mismatch_in_a_later_batch(self, monkeypatch):
+        import hybridcorr.translate as translate
+        from hybridcorr.semantics import MAX_COUNTEREXAMPLES, _orbit_representatives
+
+        # Wrong only where 'a, 'b and 'c sit in three different worlds; the
+        # first such canonical placement is number 284, in the third batch.
+        distinct = parse("~@'a 'b & ~@'a 'c & ~@'b 'c")
+        reps = _orbit_representatives(0, 7, 3, 3)
+        assert next(i for i, (_, pl, _) in enumerate(reps) if len(set(pl[:3])) == 3) == 284
+        right = translate.tr_quasi
+        monkeypatch.setattr(translate, "tr_quasi", lambda q: And(right(q), Not(distinct)))
+        batched, reference = self.reports(monkeypatch, parse_quasi(self.TEXT))
+        assert batched.mismatched > 0
+        assert batched.checked == reference.checked == models_up_to(3, 7)
+        assert batched.mismatched == reference.mismatched
+        assert len(batched.mismatches) == MAX_COUNTEREXAMPLES
+        assert batched.mismatches == reference.mismatches
+        first = batched.mismatches[0]["model"]
+        assert first["worlds"] == 3
+        assert len({first["nominals"][name] for name in "abc"}) == 3
