@@ -39,19 +39,23 @@ colour.  ``_valid_mask`` then closes each block's mask under renaming with
 delta swaps on its index bits (``_close_under_renaming``), and the
 translation check weighs each placement by its orbit's size.  A single
 frame, or a block of a size above 4, renames nothing and decides every
-valuation and placement, generated lazily.
+valuation and placement, generated lazily unless they fit in one batch.
 
-The loop runs in batches.  On a whole-size block narrower than 2^16
-frames (sizes 1..3) one evaluation decides up to 2^16 / 2^(n*n) canonical
-valuations and placements side by side (a batch): bit b*2^(n*n) + j of
-a value stands for member b of the batch in frame j, and the closures are
-bound to the block repeated once per member (``_replicated_block``), so a
-value still stays within 8 KB.  A batch's mask is its segments ANDed by
-halving, with the unused tail of a partial last batch set first.  The
-environment of a table that fits in one batch is widened once per process
-for each (props, symbols, size) (``_widened_table``); a larger one is
-widened batch by batch, in linear time, from the cached representatives.
-Blocks of 4 or more worlds and single frames decide batches of one.
+The loop runs in batches, by one rule for blocks and single frames alike:
+on count frames one evaluation decides up to 2^16 / count valuations and
+placements side by side (a batch), at least one.  Bit b*count + j of a
+value stands for member b of the batch in frame j, and the closures are
+bound to the frames repeated once per member (``_replicated``), so a value
+still stays within 8 KB.  That is 32,768, 4,096 and 128 members on the
+whole blocks of sizes 1..3, one on a block of 2^16 frames (4 worlds and
+up) and 65,536 on a single frame.  A batch's mask is its segments ANDed
+by halving, with the unused tail of a partial last batch set first.  One
+builder (``_widen``) makes every batch's environment: it joins each value
+from bytes in linear time, and looks a one-member batch's values up in a
+table of world sets per size and frame count.  A table that fits in one
+batch is widened once per process for each (props, symbols, size,
+renamable worlds, frame count) (``_one_batch``); a larger one is widened
+batch by batch, from the cached representatives or the lazy product.
 """
 
 from __future__ import annotations
@@ -443,10 +447,11 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
 
     def bind(frames: FrameBlock | KripkeFrame) -> int:
         nonlocal n, full, rows, top, bot, units
-        n, full, rows = frames.size, frames.full, frames.edges
-        top, bot = (full,) * n, (0,) * n
+        n, rows = frames.size, frames.edges
+        sets = _world_sets(n, frames.count)
         # units[w]: the values of a binder's state variable set to w.
-        units = [tuple(full if v == w else 0 for v in range(n)) for w in range(n)]
+        bot, top, units = sets[0], sets[-1], [sets[1 << w] for w in range(n)]
+        full = top[0]
         return full
 
     def dia(xs) -> list[int]:
@@ -459,9 +464,10 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
         return out
 
     def slot(s: Symbol) -> int:
-        if s not in slots:
+        k = slots.get(s)
+        if k is None:
             raise UnboundSymbolError(s)
-        return slots[s]
+        return k
 
     def go(h: Formula):
         match h:
@@ -560,16 +566,11 @@ def _check_budget(
         raise EnumerationCapError(f"enumeration of {count} cases exceeds cap {limits.max_count}")
 
 
-def _whole(frames: FrameBlock | KripkeFrame) -> bool:
-    """Whether frames is a block that holds every frame of its size (n <= 4)."""
-    return isinstance(frames, FrameBlock) and frames.count == 1 << (frames.size * frames.size)
-
-
 def _renamable(frames: FrameBlock | KripkeFrame) -> int:
     """How many worlds can be permuted without leaving frames: all n of a
-    whole-size block, else 1 (a single frame, or a part of a size whose
-    frames span several blocks)."""
-    return frames.size if _whole(frames) else 1
+    block that holds every frame of its size n (n <= 4), else 1 (a single
+    frame, or a part of a size whose frames span several blocks)."""
+    return frames.size if frames.count == 1 << frames.size * frames.size else 1
 
 
 # (valuation, placement, weight): see _canonical_placements
@@ -706,13 +707,12 @@ def _close_under_renaming(mask: int, n: int, m: int) -> int:
 # Batches
 # ---------------------------------------------------------------------------
 #
-# On a whole-size block of fewer than 2^_BATCH_BITS frames (sizes 1..3) the
-# loop decides up to 2^_BATCH_BITS / 2^(n*n) canonical valuations and
-# placements side by side: bit b*2^(n*n) + j of a value stands for the
-# batch's member b in frame j, in segment b of the value.  The closures are
-# bound to the block repeated once per member (_replicated_block), so one
-# evaluation decides the batch.  Everywhere else a batch has one member and
-# the values are the block's.
+# The loop decides up to 2^_BATCH_BITS / count valuations and placements
+# side by side on a block (or frame) of count frames: bit b*count + j of a
+# value stands for the batch's member b in frame j, in segment b of the
+# value.  The closures are bound to the block repeated once per member
+# (_replicated), so one evaluation decides the batch.  A block of 2^16
+# frames (4 worlds or more) decides batches of one.
 
 _BATCH_BITS = BLOCK_EDGE_BITS
 
@@ -750,21 +750,19 @@ def _segments(mask: int, count: int, members: int) -> list[int]:
 
 
 def _batch_width(frames: FrameBlock | KripkeFrame) -> int:
-    """How many canonical valuations and placements at most are decided side
-    by side on frames: as many as fit in 2^_BATCH_BITS bits on a whole-size
-    block, else one."""
-    if not _whole(frames):
-        return 1
-    return max(1, (1 << _BATCH_BITS) >> frames.size * frames.size)
+    """How many valuations and placements at most are decided side by side
+    on frames: as many as fit in 2^_BATCH_BITS bits, at least one."""
+    return max(1, (1 << _BATCH_BITS) // frames.count)
 
 
 @functools.lru_cache(maxsize=32)
-def _replicated_block(n: int, width: int) -> FrameBlock:
-    """The whole block of size n repeated width times side by side, which a
-    batch of that width is decided on: its frame b*2^(n*n) + j is frame j."""
-    block = _whole_block(n)
-    edges = tuple(tuple(_spread(e, block.count, width) for e in row) for row in block.edges)
-    return FrameBlock(n, 0, width * block.count, edges)
+def _replicated(frames: FrameBlock | KripkeFrame, members: int) -> FrameBlock:
+    """frames repeated members > 1 times side by side, which a batch of
+    that many members is decided on: its frame b*frames.count + j is frame
+    j.  Only frames of fewer than 2^16 frames are repeated, so a key is
+    cheap to hash and an entry holds at most n*n values of 8 KB."""
+    edges = tuple(tuple(_spread(e, frames.count, members) for e in row) for row in frames.edges)
+    return FrameBlock(frames.size, 0, members * frames.count, edges)
 
 
 @functools.cache
@@ -783,12 +781,26 @@ def _segment_pieces(count: int) -> tuple[int, dict[tuple[int, ...], bytes]]:
     return per, pieces
 
 
-def _widen(reps: Sequence[Representative], n: int) -> tuple[tuple[int, ...], ...]:
-    """The environment that decides reps side by side on the whole block of
-    size n: for each slot its per-world values, whose segment b is all ones
-    iff, under reps[b], the prop holds (the symbol is placed) at that world.
-    Each value is joined from bytes, in time linear in its size."""
-    per, pieces = _segment_pieces(1 << n * n)
+@functools.lru_cache(maxsize=64)
+def _world_sets(n: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """values[s]: the per-world values, over count frames, of a symbol that
+    holds (is placed) at the worlds of the set bits of s: all ones there
+    and 0 elsewhere."""
+    full = (1 << count) - 1
+    return tuple(tuple(full if s >> w & 1 else 0 for w in range(n)) for s in range(1 << n))
+
+
+def _widen(reps: Batch, n: int, count: int) -> Sequence[tuple[int, ...]]:
+    """The environment that decides reps side by side on count frames of
+    size n: for each slot its per-world values, whose segment b (bits
+    b*count up) is all ones iff, under reps[b], the prop holds (the symbol
+    is placed) at that world.  One member's values are looked up; more are
+    joined from bytes, in time linear in their size."""
+    if len(reps) == 1:
+        ((valuation, placement, _),) = reps
+        values = _world_sets(n, count)
+        return [values[s] for s in valuation] + [values[1 << w] for w in placement]
+    per, pieces = _segment_pieces(count)
     pad = [0] * (-len(reps) % per)
 
     def widened(flags: list[int]) -> int:
@@ -802,23 +814,11 @@ def _widen(reps: Sequence[Representative], n: int) -> tuple[tuple[int, ...], ...
 
 
 @functools.cache
-def _widened_table(p: int, k: int, n: int) -> tuple[Batch, tuple[tuple[int, ...], ...]]:
-    """Every canonical valuation of p props and placement of k symbols at
-    size n as one batch, with its environment; only built when they fit in
-    one batch."""
-    reps = _orbit_representatives(p, k, n, n)
-    return reps, _widen(reps, n)
-
-
-def _widened(p: int, k: int, n: int, width: int) -> Iterable[tuple[Batch, tuple]]:
-    """The canonical valuations and placements at size n in batches of
-    width, with their environments: cached when they fit in one batch,
-    else widened batch by batch."""
-    reps = _orbit_representatives(p, k, n, n)
-    if len(reps) <= width:
-        return (_widened_table(p, k, n),)
-    chunks = (reps[i : i + width] for i in range(0, len(reps), width))
-    return ((chunk, _widen(chunk, n)) for chunk in chunks)
+def _one_batch(p: int, k: int, n: int, m: int, count: int) -> tuple[Batch, tuple]:
+    """Every member of _canonical_placements(p, k, n, m) as one batch, with
+    its environment on count frames; only built when they fit in one."""
+    reps = tuple(_canonical_placements(p, k, n, m))
+    return reps, _widen(reps, n, count)
 
 
 def _quasi_program(
@@ -832,16 +832,16 @@ def _quasi_program(
     batches, extra_at).
 
     slots numbers q's props, then its nominals, then its state variables.
-    batches(block) checks the budget for block, binds the compiled formulas
-    to it, and then sets the list env, in lexicographic order, to batches of
-    the canonical valuations of the props and placements of the nominals and
-    state variables in the block's worlds (see _canonical_placements, with
-    m = _renamable(block)), and yields each batch: its representatives,
-    member b in segment b of every value (bits b*block.count up).  A batch
-    has more than one member only on a whole-size block of sizes 1..3; the
-    closures are then bound to the block repeated once per member.  holds(env, care) is
-    the mask of the frames (and members) among care on which q holds under
-    env: the antecedents and the conclusion are judged against one shared
+    batches(block) checks the budget for block, then cuts the canonical
+    valuations of the props and placements of the nominals and state
+    variables in the block's worlds (see _canonical_placements, with m =
+    _renamable(block)) into batches of _batch_width(block), in
+    lexicographic order.  For each batch it binds the compiled formulas to
+    the block repeated once per member, sets the list env to the batch's
+    values, member b in segment b of every value (bits b*block.count up),
+    and yields the batch's representatives.  holds(env, care) is the mask
+    of the frames (and members) among care on which q holds under env: the
+    antecedents and the conclusion are judged against one shared
     environment.  extra_at holds the closures of the extra formulas.
     """
     prop_syms, nom_syms, svar_syms = sorted_symbols(q)
@@ -878,27 +878,24 @@ def _quasi_program(
     def batches(block: FrameBlock | KripkeFrame) -> Iterator[Batch]:
         nonlocal full
         _check_budget(block, prop_syms, nom_syms, svar_syms, limits)
-        n = block.size
+        n, count, m = block.size, block.count, _renamable(block)
         width = _batch_width(block)
-        if width > 1:
-            width = min(width, len(_orbit_representatives(p, k, n, n)))
-        full = bind(_replicated_block(n, width) if width > 1 else block)
-        if width > 1:
-            for batch, values in _widened(p, k, n, width):
-                env[:] = values
-                yield batch
-            return
-        # values[s]: the per-world values of a symbol that holds (is placed)
-        # at the worlds of the set bits of s, all-ones there (the same in
-        # every frame of the block) and 0 elsewhere.
-        values: list[tuple[int, ...]] = [()]
-        for _ in range(n):
-            values = [v + (0,) for v in values] + [v + (full,) for v in values]
-        units = [values[1 << w] for w in range(n)]
-        for rep in _canonical_placements(p, k, n, _renamable(block)):
-            valuation, placement, _ = rep
-            env[:] = [values[s] for s in valuation] + [units[w] for w in placement]
-            yield (rep,)
+        reps = _canonical_placements(p, k, n, m)
+        # With m = 1, reps is the lazy product of 2^(n*p) valuations and
+        # n^k placements.  A table that fits in one batch is widened once.
+        if (len(reps) if m > 1 else n**k << n * p) <= width:
+            tables: Iterable[tuple[Batch, tuple]] = (_one_batch(p, k, n, m, count),)
+        else:
+            rest = iter(reps)
+            chunks = iter(lambda: tuple(itertools.islice(rest, width)), ())
+            tables = ((chunk, _widen(chunk, n, count)) for chunk in chunks)
+        members = 0
+        for batch, values in tables:
+            if len(batch) != members:
+                members = len(batch)
+                full = bind(block if members == 1 else _replicated(block, members))
+            env[:] = values
+            yield batch
 
     return slots, env, holds, batches, compiled[2 * len(ineqs) :]
 

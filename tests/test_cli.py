@@ -155,6 +155,17 @@ class TestVerify:
         assert report["valid_frames"] == 5  # reflexive frames of size <= 2
         assert report["translation_equivalence_ok"] is True
 
+    def test_reflexivity_at_five_worlds(self, capsys):
+        # a prop on the 512 blocks of 2^16 five-world frames
+        code, out, _ = run_cli(capsys, "verify", "p -> <>p", "--max-worlds", "5", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["frames"] == 33_620_498
+        assert report["agreements"] == report["frames"]
+        # a reflexive frame of size n may have any of its n*n - n other edges
+        assert report["valid_frames"] == sum(2 ** (n * n - n) for n in range(1, 6)) == 1_052_741
+        assert report["translation_equivalence_ok"] is True
+
     def test_failure_json(self, capsys):
         code, out, err = run_cli(capsys, "verify", "[]p -> <>p", "--json")
         assert code == 2

@@ -40,7 +40,7 @@ from hybridcorr.semantics import (
     _close_under_renaming,
     _concatenated,
     _orbit_representatives,
-    _widened,
+    _quasi_program,
 )
 from hybridcorr.syntax import (
     BOT,
@@ -525,9 +525,9 @@ class TestRenamingWithProps:
 
 
 class TestBatches:
-    """On the whole blocks of sizes 1..3 the loop decides a batch of
-    canonical valuations and placements per evaluation.  With the bound set
-    to 0 every batch has one member, which gives the reference masks."""
+    """The loop decides up to 2^16 / count valuations and placements per
+    evaluation on count frames.  With the bound set to 0 every batch has
+    one member, which gives the reference masks."""
 
     LIMITS = EnumerationLimits(max_worlds=3, max_nominals=7)
 
@@ -535,40 +535,70 @@ class TestBatches:
         # 7 nominals: 365 canonical placements, in batches of 2^16 / 512
         assert _batch_width(THREE) == 128
         assert len(_orbit_representatives(0, 7, 3, 3)) == 365
-        assert [len(batch) for batch, _ in _widened(0, 7, 3, 128)] == [128, 128, 109]
+        q = parse_quasi("'a <= <>'b ; 'c <= <>'d ; 'e <= <>'f => 'g <= ~'a")
+        *_, batches, _ = _quasi_program(q, THREE, self.LIMITS)
+        assert [len(batch) for batch in batches(THREE)] == [128, 128, 109]
         assert len(_orbit_representatives(1, 5, 3, 3)) == 326
         assert len(_orbit_representatives(2, 3, 3, 3)) == 296
 
     def test_widths_by_size(self):
         whole = [block_of_size(n) for n in range(1, 5)]
         assert [_batch_width(b) for b in whole] == [32_768, 4_096, 128, 1]
-        assert _batch_width(LOOP1) == 1
+        assert _batch_width(LOOP1) == 65_536
 
     @pytest.mark.parametrize(
-        "check, text",
+        "frames, check, text",
         [
-            # 7 nominals
-            (
-                frame_valid_quasi,
-                "'a <= <>'b ; 'b <= <>'c ; 'c <= <>'d ; 'd <= <>'e ; 'e <= <>'f ; 'f <= <>'g"
-                " => 'a <= ~'g",
+            pytest.param(FramesUpTo(3), check, text, id=f"{check.__name__}-{text}")
+            for check, text in [
+                # 7 nominals
+                (
+                    frame_valid_quasi,
+                    "'a <= <>'b ; 'b <= <>'c ; 'c <= <>'d ; 'd <= <>'e ; 'e <= <>'f ;"
+                    " 'f <= <>'g => 'a <= ~'g",
+                ),
+                (frame_valid, "@'a <>'b & @'b <>'c & @'c <>'d & @'e <>'f -> @'g <>'a"),
+                (frame_valid, "@'a <>'b & @'c <>'d & @'e []'f -> (@'g <>'a | @'b []'c)"),
+                # 1 prop and 5 nominals: 326 canonical pairs
+                (frame_valid, "@'a <>(p & 'b) & @'c <>'d & @'e <>p -> @'e <>'a"),
+                (frame_valid, "@'a <>(p & ~'b) & @'c []'d -> <>(p | 'e)"),
+                # 2 props and 3 nominals: 296 canonical pairs
+                (frame_valid, "(@'a p & @'b q & @'c <>(p & q)) -> <>(p | q)"),
+            ]
+        ]
+        + [
+            # frame 7 of size 3 renames nothing: 8 * 3^5 = 1,944 pairs in
+            # one batch, and 64 * 3^3 = 1,728
+            pytest.param(
+                frame_at(3, 7),
+                frame_valid,
+                "@'a <>(p & 'b) & @'c <>'d & @'e <>p -> @'e <>'a",
+                id="frame-3-7-1-prop-5-nominals",
             ),
-            (frame_valid, "@'a <>'b & @'b <>'c & @'c <>'d & @'e <>'f -> @'g <>'a"),
-            (frame_valid, "@'a <>'b & @'c <>'d & @'e []'f -> (@'g <>'a | @'b []'c)"),
-            # 1 prop and 5 nominals: 326 canonical pairs
-            (frame_valid, "@'a <>(p & 'b) & @'c <>'d & @'e <>p -> @'e <>'a"),
-            (frame_valid, "@'a <>(p & ~'b) & @'c []'d -> <>(p | 'e)"),
-            # 2 props and 3 nominals: 296 canonical pairs
-            (frame_valid, "(@'a p & @'b q & @'c <>(p & q)) -> <>(p | q)"),
+            pytest.param(
+                frame_at(3, 7),
+                frame_valid,
+                "(@'a p & @'b q & @'c <>(p & q)) -> <>(p | q)",
+                id="frame-3-7-2-props-3-nominals",
+            ),
+            # the 4-world block decides batches of one
+            pytest.param(
+                block_of_size(4),
+                frame_valid,
+                "(@'a p & @'b q & @'c <>(p & q)) -> <>(p | q)",
+                id="block-4-2-props-3-nominals",
+            ),
         ],
     )
-    def test_against_batches_of_one(self, monkeypatch, check, text):
+    def test_against_batches_of_one(self, monkeypatch, frames, check, text):
         item = parse_quasi(text) if check is frame_valid_quasi else parse(text)
-        frames = FramesUpTo(3)
         batched = check(frames, item, self.LIMITS)
         monkeypatch.setattr(semantics, "_BATCH_BITS", 0)
         assert batched == check(frames, item, self.LIMITS)
-        assert 0 < batched.bit_count() < frames.count
+        if isinstance(frames, KripkeFrame):
+            assert batched == check(THREE, item, self.LIMITS) >> 7 & 1
+        else:
+            assert 0 < batched.bit_count() < frames.count
 
 
 class TestFrameValidQuasi:
