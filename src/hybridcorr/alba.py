@@ -190,7 +190,7 @@ def has_system_shape(ineq: Inequality) -> bool:
     return atom_term(ineq.lhs) is not None or neg_atom_term(ineq.rhs) is not None
 
 
-def ineq_props(ineq: Inequality) -> set[Symbol]:
+def ineq_props(ineq: Inequality) -> frozenset[Symbol]:
     return props(ineq.lhs) | props(ineq.rhs)
 
 
@@ -579,7 +579,7 @@ def _assert_shapes(ineqs: Iterable[Inequality], where: str) -> None:
             )
 
 
-def _ineq_symbols(ineq: Inequality) -> set[Symbol]:
+def _ineq_symbols(ineq: Inequality) -> frozenset[Symbol]:
     return all_symbols(ineq.lhs) | all_symbols(ineq.rhs)
 
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 
 from . import alba, corpus
 from .axioms import check_schemas
@@ -38,6 +38,63 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_FAILURE = 2
 EXIT_NOT_SKELETAL = 3
+
+
+def _json(value) -> str:
+    """json.dumps(value, indent=2), written directly: the standard library
+    indents only in pure Python, through a chain of generators.  Takes
+    dicts with str keys, lists, tuples, str, int, bool and None; any other
+    type raises TypeError."""
+    out: list[str] = []
+    _write_json(value, "\n", out.append)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, put) -> None:
+    # A str inside a container, the commonest value, is written in the
+    # container's loop.
+    if isinstance(value, str):
+        put(encode_basestring_ascii(value))
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if type(item) is str:
+                put(f"{sep}{encode_basestring_ascii(key)}: {encode_basestring_ascii(item)}")
+            else:
+                put(f"{sep}{encode_basestring_ascii(key)}: ")
+                _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            if type(item) is str:
+                put(sep + encode_basestring_ascii(item))
+            else:
+                put(sep)
+                _write_json(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _limits(args) -> EnumerationLimits:
@@ -73,7 +130,7 @@ def cmd_classify(args) -> int:
         report["critical_branches"] = [b.node_texts() for b in branches]
         report["definite"] = is_definite(ineq, eps)
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_json(report))
     else:
         print(f"input:      {report['input']}")
         print(f"skeletal:   {report['skeletal']}")
@@ -100,12 +157,12 @@ def cmd_correspond(args) -> int:
             reason = "input is not skeletal Sahlqvist"
             if args.json:
                 report = {"status": "failure", "order_type": None, "reason": reason}
-                print(json.dumps(report, indent=2))
+                print(_json(report))
             print(reason, file=sys.stderr)
             return EXIT_NOT_SKELETAL
     result = alba.run(ineq, eps_hint=eps, simplify=args.simplify)
     if args.json:
-        print(json.dumps(result.to_json(include_trace=args.trace), indent=2))
+        print(_json(result.to_json(include_trace=args.trace)))
     else:
         if result.ok:
             print(f"order type: {result.eps.to_json() if result.eps else None}")
@@ -132,7 +189,7 @@ def cmd_translate(args) -> int:
     if args.json:
         from .syntax import formula_to_json
 
-        print(json.dumps({"text": str(formula), "ast": formula_to_json(formula)}, indent=2))
+        print(_json({"text": str(formula), "ast": formula_to_json(formula)}))
     else:
         print(str(formula))
     return EXIT_OK
@@ -144,7 +201,7 @@ def cmd_verify(args) -> int:
     result = alba.run(ineq)
     if not result.ok:
         if args.json:
-            print(json.dumps(result.to_json(), indent=2))
+            print(_json(result.to_json()))
         print(f"failure: {result.reason}", file=sys.stderr)
         return EXIT_FAILURE
     agreement = frame_agreement(ineq, result.quasis, limits)
@@ -159,7 +216,7 @@ def cmd_verify(args) -> int:
         "translation_equivalence_ok": tr_ok,
     }
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(_json(report))
     else:
         print(f"input:          {report['input']}")
         print(f"frames checked: {agreement.frames}")
@@ -176,12 +233,11 @@ def cmd_axioms_check(args) -> int:
     failures = [c for c in checks if not c.ok]
     if args.json:
         print(
-            json.dumps(
+            _json(
                 [
                     {"schema": c.name, "instances": c.instances, "failures": c.failures}
                     for c in checks
-                ],
-                indent=2,
+                ]
             )
         )
     else:

@@ -53,9 +53,10 @@ by halving, with the unused tail of a partial last batch set first.  One
 builder (``_widen``) makes every batch's environment: it joins each value
 from bytes in linear time, and looks a one-member batch's values up in a
 table of world sets per size and frame count.  A table that fits in one
-batch is widened once per process for each (props, symbols, size,
-renamable worlds, frame count) (``_one_batch``); a larger one is widened
-batch by batch, from the cached representatives or the lazy product.
+batch is widened once for each (props, symbols, size, renamable worlds,
+frame count) (``_one_batch``); a larger one is widened batch by batch,
+from the cached representatives or the lazy product.  Both caches keep
+the most recently used ``_TABLES_KEPT`` tables.
 """
 
 from __future__ import annotations
@@ -598,7 +599,13 @@ def _canonical_placements(p: int, k: int, n: int, m: int) -> Iterable[Representa
     return _orbit_representatives(p, k, n, m)
 
 
-@functools.cache
+# Entries kept by _orbit_representatives and _one_batch.  Each table is
+# built once per key; the benchmark's workloads use at most 24 and 36
+# distinct keys (agree3), all four together 29 and 39.
+_TABLES_KEPT = 64
+
+
+@functools.lru_cache(maxsize=_TABLES_KEPT)
 def _orbit_representatives(p: int, k: int, n: int, m: int) -> tuple[Representative, ...]:
     """The canonical members of the orbits of _canonical_placements, m > 1.
 
@@ -813,7 +820,7 @@ def _widen(reps: Batch, n: int, count: int) -> Sequence[tuple[int, ...]]:
     )
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_TABLES_KEPT)
 def _one_batch(p: int, k: int, n: int, m: int, count: int) -> tuple[Batch, tuple]:
     """Every member of _canonical_placements(p, k, n, m) as one batch, with
     its environment on count frames; only built when they fit in one."""

@@ -14,11 +14,22 @@ objects the rewriting engine manipulates.
 ``children``, ``with_children`` and ``signed_children`` are the only code
 that knows a node's arity and constructor, and which child positions flip
 the sign of the signed generation tree (negation and an implication's
-antecedent).  Every structural recursion that rebuilds a formula or tracks
-signs, here and in ``classify`` and ``alba``, goes through them.  The
-evaluators (``semantics.eval_at``, the reference oracle, and
-``semantics._compile``), the printer, the JSON codec and the symbol walkers
-keep their own per-node code.
+antecedent).  They dispatch on the node's type through one table, one row
+per shape.  Every structural recursion that rebuilds a formula or tracks
+signs, here and in ``classify`` and ``alba``, goes through them.
+
+Each node keeps its symbols: its props, nominals, free state variables,
+every symbol (bound state variables too) and its props in order of first
+occurrence.  They are computed once per node, on first use, from its
+children's (``_facts``), and stored in the node's ``__dict__`` outside the
+dataclass fields, so equality, hashing and repr never see them.  The symbol
+walkers (``props``, ``nominals``, ``free_state_vars``, ``all_symbols``,
+``props_in_order``, ``sorted_symbols``, ``is_pure``, ``is_sentence``) only
+read them, and the set-valued ones hand out the kept frozensets; the sign
+walk and both substitutions skip the subtrees whose symbols show them
+untouched.  The evaluators (``semantics.eval_at``, the reference
+oracle, and ``semantics._compile``), the printer and the JSON codec keep
+their own per-node code.
 """
 
 from __future__ import annotations
@@ -26,7 +37,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 
 class Kind(enum.Enum):
@@ -61,6 +72,9 @@ def nom(name: str, index: int = 0) -> Symbol:
 
 class Formula:
     """Base class; all nodes are frozen dataclasses below."""
+
+    # The node's symbols once computed (see _facts); not a dataclass field.
+    _memo = None
 
     def __str__(self) -> str:
         return fmt(self)
@@ -206,82 +220,91 @@ class Sign(enum.Enum):
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    match f:
-        case Not(c) | Dia(c) | Box(c) | At(_, c) | Down(_, c):
-            return (c,)
-        case Or(a, b) | And(a, b) | Implies(a, b):
-            return (a, b)
-        case _:
-            return ()
+    try:
+        return _CHILDREN[type(f)](f)
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
 
 
 def with_children(f: Formula, kids: Sequence[Formula]) -> Formula:
     """f rebuilt around new children, given in children(f) order; a leaf
     comes back unchanged."""
-    match f:
-        case Not() | Dia() | Box() | Or() | And() | Implies():
-            return type(f)(*kids)
-        case At(s, _) | Down(s, _):
-            return type(f)(s, *kids)
-        case Prop() | Svar() | Nom() | Bot() | Top():
-            return f
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
+    try:
+        return _REBUILD[type(f)](f, kids)
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
 
 
 def signed_children(f: Formula, sign: Sign) -> tuple[tuple[Formula, Sign], ...]:
     """The children of the node f signed ``sign``, in children(f) order,
     each with its own sign: negation and an implication's antecedent flip
     it, every other position keeps it."""
-    match f:
-        case Not(c):
-            return ((c, sign.flip()),)
-        case Implies(a, b):
-            return ((a, sign.flip()), (b, sign))
-        case Or(a, b) | And(a, b):
-            return ((a, sign), (b, sign))
-        case Dia(c) | Box(c) | At(_, c) | Down(_, c):
-            return ((c, sign),)
-        case _:
-            return ()
+    try:
+        return _SIGNED_CHILDREN[type(f)](f, sign)
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
+
+
+# The node table: for each node type, its children, the node rebuilt around
+# new children, and its signed children.  One row per shape.
+_CHILDREN: dict[type, Callable[[Formula], tuple[Formula, ...]]] = {}
+_REBUILD: dict[type, Callable[[Formula, Sequence[Formula]], Formula]] = {}
+_SIGNED_CHILDREN: dict[type, Callable[[Formula, Sign], tuple[tuple[Formula, Sign], ...]]] = {}
+
+
+def _shape(types, kids, rebuild, signed) -> None:
+    for t in types:
+        _CHILDREN[t], _REBUILD[t], _SIGNED_CHILDREN[t] = kids, rebuild, signed
+
+
+_shape(
+    (Prop, Svar, Nom, Bot, Top),
+    lambda f: (),
+    lambda f, kids: f,
+    lambda f, sign: (),
+)
+_shape(
+    (Not,),
+    lambda f: (f.child,),
+    lambda f, kids: Not(*kids),
+    lambda f, sign: ((f.child, sign.flip()),),
+)
+_shape(
+    (Dia, Box),
+    lambda f: (f.child,),
+    lambda f, kids: type(f)(*kids),
+    lambda f, sign: ((f.child, sign),),
+)
+_shape(
+    (At,),
+    lambda f: (f.child,),
+    lambda f, kids: At(f.term, *kids),
+    lambda f, sign: ((f.child, sign),),
+)
+_shape(
+    (Down,),
+    lambda f: (f.child,),
+    lambda f, kids: Down(f.var, *kids),
+    lambda f, sign: ((f.child, sign),),
+)
+_shape(
+    (Or, And),
+    lambda f: (f.lhs, f.rhs),
+    lambda f, kids: type(f)(*kids),
+    lambda f, sign: ((f.lhs, sign), (f.rhs, sign)),
+)
+_shape(
+    (Implies,),
+    lambda f: (f.lhs, f.rhs),
+    lambda f, kids: Implies(*kids),
+    lambda f, sign: ((f.lhs, sign.flip()), (f.rhs, sign)),
+)
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:
     yield f
     for c in children(f):
         yield from subformulas(c)
-
-
-def props(f: Formula) -> set[Symbol]:
-    return {g.sym for g in subformulas(f) if isinstance(g, Prop)}
-
-
-def nominals(f: Formula) -> set[Symbol]:
-    out = set()
-    for g in subformulas(f):
-        if isinstance(g, Nom):
-            out.add(g.sym)
-        elif isinstance(g, At) and g.term.kind is Kind.NOM:
-            out.add(g.term)
-    return out
-
-
-def free_state_vars(f: Formula) -> set[Symbol]:
-    match f:
-        case Svar(s):
-            return {s}
-        case At(t, c):
-            out = free_state_vars(c)
-            if t.kind is Kind.SVAR:
-                out = out | {t}
-            return out
-        case Down(v, c):
-            return free_state_vars(c) - {v}
-        case _:
-            out: set[Symbol] = set()
-            for c in children(f):
-                out |= free_state_vars(c)
-            return out
 
 
 def _formulas_of(items) -> Iterator[Formula]:
@@ -301,34 +324,15 @@ def sorted_symbols(
     *items: Formula | Inequality | QuasiInequality,
 ) -> tuple[list[Symbol], list[Symbol], list[Symbol]]:
     """The props, nominals and free state variables of the items, each
-    list sorted by name, collected in one walk."""
+    list sorted by name."""
     ps: set[Symbol] = set()
     ns: set[Symbol] = set()
     vs: set[Symbol] = set()
-
-    def walk(f: Formula, bound: frozenset[Symbol]) -> None:
-        match f:
-            case Prop(s):
-                ps.add(s)
-            case Nom(s):
-                ns.add(s)
-            case Svar(s):
-                if s not in bound:
-                    vs.add(s)
-            case At(t, c):
-                if t.kind is Kind.NOM:
-                    ns.add(t)
-                elif t not in bound:
-                    vs.add(t)
-                walk(c, bound)
-            case Down(v, c):
-                walk(c, bound | {v})
-            case _:
-                for c in children(f):
-                    walk(c, bound)
-
     for f in _formulas_of(items):
-        walk(f, frozenset())
+        facts = _facts(f)
+        ps |= facts.props
+        ns |= facts.nominals
+        vs |= facts.free
     return sorted(ps, key=str), sorted(ns, key=str), sorted(vs, key=str)
 
 
@@ -336,39 +340,121 @@ def props_in_order(*items: Formula | Inequality | QuasiInequality) -> list[Symbo
     """Propositional variables in order of first occurrence (left to right
     in each formula, the formulas in the order _formulas_of gives)."""
     seen: dict[Symbol, None] = {}
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Prop):
-            seen[f.sym] = None
-        else:
-            for c in children(f):
-                walk(c)
-
     for f in _formulas_of(items):
-        walk(f)
+        seen.update(dict.fromkeys(_facts(f).order))
     return list(seen)
 
 
-def all_symbols(f: Formula) -> set[Symbol]:
+def props(f: Formula) -> frozenset[Symbol]:
+    return _facts(f).props
+
+
+def nominals(f: Formula) -> frozenset[Symbol]:
+    return _facts(f).nominals
+
+
+def free_state_vars(f: Formula) -> frozenset[Symbol]:
+    return _facts(f).free
+
+
+def all_symbols(f: Formula) -> frozenset[Symbol]:
     """Every symbol occurring in f, including bound state variables."""
-    out: set[Symbol] = set()
-    for g in subformulas(f):
-        match g:
-            case Prop(s) | Svar(s) | Nom(s):
-                out.add(s)
-            case At(t, _):
-                out.add(t)
-            case Down(v, _):
-                out.add(v)
-    return out
+    return _facts(f).symbols
 
 
 def is_pure(f: Formula) -> bool:
-    return not props(f)
+    return not _facts(f).props
 
 
 def is_sentence(f: Formula) -> bool:
-    return not free_state_vars(f)
+    return not _facts(f).free
+
+
+class _Facts(NamedTuple):
+    """The symbols of one formula node."""
+
+    props: frozenset[Symbol]
+    nominals: frozenset[Symbol]
+    free: frozenset[Symbol]  # free state variables
+    symbols: frozenset[Symbol]  # every symbol, bound state variables too
+    order: tuple[Symbol, ...]  # props in order of first occurrence
+
+
+_NO_SYMBOLS: frozenset[Symbol] = frozenset()
+_NO_FACTS = _Facts(_NO_SYMBOLS, _NO_SYMBOLS, _NO_SYMBOLS, _NO_SYMBOLS, ())
+
+
+def _facts(f: Formula) -> _Facts:
+    """f's symbols, computed once from its children's and kept on f.  It
+    takes one stack frame per level of nesting, so the depth limit of the
+    parser and the engine stays where it was."""
+    facts = f._memo
+    if facts is not None:
+        return facts
+    kids = children(f)
+    if not kids:
+        facts = _leaf_facts(f)
+    else:
+        facts = _facts(kids[0])
+        if len(kids) == 2:
+            facts = _joined(facts, _facts(kids[1]))
+        if type(f) is At:
+            facts = _with_term(facts, f.term)
+        elif type(f) is Down:
+            facts = _binding(facts, f.var)
+    f.__dict__["_memo"] = facts
+    return facts
+
+
+def _leaf_facts(f: Formula) -> _Facts:
+    match f:
+        case Prop(s):
+            one = frozenset((s,))
+            return _Facts(one, _NO_SYMBOLS, _NO_SYMBOLS, one, (s,))
+        case Nom(s):
+            one = frozenset((s,))
+            return _Facts(_NO_SYMBOLS, one, _NO_SYMBOLS, one, ())
+        case Svar(s):
+            one = frozenset((s,))
+            return _Facts(_NO_SYMBOLS, _NO_SYMBOLS, one, one, ())
+    return _NO_FACTS
+
+
+def _union(a: frozenset[Symbol], b: frozenset[Symbol]) -> frozenset[Symbol]:
+    return a | b if a and b else a or b
+
+
+def _joined(a: _Facts, b: _Facts) -> _Facts:
+    """The facts of a binary node whose children have facts a and b."""
+    if b is _NO_FACTS:
+        return a
+    if a is _NO_FACTS:
+        return b
+    order = a.order
+    if order and b.order:
+        order += tuple(p for p in b.order if p not in a.props)
+    return _Facts(
+        _union(a.props, b.props),
+        _union(a.nominals, b.nominals),
+        _union(a.free, b.free),
+        _union(a.symbols, b.symbols),
+        order or b.order,
+    )
+
+
+def _with_term(facts: _Facts, t: Symbol) -> _Facts:
+    """The facts of @t over a child with these facts."""
+    one = frozenset((t,))
+    if t.kind is Kind.NOM:
+        return facts._replace(
+            nominals=_union(facts.nominals, one), symbols=_union(facts.symbols, one)
+        )
+    return facts._replace(free=_union(facts.free, one), symbols=_union(facts.symbols, one))
+
+
+def _binding(facts: _Facts, v: Symbol) -> _Facts:
+    """The facts of !v. over a child with these facts."""
+    return facts._replace(free=facts.free - {v}, symbols=_union(facts.symbols, frozenset((v,))))
 
 
 class Polarity(enum.Enum):
@@ -380,8 +466,10 @@ class Polarity(enum.Enum):
 
 def occurrence_signs(f: Formula, p: Symbol, sign: Sign = Sign.PLUS) -> list[Sign]:
     """Signs of the occurrences of p in the signed tree of f rooted at sign."""
+    if p not in _facts(f).props:
+        return []
     if isinstance(f, Prop):
-        return [sign] if f.sym == p else []
+        return [sign]
     out: list[Sign] = []
     for c, s in signed_children(f, sign):
         out += occurrence_signs(c, p, s)
@@ -428,6 +516,8 @@ def substitute_prop(f: Formula, p: Symbol, theta: Formula) -> Formula:
     theta_free = free_state_vars(theta)
 
     def go(g: Formula, scope: frozenset[Symbol], path: tuple[int, ...]) -> Formula:
+        if p not in props(g):
+            return g
         match g:
             case Prop(s) if s == p:
                 captured = theta_free & scope
@@ -457,6 +547,8 @@ def replace_state_var(f: Formula, x: Symbol, t: Symbol) -> Formula:
     t_formula = term_formula(t)
 
     def go(g: Formula) -> Formula:
+        if x not in free_state_vars(g):
+            return g
         match g:
             case Svar(s) if s == x:
                 return t_formula

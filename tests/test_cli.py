@@ -3,8 +3,11 @@
 import json
 
 import jsonschema
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hybridcorr.cli import main
+from hybridcorr.cli import _json, main
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +201,17 @@ class TestHostileInput:
         code, out, err = run_cli(capsys, "classify", "<>" * 3000 + "p -> p")
         self.one_line_error(code, out, err)
 
+    def test_nesting_limit(self, capsys):
+        # Run in-process, correspond accepts 493 diamonds and classify 494;
+        # a walk that took more stack per level would lower that.
+        for command in ("correspond", "classify"):
+            code, out, err = run_cli(capsys, command, "<>" * 450 + "p -> p", "--json")
+            assert code == 0 and err == ""
+            assert json.loads(out)
+            code, out, err = run_cli(capsys, command, "<>" * 2000 + "p -> p", "--json")
+            self.one_line_error(code, out, err)
+            assert err == "error: input is nested too deeply\n"
+
     def test_verify_world_cap_below_one(self, capsys):
         # no frames would be checked, so nothing could disagree
         for cap in ("0", "-2"):
@@ -269,3 +283,50 @@ class TestCorpus:
         ok, _ = bless_corpus(path=target)
         assert ok
         assert json.loads(target.read_text()) == load_goldens()
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.text()
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """The CLI writes its reports byte for byte as json.dumps(v, indent=2)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_json_values)
+    @example({"": [], "a\u00e9\u2603\U0001f600": {}, "\x00\x1f\n\t\"\\": ()})
+    @example([2**100, -(2**70), -1, 0, True, False, None, "\ud800", [[[]]], {"k": {}}])
+    @example("plain")
+    def test_matches_json_dumps(self, value):
+        assert _json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value", [1.5, [0.0], {"a": float("nan")}, {1: "int key"}, {"s": {1, 2}}, object()]
+    )
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError):
+            _json(value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "<>p1 & p2 <= <>[]<>p1 | <>[]<>p2", "--json"],
+            ["classify", "[]p -> <>p", "--json"],
+            ["correspond", "<> <> p -> <> p", "--json", "--trace"],
+            ["correspond", "[]p -> <>p", "--json"],
+            ["correspond", "[]p -> <>p", "--json", "--require-skeletal"],
+            ["translate", "'i <= <>'j => 'i <= ~'j", "--json"],
+            ["verify", "p -> <>p", "--json", "--max-worlds", "2"],
+            ["verify", "[]p -> <>p", "--json"],
+            ["axioms-check", "--json", "--max-worlds", "1"],
+        ],
+    )
+    def test_every_json_report_is_indented_json(self, capsys, argv):
+        _, out, _ = run_cli(capsys, *argv)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"

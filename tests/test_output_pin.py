@@ -5,11 +5,17 @@ every correspondent unchanged.  This test hashes the stdout and exit code
 of ``correspond --json --trace`` on the corpus plus the first 200 draws of
 ``SkeletalGenerator(1)``, and of ``correspond --simplify --trace`` on the
 first 50 of those draws.  It also pins the generator's draws, which the
-benchmark's workloads depend on.
+benchmark's workloads depend on.  The report digest covers the other
+``--json`` reports: ``classify`` on every corpus input, ``translate`` on
+every golden pure output, and ``verify`` on the non-skeletal entries (the
+failure report).
 
 The digest was recorded before the formula-layer refactor with
 
     PYTHONPATH=src:tests python -c "import test_output_pin as t; print(t.output_digest())"
+
+and the report digest, before the JSON writer of ``cli`` replaced
+``json.dumps``, with ``t.output_digest(t.report_runs())``.
 
 A change that means to alter the output records the new digest the same
 way and says why in CHANGES.md.
@@ -22,11 +28,12 @@ import os
 from unittest import mock
 
 from hybridcorr.cli import main
-from hybridcorr.corpus import CORPUS
+from hybridcorr.corpus import CORPUS, load_goldens
 from hybridcorr.generate import SkeletalGenerator
 
 PINNED_DIGEST = "8cc1872f8c48d2885983a21e63d254d3fe09afc3d299b6b59bb9339c59e28a08"
 ENUMERATION_DIGEST = "961fc793ecf9ec635a7047b88a163663eb7e916290a0d636031ca788a2f8ea28"
+REPORT_DIGEST = "adb8c61e2b497e86ea55e70698765ceaaec6a2a9a277430818054b419cf53232"
 
 
 def _runs() -> list[list[str]]:
@@ -44,6 +51,21 @@ def enumeration_runs() -> list[list[str]]:
         ["verify", e.input_text, "--json", "--max-worlds", "3"]
         for e in CORPUS
         if e.expect_skeletal
+    ]
+
+
+def report_runs() -> list[list[str]]:
+    goldens = load_goldens()
+    runs = [["classify", e.input_text, "--json"] for e in CORPUS]
+    runs += [
+        ["translate", p["text"], "--json"]
+        for e in CORPUS
+        for p in goldens[e.name].get("pure", [])
+    ]
+    return runs + [
+        ["verify", e.input_text, "--json", "--max-worlds", "2"]
+        for e in CORPUS
+        if not e.expect_skeletal
     ]
 
 
@@ -65,3 +87,7 @@ def test_correspond_output_is_pinned():
 
 def test_enumeration_output_is_pinned():
     assert output_digest(enumeration_runs()) == ENUMERATION_DIGEST
+
+
+def test_report_output_is_pinned():
+    assert output_digest(report_runs()) == REPORT_DIGEST

@@ -35,10 +35,12 @@ from hybridcorr.semantics import (
 )
 from hybridcorr import semantics
 from hybridcorr.semantics import (
+    _TABLES_KEPT,
     _batch_width,
     _canonical_placements,
     _close_under_renaming,
     _concatenated,
+    _one_batch,
     _orbit_representatives,
     _quasi_program,
 )
@@ -599,6 +601,28 @@ class TestBatches:
             assert batched == check(THREE, item, self.LIMITS) >> 7 & 1
         else:
             assert 0 < batched.bit_count() < frames.count
+
+
+class TestTableCaches:
+    """The tables of canonical members and of one-batch environments are
+    kept for a bounded number of shapes."""
+
+    def test_more_shapes_than_kept_stay_bounded(self):
+        for cache in (_orbit_representatives, _one_batch):
+            assert cache.cache_info().maxsize == _TABLES_KEPT
+        # one symbol at n worlds, two of them renamable: n - 1 placements
+        for n in range(2, _TABLES_KEPT + 12):
+            assert len(_orbit_representatives(0, 1, n, 2)) == n - 1
+            reps, values = _one_batch(0, 1, 1, 1, n)
+            assert reps == (((), (0,), 1),) and values == [((1 << n) - 1,)]
+        for cache in (_orbit_representatives, _one_batch):
+            assert cache.cache_info().currsize <= _TABLES_KEPT
+
+    def test_evicted_table_is_rebuilt_equal(self):
+        before = _orbit_representatives(1, 3, 3, 3)
+        for n in range(2, _TABLES_KEPT + 12):
+            _orbit_representatives(0, 1, n, 2)
+        assert _orbit_representatives(1, 3, 3, 3) == before
 
 
 class TestFrameValidQuasi:

@@ -1,9 +1,13 @@
 """Parser, printer, substitution, and syntactic queries."""
 
+import dataclasses
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hybridcorr.alba import _ineq_symbols, ineq_props
+from hybridcorr.classify import inequality_props
 from hybridcorr.syntax import (
     TOP,
     And,
@@ -16,6 +20,7 @@ from hybridcorr.syntax import (
     Implies,
     Inequality,
     Kind,
+    Nom,
     Not,
     Or,
     ParseError,
@@ -23,6 +28,7 @@ from hybridcorr.syntax import (
     Prop,
     Sign,
     Svar,
+    all_symbols,
     children,
     fmt,
     formula_from_json,
@@ -355,6 +361,117 @@ class TestQueries:
             P,
             prop("r"),
         ]
+
+
+def _plain_symbols(*fs):
+    """(props in order of first occurrence, nominals, free state variables,
+    every symbol) of the formulas fs, by a plain recursive walk: the
+    independent oracle for the symbols each node keeps."""
+    order, noms, free, syms = [], set(), set(), set()
+
+    def walk(g, bound):
+        match g:
+            case Prop(s):
+                syms.add(s)
+                if s not in order:
+                    order.append(s)
+            case Nom(s):
+                noms.add(s)
+                syms.add(s)
+            case Svar(s):
+                syms.add(s)
+                if s not in bound:
+                    free.add(s)
+            case At(t, c):
+                syms.add(t)
+                if t.kind is Kind.NOM:
+                    noms.add(t)
+                elif t not in bound:
+                    free.add(t)
+                walk(c, bound)
+            case Down(v, c):
+                syms.add(v)
+                walk(c, bound | {v})
+            case Not(c) | Dia(c) | Box(c):
+                walk(c, bound)
+            case And(a, b) | Or(a, b) | Implies(a, b):
+                walk(a, bound)
+                walk(b, bound)
+
+    for f in fs:
+        walk(f, frozenset())
+    return order, noms, free, syms
+
+
+def _assert_walkers_match(f):
+    order, noms, free, syms = _plain_symbols(f)
+    assert props_in_order(f) == order
+    assert props(f) == set(order)
+    assert nominals(f) == noms
+    assert free_state_vars(f) == free
+    assert all_symbols(f) == syms
+    assert is_pure(f) == (not order)
+    assert is_sentence(f) == (not free)
+    assert sorted_symbols(f) == tuple(sorted(x, key=str) for x in (order, noms, free))
+
+
+class TestNodeFacts:
+    """Each node keeps its symbols, computed once from its children's; the
+    walkers read them.  They must agree with a plain walk, on fresh nodes
+    and on nodes rebuilt around children that already keep theirs, and
+    never show in equality, hashing or repr."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas(14))
+    def test_walkers_match_a_plain_walk(self, f):
+        _assert_walkers_match(f)
+        _assert_walkers_match(f)  # now read back from the nodes
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(10), formulas(6))
+    def test_rebuilt_nodes_match_a_plain_walk(self, f, theta):
+        _assert_walkers_match(f)
+        _assert_walkers_match(with_children(f, children(f)))
+        for c in children(f):
+            _assert_walkers_match(with_children(f, [c] * len(children(f))))
+        try:
+            g = substitute_prop(f, P, theta)
+        except CaptureError:
+            assume(False)
+        _assert_walkers_match(g)
+        assert P not in props(g) or P in props(theta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(8), formulas(8))
+    def test_inequality_wrappers_match_a_plain_walk(self, f, g):
+        order, _, _, syms = _plain_symbols(f, g)
+        ineq = Inequality(f, g)
+        assert inequality_props(ineq) == props_in_order(ineq) == props_in_order(f, g) == order
+        assert ineq_props(ineq) == set(order)
+        assert _ineq_symbols(ineq) == syms
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(10))
+    def test_kept_symbols_are_invisible(self, f):
+        fresh = formula_from_json(formula_to_json(f))
+        _assert_walkers_match(f)
+        assert f == fresh and fresh == f
+        assert hash(f) == hash(fresh)
+        assert repr(f) == repr(fresh)
+        assert [x.name for x in dataclasses.fields(f)] == [
+            x.name for x in dataclasses.fields(fresh)
+        ]
+        for walker in (props, nominals, free_state_vars, all_symbols):
+            assert isinstance(walker(f), frozenset)
+
+    def test_kept_symbols_examples(self):
+        f = parse("!x. @x (<>y & p) -> @'i q")
+        assert props_in_order(f) == [P, prop("q")]
+        assert free_state_vars(f) == {Y}
+        assert all_symbols(f) == {X, Y, P, prop("q"), nom("i")}
+        assert nominals(f) == {nom("i")}
+        assert repr(f) == repr(parse("!x. @x (<>y & p) -> @'i q"))
+        assert "_memo" not in repr(f) and "_memo" in vars(f)
 
 
 class TestFresh:
