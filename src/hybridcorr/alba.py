@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .classify import (
+    JOIN,
+    SKELETAL_NODES,
     OrderType,
     Pol,
     find_order_type,
@@ -33,6 +35,7 @@ from .classify import (
 )
 from .syntax import (
     BOT,
+    NODE_NAMES,
     TOP,
     And,
     At,
@@ -287,41 +290,37 @@ def _saturate(
 # Stage 1a: distribution
 # ---------------------------------------------------------------------------
 
-# Each entry: rule name, justification tag.  The rewrites push the listed
-# signed connectives over +or (first group) and -and (second group).
+# Stage 1a pushes every +or and -and (each sign's join, classify.JOIN) up
+# through the skeletal node directly above it, so that no critical branch
+# passes through a join and every part comes out definite.  There is one
+# rewrite per skeletal node but its sign's own join and per child position,
+# each an equivalence of axioms.distribution_schemas; its rule name and tag
+# are built from the node names.
+_DISTRIBUTES = frozenset(
+    (sign, name) for sign, name in SKELETAL_NODES if name != NODE_NAMES[JOIN[sign]]
+)
 
 
 def _root_redex(f: Formula, sign: Sign) -> tuple[str, str, Formula] | None:
-    plus, minus = Sign.PLUS, Sign.MINUS
-    match (sign, f):
-        case (s, Dia(Or(a, b))) if s is plus:
-            return "dist-dia-or", "dia-or", Or(Dia(a), Dia(b))
-        case (s, Down(v, Or(a, b))) if s is plus:
-            return "dist-down-or", "down-or", Or(Down(v, a), Down(v, b))
-        case (s, At(t, Or(a, b))) if s is plus:
-            return "dist-at-or", "at-or", Or(At(t, a), At(t, b))
-        case (s, Not(Or(a, b))) if s is minus:
-            return "dist-not-or", "not-or", And(Not(a), Not(b))
-        case (s, And(Or(a, b), c)) if s is plus:
-            return "dist-and-or-l", "and-or", Or(And(a, c), And(b, c))
-        case (s, And(a, Or(b, c))) if s is plus:
-            return "dist-and-or-r", "and-or", Or(And(a, b), And(a, c))
-        case (s, Implies(Or(a, b), c)) if s is minus:
-            return "dist-implies-or", "implies-or", And(Implies(a, c), Implies(b, c))
-        case (s, Box(And(a, b))) if s is minus:
-            return "dist-box-and", "box-and", And(Box(a), Box(b))
-        case (s, Down(v, And(a, b))) if s is minus:
-            return "dist-down-and", "down-and", And(Down(v, a), Down(v, b))
-        case (s, At(t, And(a, b))) if s is minus:
-            return "dist-at-and", "at-and-dist", And(At(t, a), At(t, b))
-        case (s, Not(And(a, b))) if s is plus:
-            return "dist-not-and", "not-and", Or(Not(a), Not(b))
-        case (s, Or(And(a, b), c)) if s is minus:
-            return "dist-or-and-l", "or-and", And(Or(a, c), Or(b, c))
-        case (s, Or(a, And(b, c))) if s is minus:
-            return "dist-or-and-r", "or-and", And(Or(a, b), Or(a, c))
-        case (s, Implies(a, And(b, c))) if s is minus:
-            return "dist-implies-and", "implies-and", And(Implies(a, b), Implies(a, c))
+    """Distribute the skeletal node f, signed sign, over its first child
+    (in children order) that is the join of that child's own sign:
+    f[k := a * b] becomes f[k := a] + f[k := b], with + the join of sign.
+    Returns the rule name, the justification tag and the rewritten f."""
+    name = NODE_NAMES.get(type(f))
+    if (sign, name) not in _DISTRIBUTES:
+        return None
+    for k, (c, s) in enumerate(signed_children(f, sign)):
+        if type(c) is JOIN[s]:
+            kids = list(children(f))
+            kids[k] = c.lhs
+            left = with_children(f, kids)
+            kids[k] = c.rhs
+            new = JOIN[sign](left, with_children(f, kids))
+            tag = f"{name}-{NODE_NAMES[JOIN[s]]}"
+            rule = f"dist-{tag}-{'lr'[k]}" if type(f) in (And, Or) else f"dist-{tag}"
+            # The one exception: the schema for @ over -and, and so every
+            # trace that cites it, is named "at-and-dist".
+            return rule, ("at-and-dist" if tag == "at-and" else tag), new
     return None
 
 

@@ -201,7 +201,9 @@ def derived_schemas() -> list[Schema]:
 
 
 def distribution_schemas() -> list[Schema]:
-    """The sixteen distribution equivalences used by preprocessing."""
+    """The twelve distribution equivalences that license preprocessing's
+    fourteen distribution rules: and-or and or-and each cover a join in
+    either child position."""
     i, x = _I, _X
 
     def pairs(build: Callable[[Formula, Formula], Formula]) -> tuple[Formula, ...]:

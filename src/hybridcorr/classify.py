@@ -15,24 +15,19 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .syntax import (
+    NODE_NAMES,
     And,
     At,
-    Bot,
-    Box,
-    Dia,
     Down,
     Formula,
-    Implies,
     Inequality,
     Kind,
     Nom,
-    Not,
     Or,
     Prop,
     Sign,
     Svar,
     Symbol,
-    Top,
     props_in_order,
     signed_children,
 )
@@ -90,10 +85,9 @@ SKELETAL_NODES: tuple[tuple[Sign, str], ...] = (
 )
 _SKELETAL = frozenset(SKELETAL_NODES)
 
-_LABELS: dict[type, str] = {
-    cls: cls.__name__.lower()
-    for cls in (Prop, Svar, Nom, Bot, Top, Not, Or, And, Implies, Dia, Box, At, Down)
-}
+# The join of each sign: the +or and -and nodes that no critical branch of a
+# definite inequality passes through, and that preprocessing distributes.
+JOIN: dict[Sign, type] = {Sign.PLUS: Or, Sign.MINUS: And}
 
 _ATOM_LABELS = frozenset(["prop", "svar", "nom", "top", "bot"])
 
@@ -122,7 +116,7 @@ class SignedTree:
 
 def signed_tree(f: Formula, sign: Sign) -> SignedTree:
     """Label the generation tree of f starting from the given root sign."""
-    label = _LABELS.get(type(f))
+    label = NODE_NAMES.get(type(f))
     if label is None:
         raise TypeError(f"not a formula: {f!r}")
     match f:
@@ -154,11 +148,7 @@ class Branch:
         return all(n.is_skeletal for n in self.path[1:])
 
     def has_plus_or_minus_and(self) -> bool:
-        return any(
-            (n.sign is Sign.PLUS and n.label == "or")
-            or (n.sign is Sign.MINUS and n.label == "and")
-            for n in self.path[1:]
-        )
+        return any(type(n.formula) is JOIN[n.sign] for n in self.path[1:])
 
     def node_texts(self) -> list[str]:
         return [n.node_text() for n in self.path]

@@ -27,16 +27,20 @@ walkers (``props``, ``nominals``, ``free_state_vars``, ``all_symbols``,
 ``props_in_order``, ``sorted_symbols``, ``is_pure``, ``is_sentence``) only
 read them, and the set-valued ones hand out the kept frozensets; the sign
 walk and both substitutions skip the subtrees whose symbols show them
-untouched.  The evaluators (``semantics.eval_at``, the reference
-oracle, and ``semantics._compile``), the printer and the JSON codec keep
-their own per-node code.
+untouched.
+
+``NODE_TYPES`` names each node type and lists its dataclass fields.  The
+JSON codec (``formula_to_json``, ``formula_from_json``) and the node labels
+of ``classify``'s signed generation trees read it.  The evaluators
+(``semantics.eval_at``, the reference oracle, and ``semantics._compile``),
+the printer, ``alba.simplify_formula`` and the substitutions keep their own
+per-node code.
 """
 
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 
@@ -176,6 +180,17 @@ class Down(Formula):
 
 BOT = Bot()
 TOP = Top()
+
+# The node types by name, each with its dataclass field names in order.  The
+# name is a node's label in a signed generation tree and its "node" in JSON.
+NODE_TYPES: dict[str, tuple[type, tuple[str, ...]]] = {
+    cls.__name__.lower(): (cls, tuple(fld.name for fld in fields(cls)))
+    for cls in (Prop, Svar, Nom, Bot, Top, Not, Or, And, Implies, Dia, Box, At, Down)
+}
+NODE_NAMES: dict[type, str] = {cls: name for name, (cls, _) in NODE_TYPES.items()}
+# The fields that hold a symbol (an atom's, an @ term, a binder's variable);
+# every other field holds a formula.
+_SYMBOL_FIELDS = frozenset(("sym", "term", "var"))
 
 
 @dataclass(frozen=True)
@@ -680,7 +695,7 @@ def fmt(f: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (node kind + children; field names documented in README)
+# JSON serialization (node name + fields; field names documented in README)
 # ---------------------------------------------------------------------------
 
 
@@ -693,58 +708,29 @@ def symbol_from_json(d: dict) -> Symbol:
 
 
 def formula_to_json(f: Formula) -> dict:
-    match f:
-        case Prop(s) | Svar(s) | Nom(s):
-            return {"node": type(f).__name__.lower(), "sym": symbol_to_json(s)}
-        case Bot():
-            return {"node": "bot"}
-        case Top():
-            return {"node": "top"}
-        case Not(c) | Dia(c) | Box(c):
-            return {"node": type(f).__name__.lower(), "child": formula_to_json(c)}
-        case Or(a, b) | And(a, b) | Implies(a, b):
-            return {
-                "node": type(f).__name__.lower(),
-                "lhs": formula_to_json(a),
-                "rhs": formula_to_json(b),
-            }
-        case At(t, c):
-            return {"node": "at", "term": symbol_to_json(t), "child": formula_to_json(c)}
-        case Down(v, c):
-            return {"node": "down", "var": symbol_to_json(v), "child": formula_to_json(c)}
-        case _:
-            raise TypeError(f"not a formula: {f!r}")
+    """``{"node": name, field: ...}`` with the node's fields in order: an
+    atom, @ term or binder variable as a symbol, every other field as a
+    formula."""
+    try:
+        name = NODE_NAMES[type(f)]
+    except KeyError:
+        raise TypeError(f"not a formula: {f!r}") from None
+    out = {"node": name}
+    for fld in NODE_TYPES[name][1]:
+        v = getattr(f, fld)
+        out[fld] = symbol_to_json(v) if fld in _SYMBOL_FIELDS else formula_to_json(v)
+    return out
 
 
 def formula_from_json(d: dict) -> Formula:
     node = d["node"]
-    if node == "prop":
-        return Prop(symbol_from_json(d["sym"]))
-    if node == "svar":
-        return Svar(symbol_from_json(d["sym"]))
-    if node == "nom":
-        return Nom(symbol_from_json(d["sym"]))
-    if node == "bot":
-        return BOT
-    if node == "top":
-        return TOP
-    if node == "not":
-        return Not(formula_from_json(d["child"]))
-    if node == "dia":
-        return Dia(formula_from_json(d["child"]))
-    if node == "box":
-        return Box(formula_from_json(d["child"]))
-    if node == "or":
-        return Or(formula_from_json(d["lhs"]), formula_from_json(d["rhs"]))
-    if node == "and":
-        return And(formula_from_json(d["lhs"]), formula_from_json(d["rhs"]))
-    if node == "implies":
-        return Implies(formula_from_json(d["lhs"]), formula_from_json(d["rhs"]))
-    if node == "at":
-        return At(symbol_from_json(d["term"]), formula_from_json(d["child"]))
-    if node == "down":
-        return Down(symbol_from_json(d["var"]), formula_from_json(d["child"]))
-    raise ValueError(f"unknown node kind {node!r}")
+    entry = NODE_TYPES.get(node) if isinstance(node, str) else None
+    if entry is None:
+        raise ValueError(f"unknown node kind {node!r}")
+    cls, flds = entry
+    return cls(
+        *[symbol_from_json(d[k]) if k in _SYMBOL_FIELDS else formula_from_json(d[k]) for k in flds]
+    )
 
 
 def inequality_to_json(i: Inequality) -> dict:
@@ -1013,7 +999,3 @@ def parse_quasi(text: str) -> QuasiInequality:
     q = p.quasi()
     p.done()
     return q
-
-
-def dumps(f: Formula, **kwargs) -> str:
-    return json.dumps(formula_to_json(f), **kwargs)

@@ -1,10 +1,12 @@
 """The rewriting engine: preprocessing, decomposition, elimination, traces."""
 
+import itertools
 import json
 import random
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hybridcorr.alba import (
     AlbaTrace,
@@ -22,6 +24,7 @@ from hybridcorr.alba import (
     reduce_substage1,
     replay,
     _rewrite_at,
+    _root_redex,
     run,
     simplify_formula,
 )
@@ -35,14 +38,30 @@ from hybridcorr.semantics import (
     random_model,
 )
 from hybridcorr.syntax import (
+    BOT,
+    NODE_NAMES,
+    TOP,
+    And,
+    At,
+    Box,
+    Dia,
+    Down,
     FreshContext,
     Implies,
+    Nom,
+    Not,
+    Or,
+    Prop,
+    Sign,
+    Svar,
     free_state_vars,
     nominals,
     parse,
     parse_inequality,
     props,
     prop,
+    svar,
+    nom,
 )
 
 from strategies import formulas, inequalities, models_for
@@ -132,6 +151,96 @@ class TestPreprocess:
         assert trace.steps[0].rule == "dist-box-and"
         assert [str(i) for i in trace.steps[0].produced] == ["p & q <= []p & []q"]
         assert [str(i) for i in out] == ["p & T <= []p", "T & q <= []q"]
+
+
+def _paper_redex(f, sign):
+    """The fourteen distribution rules of preprocessing, one arm each as the
+    paper lists them: rule name, justification tag, rewritten formula."""
+    plus, minus = Sign.PLUS, Sign.MINUS
+    match (sign, f):
+        case (s, Dia(Or(a, b))) if s is plus:
+            return "dist-dia-or", "dia-or", Or(Dia(a), Dia(b))
+        case (s, Down(v, Or(a, b))) if s is plus:
+            return "dist-down-or", "down-or", Or(Down(v, a), Down(v, b))
+        case (s, At(t, Or(a, b))) if s is plus:
+            return "dist-at-or", "at-or", Or(At(t, a), At(t, b))
+        case (s, Not(Or(a, b))) if s is minus:
+            return "dist-not-or", "not-or", And(Not(a), Not(b))
+        case (s, And(Or(a, b), c)) if s is plus:
+            return "dist-and-or-l", "and-or", Or(And(a, c), And(b, c))
+        case (s, And(a, Or(b, c))) if s is plus:
+            return "dist-and-or-r", "and-or", Or(And(a, b), And(a, c))
+        case (s, Implies(Or(a, b), c)) if s is minus:
+            return "dist-implies-or", "implies-or", And(Implies(a, c), Implies(b, c))
+        case (s, Box(And(a, b))) if s is minus:
+            return "dist-box-and", "box-and", And(Box(a), Box(b))
+        case (s, Down(v, And(a, b))) if s is minus:
+            return "dist-down-and", "down-and", And(Down(v, a), Down(v, b))
+        case (s, At(t, And(a, b))) if s is minus:
+            return "dist-at-and", "at-and-dist", And(At(t, a), At(t, b))
+        case (s, Not(And(a, b))) if s is plus:
+            return "dist-not-and", "not-and", Or(Not(a), Not(b))
+        case (s, Or(And(a, b), c)) if s is minus:
+            return "dist-or-and-l", "or-and", And(Or(a, c), Or(b, c))
+        case (s, Or(a, And(b, c))) if s is minus:
+            return "dist-or-and-r", "or-and", And(Or(a, b), Or(a, c))
+        case (s, Implies(a, And(b, c))) if s is minus:
+            return "dist-implies-and", "implies-and", And(Implies(a, b), Implies(a, c))
+    return None
+
+
+# One builder per node shape, from its children; @ over a nominal and over a
+# state variable.
+_X = svar("x")
+_BUILDERS = [
+    (0, lambda: Prop(P)),
+    (0, lambda: Svar(_X)),
+    (0, lambda: Nom(nom("i"))),
+    (0, lambda: BOT),
+    (0, lambda: TOP),
+    (1, Not),
+    (1, Dia),
+    (1, Box),
+    (1, lambda c: At(nom("i"), c)),
+    (1, lambda c: At(_X, c)),
+    (1, lambda c: Down(_X, c)),
+    (2, Or),
+    (2, And),
+    (2, Implies),
+]
+# Each child is a plain atom or one of the two joins.
+_CHILD_CHOICES = [Prop(R), Or(Prop(P), Prop(Q)), And(Prop(Q), Svar(_X))]
+
+
+def _every_shape():
+    for arity, build in _BUILDERS:
+        for kids in itertools.product(_CHILD_CHOICES, repeat=arity):
+            yield build(*kids)
+
+
+class TestDistributionRules:
+    """The derived stage-1a rule against the paper's list of fourteen."""
+
+    def test_every_node_sign_and_position_matches_the_paper(self):
+        from hybridcorr.axioms import justification_schemas
+
+        shapes = list(_every_shape())
+        assert {type(f) for f in shapes} == set(NODE_NAMES)
+        fired = set()
+        for f in shapes:
+            for sign in Sign:
+                expected = _paper_redex(f, sign)
+                assert _root_redex(f, sign) == expected, (str(f), sign)
+                if expected is not None:
+                    fired.add(expected[:2])
+        assert len(fired) == 14
+        tags = {tag for _, tag in fired}
+        assert len(tags) == 12 and tags <= set(justification_schemas())
+
+    @settings(max_examples=300)
+    @given(formulas(), st.sampled_from(list(Sign)))
+    def test_arbitrary_formulas_match_the_paper(self, f, sign):
+        assert _root_redex(f, sign) == _paper_redex(f, sign)
 
 
 class TestFirstApproximation:

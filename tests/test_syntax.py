@@ -1,6 +1,7 @@
 """Parser, printer, substitution, and syntactic queries."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from hybridcorr.alba import _ineq_symbols, ineq_props
 from hybridcorr.classify import inequality_props
 from hybridcorr.syntax import (
+    BOT,
+    NODE_NAMES,
     TOP,
     And,
     At,
@@ -48,6 +51,7 @@ from hybridcorr.syntax import (
     replace_state_var,
     signed_children,
     sorted_symbols,
+    subformulas,
     substitute_prop,
     svar,
     with_children,
@@ -503,3 +507,37 @@ class TestJson:
     @given(formulas())
     def test_roundtrip(self, f):
         assert formula_from_json(formula_to_json(f)) == f
+
+    # Every node type, @ over a nominal and over a state variable, and a
+    # generated symbol; the text is exactly what the per-node codec wrote.
+    ALL_NODES = Implies(
+        And(Prop(P), Not(BOT)),
+        Or(
+            Dia(At(nom("i"), Nom(nom("j", 2)))),
+            Box(Down(svar("x"), At(svar("x"), And(Svar(svar("x")), TOP)))),
+        ),
+    )
+    ALL_NODES_JSON = (
+        '{"node": "implies", "lhs": {"node": "and", "lhs": {"node": "prop", "sym": '
+        '{"kind": "prop", "name": "p", "index": 0}}, "rhs": {"node": "not", "child": '
+        '{"node": "bot"}}}, "rhs": {"node": "or", "lhs": {"node": "dia", "child": '
+        '{"node": "at", "term": {"kind": "nom", "name": "i", "index": 0}, "child": '
+        '{"node": "nom", "sym": {"kind": "nom", "name": "j", "index": 2}}}}, "rhs": '
+        '{"node": "box", "child": {"node": "down", "var": {"kind": "svar", "name": "x", '
+        '"index": 0}, "child": {"node": "at", "term": {"kind": "svar", "name": "x", '
+        '"index": 0}, "child": {"node": "and", "lhs": {"node": "svar", "sym": {"kind": '
+        '"svar", "name": "x", "index": 0}}, "rhs": {"node": "top"}}}}}}}'
+    )
+
+    def test_output_is_pinned(self):
+        assert {type(g) for g in subformulas(self.ALL_NODES)} == set(NODE_NAMES)
+        assert json.dumps(formula_to_json(self.ALL_NODES)) == self.ALL_NODES_JSON
+        assert formula_from_json(json.loads(self.ALL_NODES_JSON)) == self.ALL_NODES
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="unknown node kind 'xor'"):
+            formula_from_json({"node": "xor"})
+        with pytest.raises(ValueError, match="unknown node kind"):
+            formula_from_json({"node": ["not"]})
+        with pytest.raises(TypeError, match="not a formula"):
+            formula_to_json(P)
