@@ -22,16 +22,18 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .classify import (
+    DISTRIBUTES,
     JOIN,
-    SKELETAL_NODES,
     OrderType,
     Pol,
+    Polarity,
     find_order_type,
+    inequality_facts,
     inequality_props,
     is_definite,
     is_skeletal_sahlqvist,
-    signed_tree,
-    tree_agrees_with,
+    polarity,
+    signed_facts,
 )
 from .syntax import (
     BOT,
@@ -52,7 +54,6 @@ from .syntax import (
     Nom,
     Not,
     Or,
-    Polarity,
     Prop,
     QuasiInequality,
     Sign,
@@ -64,8 +65,6 @@ from .syntax import (
     children,
     free_state_vars,
     is_pure,
-    occurrence_signs,
-    polarity,
     props,
     props_in_order,
     quasi_to_json,
@@ -214,18 +213,20 @@ def final_form(ineq: Inequality, eps: OrderType) -> int | None:
         return 1
     lt = atom_term(ineq.lhs)
     rt = neg_atom_term(ineq.rhs)
-    opp = eps.opposite()
+    # Shapes 4/5: every + leaf of the subtree has polarity d, every - leaf 1.
     if lt is not None:
         match ineq.rhs:
             case Prop(p) if p in eps and eps[p] is Pol.ONE:
                 return 2
-        if tree_agrees_with(signed_tree(ineq.rhs, Sign.PLUS), opp):
+        facts = signed_facts(ineq.rhs, Sign.PLUS)
+        if facts.plus <= eps.partials and facts.minus <= eps.ones:
             return 4
     if rt is not None:
         match ineq.lhs:
             case Prop(p) if p in eps and eps[p] is Pol.PARTIAL:
                 return 3
-        if tree_agrees_with(signed_tree(ineq.lhs, Sign.MINUS), opp):
+        facts = signed_facts(ineq.lhs, Sign.MINUS)
+        if facts.plus <= eps.partials and facts.minus <= eps.ones:
             return 5
     return None
 
@@ -271,19 +272,22 @@ def _saturate(
     find_step: Callable[[Inequality], Rewrite | None],
 ) -> tuple[Inequality, ...]:
     """Rewrite to fixpoint: scan the state in order, apply the first rewrite
-    find_step finds, log it, and scan again from the start."""
-    while True:
-        for ineq in state:
-            found = find_step(ineq)
-            if found is not None:
-                break
-        else:
-            return state
+    find_step finds, log it, and scan on from the first inequality it
+    produced.  The ones before it were found to have no rewrite and are
+    unchanged, so this is the trace of rescanning from the start."""
+    k = 0
+    while k < len(state):
+        ineq = state[k]
+        found = find_step(ineq)
+        if found is None:
+            k += 1
+            continue
         rule, produced, just = found
         budget.tick()
         step = TraceStep(rule, (ineq,), produced, just)
         trace.steps.append(step)
         state = apply_step(state, step)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +299,8 @@ def _saturate(
 # passes through a join and every part comes out definite.  There is one
 # rewrite per skeletal node but its sign's own join and per child position,
 # each an equivalence of axioms.distribution_schemas; its rule name and tag
-# are built from the node names.
-_DISTRIBUTES = frozenset(
-    (sign, name) for sign, name in SKELETAL_NODES if name != NODE_NAMES[JOIN[sign]]
-)
+# are built from the node names.  classify.DISTRIBUTES lists those nodes, and
+# each node's signed facts tell whether a redex lies in its tree.
 
 
 def _root_redex(f: Formula, sign: Sign) -> tuple[str, str, Formula] | None:
@@ -307,7 +309,7 @@ def _root_redex(f: Formula, sign: Sign) -> tuple[str, str, Formula] | None:
     f[k := a * b] becomes f[k := a] + f[k := b], with + the join of sign.
     Returns the rule name, the justification tag and the rewritten f."""
     name = NODE_NAMES.get(type(f))
-    if (sign, name) not in _DISTRIBUTES:
+    if (sign, name) not in DISTRIBUTES:
         return None
     for k, (c, s) in enumerate(signed_children(f, sign)):
         if type(c) is JOIN[s]:
@@ -324,20 +326,16 @@ def _root_redex(f: Formula, sign: Sign) -> tuple[str, str, Formula] | None:
     return None
 
 
-def _find_redex(
-    f: Formula, sign: Sign
-) -> tuple[tuple[int, ...], str, str, Formula] | None:
-    """Leftmost-innermost distribution redex: children first, then the root."""
+def _find_redex(f: Formula, sign: Sign) -> tuple[tuple[int, ...], str, str, Formula]:
+    """The leftmost-innermost distribution redex of f, signed sign, whose
+    signed facts show that it has one: in the first child whose facts show
+    one, else at the root."""
     for k, (c, s) in enumerate(signed_children(f, sign)):
-        found = _find_redex(c, s)
-        if found is not None:
-            path, rule, just, new = found
+        if signed_facts(c, s).redex:
+            path, rule, just, new = _find_redex(c, s)
             return (k, *path), rule, just, new
-    root = _root_redex(f, sign)
-    if root is not None:
-        rule, just, new = root
-        return (), rule, just, new
-    return None
+    rule, just, new = _root_redex(f, sign)
+    return (), rule, just, new
 
 
 def _rewrite_at(f: Formula, path: tuple[int, ...], new: Formula) -> Formula:
@@ -354,10 +352,9 @@ def _distribution_step(ineq: Inequality) -> Rewrite | None:
     """The leftmost-innermost redex of +lhs, else of -rhs, rewritten."""
     for side, sign in ((0, Sign.PLUS), (1, Sign.MINUS)):
         f = ineq.lhs if side == 0 else ineq.rhs
-        found = _find_redex(f, sign)
-        if found is None:
+        if not signed_facts(f, sign).redex:
             continue
-        path, rule, just, new_sub = found
+        path, rule, just, new_sub = _find_redex(f, sign)
         new_f = _rewrite_at(f, path, new_sub)
         new_ineq = Inequality(new_f, ineq.rhs) if side == 0 else Inequality(ineq.lhs, new_f)
         return rule, (new_ineq,), just
@@ -381,21 +378,17 @@ def _split_step(ineq: Inequality) -> Rewrite | None:
     return None
 
 
-def _occurrence_sign_set(ineq: Inequality, p: Symbol) -> set[Sign]:
-    return set(occurrence_signs(ineq.lhs, p, Sign.PLUS)) | set(
-        occurrence_signs(ineq.rhs, p, Sign.MINUS)
-    )
-
-
 def _uniform_step(ineq: Inequality) -> Rewrite | None:
     """Drop the first variable whose occurrences across +lhs and -rhs all
     share one sign: all positive substitutes top, all negative bottom."""
+    lhs, rhs = inequality_facts(ineq)
+    plus = lhs.plus | rhs.plus
+    minus = lhs.minus | rhs.minus
     for p in inequality_props(ineq):
-        signs = _occurrence_sign_set(ineq, p)
-        if signs == {Sign.PLUS}:
+        if p not in minus:
             value: Formula = TOP
             rule, just = "eliminate-top", "monotone-substitution"
-        elif signs == {Sign.MINUS}:
+        elif p not in plus:
             value = BOT
             rule, just = "eliminate-bot", "antitone-substitution"
         else:

@@ -6,16 +6,34 @@ propositional variable), the critical leaves are the +p occurrences with
 eps(p)=1 and the -p occurrences with eps(p)=d; the inequality is skeletal
 Sahlqvist for eps when every branch from a critical leaf to the root passes
 through skeletal nodes only.
+
+The questions asked of those trees are answered from each node's signed
+facts (``signed_facts``): for the node's tree rooted at one sign, the props
+at a + leaf and at a - leaf, those of them whose branch passes a
+non-skeletal node, those whose branch passes the join of the sign there,
+and whether a distribution redex lies in the tree.  A node computes them
+once per root sign, on first use, from its children's, and keeps them
+outside its dataclass fields, as it keeps its symbols (see ``syntax``).
+Classification, ``polarity``, and ``alba``'s stage-1 and final-shape checks
+are lookups in them.  Since an order type constrains each variable's own
+leaves only, the first witnessing order type comes out of one pass over the
+variables.
+
+``SignedTree`` and ``critical_branches`` build the trees themselves.  They
+serve the ``classify`` report, and the tests check the signed facts
+against them.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 from .syntax import (
     NODE_NAMES,
+    NODE_TYPES,
     And,
     At,
     Down,
@@ -64,6 +82,16 @@ class OrderType:
     def opposite(self) -> OrderType:
         return OrderType(tuple((s, pol.opposite()) for s, pol in self.assignment))
 
+    @cached_property
+    def ones(self) -> frozenset[Symbol]:
+        """The variables of polarity 1: critical at a + leaf."""
+        return frozenset(s for s, pol in self.assignment if pol is Pol.ONE)
+
+    @cached_property
+    def partials(self) -> frozenset[Symbol]:
+        """The variables of polarity d: critical at a - leaf."""
+        return frozenset(s for s, pol in self.assignment if pol is Pol.PARTIAL)
+
     def indicated_sign(self, p: Symbol) -> Sign:
         return Sign.PLUS if self[p] is Pol.ONE else Sign.MINUS
 
@@ -88,6 +116,12 @@ _SKELETAL = frozenset(SKELETAL_NODES)
 # The join of each sign: the +or and -and nodes that no critical branch of a
 # definite inequality passes through, and that preprocessing distributes.
 JOIN: dict[Sign, type] = {Sign.PLUS: Or, Sign.MINUS: And}
+
+# The skeletal nodes that stage 1 distributes over a child that is the join
+# of the child's sign: each but its sign's own join.
+DISTRIBUTES = frozenset(
+    (sign, name) for sign, name in SKELETAL_NODES if name != NODE_NAMES[JOIN[sign]]
+)
 
 _ATOM_LABELS = frozenset(["prop", "svar", "nom", "top", "bot"])
 
@@ -208,29 +242,6 @@ def inequality_critical_branches(ineq: Inequality, eps: OrderType) -> list[Branc
     return critical_branches(plus, eps) + critical_branches(minus, eps)
 
 
-def inequality_props(ineq: Inequality) -> list[Symbol]:
-    """Propositional variables in order of first occurrence, lhs then rhs."""
-    return props_in_order(ineq)
-
-
-def is_skeletal_sahlqvist(ineq: Inequality, eps: OrderType) -> bool:
-    """Every eps-critical branch of +lhs and -rhs is skeletal."""
-    return all(b.is_skeletal() for b in inequality_critical_branches(ineq, eps))
-
-
-def is_definite(ineq: Inequality, eps: OrderType) -> bool:
-    """Skeletal Sahlqvist with no +or / -and on any critical branch."""
-    branches = inequality_critical_branches(ineq, eps)
-    if not all(b.is_skeletal() for b in branches):
-        raise ValueError("is_definite requires an eps-skeletal-Sahlqvist inequality")
-    return not any(b.has_plus_or_minus_and() for b in branches)
-
-
-def is_epsilon_uniform(ineq: Inequality, eps: OrderType) -> bool:
-    """Every p occurrence in +lhs and -rhs carries the eps-indicated sign."""
-    return all(tree_agrees_with(t, eps) for t in inequality_trees(ineq))
-
-
 def tree_agrees_with(t: SignedTree, eps: OrderType) -> bool:
     """Every prop leaf of the signed subtree t is eps-critical."""
     if t.label == "prop":
@@ -238,30 +249,159 @@ def tree_agrees_with(t: SignedTree, eps: OrderType) -> bool:
     return all(tree_agrees_with(c, eps) for c in t.children)
 
 
-DEFAULT_PROP_CAP = 10
+# ---------------------------------------------------------------------------
+# Signed facts
+# ---------------------------------------------------------------------------
 
 
-def order_type_candidates(variables: list[Symbol]):
-    for pols in itertools.product((Pol.ONE, Pol.PARTIAL), repeat=len(variables)):
-        yield OrderType(tuple(zip(variables, pols)))
+class SignedFacts(NamedTuple):
+    """What the signed generation tree of one node, rooted at one sign, says
+    about its prop leaves, split by the leaf's sign; and whether a
+    distribution redex lies in it (at its root or below)."""
+
+    plus: frozenset[Symbol]  # props at a + leaf
+    minus: frozenset[Symbol]  # props at a - leaf
+    plus_unskeletal: frozenset[Symbol]  # ... whose branch passes a non-skeletal node
+    minus_unskeletal: frozenset[Symbol]
+    plus_join: frozenset[Symbol]  # ... whose branch passes the join of the sign there
+    minus_join: frozenset[Symbol]
+    redex: bool
 
 
-def find_order_type(ineq: Inequality, cap: int = DEFAULT_PROP_CAP) -> OrderType | None:
+_NONE: frozenset[Symbol] = frozenset()
+_NO_LEAVES = SignedFacts(_NONE, _NONE, _NONE, _NONE, _NONE, _NONE, False)
+
+def _sign_tables(sign: Sign) -> tuple[frozenset[type], type, frozenset[type]]:
+    """The node types skeletal at sign, the join of sign, and the node types
+    that distribute over a child join at sign, read off the tables above;
+    signed_facts uses these so that it hashes no Sign."""
+
+    def types(pairs: frozenset[tuple[Sign, str]]) -> frozenset[type]:
+        return frozenset(NODE_TYPES[name][0] for s, name in pairs if s is sign)
+
+    return types(_SKELETAL), JOIN[sign], types(DISTRIBUTES)
+
+
+_PLUS_TABLES = _sign_tables(Sign.PLUS)
+_MINUS_TABLES = _sign_tables(Sign.MINUS)
+_PLUS_JOIN = _PLUS_TABLES[1]
+_MINUS_JOIN = _MINUS_TABLES[1]
+
+
+def _union(a: frozenset[Symbol], b: frozenset[Symbol]) -> frozenset[Symbol]:
+    return a | b if a and b else a or b
+
+
+def signed_facts(f: Formula, sign: Sign) -> SignedFacts:
+    """The signed facts of f's tree rooted at sign, computed once from its
+    children's and kept on f.  It takes one stack frame per level of
+    nesting, as the symbols of syntax do."""
+    plus = sign is Sign.PLUS
+    facts = f._plus_facts if plus else f._minus_facts
+    if facts is not None:
+        return facts
+    kids = signed_children(f, sign)
+    t = type(f)
+    if kids:
+        skeletal, join, distributes = _PLUS_TABLES if plus else _MINUS_TABLES
+        c, s = kids[0]
+        p, m, pu, mu, pj, mj, redex = signed_facts(c, s)
+        child_join = type(c) is (_PLUS_JOIN if s is Sign.PLUS else _MINUS_JOIN)
+        if len(kids) == 2:
+            c, s = kids[1]
+            b = signed_facts(c, s)
+            p, m = _union(p, b.plus), _union(m, b.minus)
+            pu, mu = _union(pu, b.plus_unskeletal), _union(mu, b.minus_unskeletal)
+            pj, mj = _union(pj, b.plus_join), _union(mj, b.minus_join)
+            redex = redex or b.redex
+            child_join = child_join or type(c) is (_PLUS_JOIN if s is Sign.PLUS else _MINUS_JOIN)
+        if t not in skeletal:
+            pu, mu = p, m
+        if t is join:
+            pj, mj = p, m
+        facts = SignedFacts(p, m, pu, mu, pj, mj, redex or (child_join and t in distributes))
+    elif t is Prop:
+        one = frozenset((f.sym,))
+        facts = _NO_LEAVES._replace(plus=one) if plus else _NO_LEAVES._replace(minus=one)
+    else:
+        facts = _NO_LEAVES
+    f.__dict__["_plus_facts" if plus else "_minus_facts"] = facts
+    return facts
+
+
+def inequality_facts(ineq: Inequality) -> tuple[SignedFacts, SignedFacts]:
+    """The signed facts of +lhs and of -rhs."""
+    return signed_facts(ineq.lhs, Sign.PLUS), signed_facts(ineq.rhs, Sign.MINUS)
+
+
+def inequality_props(ineq: Inequality) -> list[Symbol]:
+    """Propositional variables in order of first occurrence, lhs then rhs."""
+    return props_in_order(ineq)
+
+
+def is_skeletal_sahlqvist(ineq: Inequality, eps: OrderType) -> bool:
+    """Every eps-critical branch of +lhs and -rhs is skeletal."""
+    ones, partials = eps.ones, eps.partials
+    return all(
+        f.plus_unskeletal.isdisjoint(ones) and f.minus_unskeletal.isdisjoint(partials)
+        for f in inequality_facts(ineq)
+    )
+
+
+def is_definite(ineq: Inequality, eps: OrderType) -> bool:
+    """Skeletal Sahlqvist with no +or / -and on any critical branch."""
+    if not is_skeletal_sahlqvist(ineq, eps):
+        raise ValueError("is_definite requires an eps-skeletal-Sahlqvist inequality")
+    ones, partials = eps.ones, eps.partials
+    return all(
+        f.plus_join.isdisjoint(ones) and f.minus_join.isdisjoint(partials)
+        for f in inequality_facts(ineq)
+    )
+
+
+def is_epsilon_uniform(ineq: Inequality, eps: OrderType) -> bool:
+    """Every p occurrence in +lhs and -rhs carries the eps-indicated sign."""
+    return all(
+        f.plus <= eps.ones and f.minus <= eps.partials for f in inequality_facts(ineq)
+    )
+
+
+class Polarity(enum.Enum):
+    POSITIVE = "positive"
+    NEGATIVE = "negative"
+    BOTH = "both"
+    ABSENT = "absent"
+
+
+def polarity(f: Formula, p: Symbol) -> Polarity:
+    """Polarity of p in +f: positive iff every occurrence is signed +."""
+    if p.kind is not Kind.PROP:
+        raise ValueError(f"polarity is defined for propositional variables, got {p}")
+    facts = signed_facts(f, Sign.PLUS)
+    if p in facts.plus:
+        return Polarity.BOTH if p in facts.minus else Polarity.POSITIVE
+    return Polarity.NEGATIVE if p in facts.minus else Polarity.ABSENT
+
+
+def find_order_type(ineq: Inequality) -> OrderType | None:
     """First witnessing order type in lexicographic order (1 before d,
-    variables by first occurrence), or None when none classifies."""
-    variables = inequality_props(ineq)
-    if len(variables) > cap:
-        raise EnumerationError(
-            f"{len(variables)} propositional variables exceed the search cap {cap}"
-        )
-    for eps in order_type_candidates(variables):
-        if is_skeletal_sahlqvist(ineq, eps):
-            return eps
-    return None
+    variables by first occurrence), or None when none classifies.
 
-
-class EnumerationError(Exception):
-    pass
+    eps(p) constrains only the branches of p's own leaves, so the first
+    witness gives each variable 1 unless a branch of a +p leaf passes a
+    non-skeletal node, else d unless one of a -p leaf does."""
+    lhs, rhs = inequality_facts(ineq)
+    plus_unskeletal = _union(lhs.plus_unskeletal, rhs.plus_unskeletal)
+    minus_unskeletal = _union(lhs.minus_unskeletal, rhs.minus_unskeletal)
+    assignment: list[tuple[Symbol, Pol]] = []
+    for p in inequality_props(ineq):
+        if p not in plus_unskeletal:
+            assignment.append((p, Pol.ONE))
+        elif p not in minus_unskeletal:
+            assignment.append((p, Pol.PARTIAL))
+        else:
+            return None
+    return OrderType(tuple(assignment))
 
 
 def parse_order_type(text: str, variables: list[Symbol] | None = None) -> OrderType:

@@ -17,7 +17,6 @@ from json.encoder import encode_basestring_ascii
 from . import alba, corpus
 from .axioms import check_schemas
 from .classify import (
-    EnumerationError,
     OrderType,
     Sign,
     annotate_critical,
@@ -322,12 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_ERROR
-    except (
-        ValueError,
-        alba.EngineInvariantError,
-        EnumerationCapError,
-        EnumerationError,
-    ) as e:
+    except (ValueError, alba.EngineInvariantError, EnumerationCapError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
     except RecursionError:

@@ -344,12 +344,22 @@ def _edge_slices(bits: int) -> tuple[int, ...]:
     return tuple(slices)
 
 
+# The most worlds a check enumerates frames up to, whatever the caps say:
+# 5 worlds are 33,620,498 frames, 6 would be 68,753,097,234.
+MAX_WORLDS = 5
+
+
 def _check_world_cap(max_size: int, limits: EnumerationLimits) -> None:
     if max_size < 1:
         raise ValueError(f"world cap {max_size} is below 1: a frame has at least one world")
     if max_size > limits.max_worlds:
         raise EnumerationCapError(
             f"max_size {max_size} exceeds the world cap {limits.max_worlds}"
+        )
+    if max_size > MAX_WORLDS:
+        raise EnumerationCapError(
+            f"{max_size} worlds would mean {FramesUpTo(max_size).count:,} frames; "
+            f"checks stop at {MAX_WORLDS} worlds"
         )
 
 

@@ -25,9 +25,13 @@ children's (``_facts``), and stored in the node's ``__dict__`` outside the
 dataclass fields, so equality, hashing and repr never see them.  The symbol
 walkers (``props``, ``nominals``, ``free_state_vars``, ``all_symbols``,
 ``props_in_order``, ``sorted_symbols``, ``is_pure``, ``is_sentence``) only
-read them, and the set-valued ones hand out the kept frozensets; the sign
-walk and both substitutions skip the subtrees whose symbols show them
-untouched.
+read them, and the set-valued ones hand out the kept frozensets; both
+substitutions skip the subtrees whose symbols show them untouched.  Next
+to its symbols a node keeps its signed facts for each root sign, which
+``classify.signed_facts`` computes the same way from the children's: which
+props sit at a + leaf and at a - leaf, which of them lie under a
+non-skeletal node or a join, and whether a distribution redex lies below.
+Polarity, classification and the stage-1 checks of ``alba`` read those.
 
 ``NODE_TYPES`` names each node type and lists its dataclass fields.  The
 JSON codec (``formula_to_json``, ``formula_from_json``) and the node labels
@@ -58,6 +62,14 @@ class Symbol:
     name: str
     index: int = 0
 
+    def __post_init__(self) -> None:
+        # The dataclass hash, computed once: it would hash the Kind through
+        # Enum.__hash__, in Python, on every lookup.
+        object.__setattr__(self, "_hash", hash((self.kind, self.name, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __str__(self) -> str:
         return f"'{self.name}" if self.kind is Kind.NOM else self.name
 
@@ -77,8 +89,11 @@ def nom(name: str, index: int = 0) -> Symbol:
 class Formula:
     """Base class; all nodes are frozen dataclasses below."""
 
-    # The node's symbols once computed (see _facts); not a dataclass field.
+    # The node's symbols once computed (see _facts), and its signed facts
+    # for each root sign (see classify.signed_facts); not dataclass fields.
     _memo = None
+    _plus_facts = None
+    _minus_facts = None
 
     def __str__(self) -> str:
         return fmt(self)
@@ -470,39 +485,6 @@ def _with_term(facts: _Facts, t: Symbol) -> _Facts:
 def _binding(facts: _Facts, v: Symbol) -> _Facts:
     """The facts of !v. over a child with these facts."""
     return facts._replace(free=facts.free - {v}, symbols=_union(facts.symbols, frozenset((v,))))
-
-
-class Polarity(enum.Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    BOTH = "both"
-    ABSENT = "absent"
-
-
-def occurrence_signs(f: Formula, p: Symbol, sign: Sign = Sign.PLUS) -> list[Sign]:
-    """Signs of the occurrences of p in the signed tree of f rooted at sign."""
-    if p not in _facts(f).props:
-        return []
-    if isinstance(f, Prop):
-        return [sign]
-    out: list[Sign] = []
-    for c, s in signed_children(f, sign):
-        out += occurrence_signs(c, p, s)
-    return out
-
-
-def polarity(f: Formula, p: Symbol) -> Polarity:
-    """Polarity of p in +f: positive iff every occurrence is signed +."""
-    if p.kind is not Kind.PROP:
-        raise ValueError(f"polarity is defined for propositional variables, got {p}")
-    signs = set(occurrence_signs(f, p))
-    if not signs:
-        return Polarity.ABSENT
-    if signs == {Sign.PLUS}:
-        return Polarity.POSITIVE
-    if signs == {Sign.MINUS}:
-        return Polarity.NEGATIVE
-    return Polarity.BOTH
 
 
 # ---------------------------------------------------------------------------

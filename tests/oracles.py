@@ -1,0 +1,125 @@
+"""Walk oracles for the signed facts each formula node keeps.
+
+Every question ``classify`` and ``alba`` answer from the signed facts is
+answered here by walking the trees instead: the critical branches of the
+``SignedTree`` that ``classify.signed_tree`` builds node by node, or the
+formula itself through ``signed_children``.  None of them reads a node's
+kept facts.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from hybridcorr.alba import (
+    _root_redex,
+    atom_term,
+    has_system_shape,
+    ineq_is_pure,
+    neg_atom_term,
+)
+from hybridcorr.classify import (
+    OrderType,
+    Pol,
+    inequality_critical_branches,
+    signed_tree,
+    tree_agrees_with,
+)
+from hybridcorr.syntax import (
+    BOT,
+    TOP,
+    Formula,
+    Inequality,
+    Prop,
+    Sign,
+    Symbol,
+    props_in_order,
+    signed_children,
+    substitute_prop,
+)
+
+
+def order_type_candidates(variables: list[Symbol]):
+    """Every order type on the variables, lexicographically: 1 before d,
+    the first variable most significant."""
+    for pols in itertools.product((Pol.ONE, Pol.PARTIAL), repeat=len(variables)):
+        yield OrderType(tuple(zip(variables, pols)))
+
+
+def is_skeletal(ineq: Inequality, eps: OrderType) -> bool:
+    return all(b.is_skeletal() for b in inequality_critical_branches(ineq, eps))
+
+
+def is_definite(ineq: Inequality, eps: OrderType) -> bool:
+    """For an eps-skeletal inequality: no critical branch passes a join."""
+    return not any(b.has_plus_or_minus_and() for b in inequality_critical_branches(ineq, eps))
+
+
+def first_witness(ineq: Inequality) -> OrderType | None:
+    """The first order type of the 2^n search that classifies ineq."""
+    for eps in order_type_candidates(props_in_order(ineq)):
+        if is_skeletal(ineq, eps):
+            return eps
+    return None
+
+
+def occurrence_signs(f: Formula, p: Symbol, sign: Sign = Sign.PLUS) -> list[Sign]:
+    """Signs of the occurrences of p in the signed tree of f rooted at sign."""
+    if isinstance(f, Prop):
+        return [sign] if f.sym == p else []
+    out: list[Sign] = []
+    for c, s in signed_children(f, sign):
+        out += occurrence_signs(c, p, s)
+    return out
+
+
+def uniform_step(ineq: Inequality):
+    """Stage 1c from the occurrence signs: drop the first variable whose
+    occurrences in +lhs and -rhs all share one sign."""
+    for p in props_in_order(ineq):
+        signs = set(occurrence_signs(ineq.lhs, p, Sign.PLUS)) | set(
+            occurrence_signs(ineq.rhs, p, Sign.MINUS)
+        )
+        if signs == {Sign.PLUS}:
+            value, rule, just = TOP, "eliminate-top", "monotone-substitution"
+        elif signs == {Sign.MINUS}:
+            value, rule, just = BOT, "eliminate-bot", "antitone-substitution"
+        else:
+            continue
+        new = Inequality(substitute_prop(ineq.lhs, p, value), substitute_prop(ineq.rhs, p, value))
+        return rule, (new,), just
+    return None
+
+
+def final_form(ineq: Inequality, eps: OrderType) -> int | None:
+    """The final-shape classification with shapes 4/5 decided on the
+    signed trees."""
+    if not has_system_shape(ineq):
+        return None
+    if ineq_is_pure(ineq):
+        return 1
+    opp = eps.opposite()
+    if atom_term(ineq.lhs) is not None:
+        if isinstance(ineq.rhs, Prop) and ineq.rhs.sym in eps and eps[ineq.rhs.sym] is Pol.ONE:
+            return 2
+        if tree_agrees_with(signed_tree(ineq.rhs, Sign.PLUS), opp):
+            return 4
+    if neg_atom_term(ineq.rhs) is not None:
+        if isinstance(ineq.lhs, Prop) and ineq.lhs.sym in eps and eps[ineq.lhs.sym] is Pol.PARTIAL:
+            return 3
+        if tree_agrees_with(signed_tree(ineq.lhs, Sign.MINUS), opp):
+            return 5
+    return None
+
+
+def find_redex(f: Formula, sign: Sign):
+    """The leftmost-innermost distribution redex, searching every subtree."""
+    for k, (c, s) in enumerate(signed_children(f, sign)):
+        found = find_redex(c, s)
+        if found is not None:
+            path, rule, just, new = found
+            return (k, *path), rule, just, new
+    root = _root_redex(f, sign)
+    if root is not None:
+        return ((), *root)
+    return None

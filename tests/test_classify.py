@@ -10,11 +10,9 @@ from hybridcorr.classify import (
     annotate_critical,
     critical_branches,
     find_order_type,
-    inequality_props,
     is_definite,
     is_epsilon_uniform,
     is_skeletal_sahlqvist,
-    order_type_candidates,
     parse_order_type,
     render_tree,
     signed_tree,
@@ -22,6 +20,7 @@ from hybridcorr.classify import (
 )
 from hybridcorr.syntax import Not, parse, parse_inequality, prop
 
+import oracles
 from strategies import inequalities
 
 P = prop("p")
@@ -142,29 +141,13 @@ class TestFindOrderType:
     def test_contradiction_has_witness(self):
         ineq = parse_inequality("<>(p & ~p) <= [](p | ~p)")
         eps = find_order_type(ineq)
-        brute = [
-            cand
-            for cand in order_type_candidates(inequality_props(ineq))
-            if is_skeletal_sahlqvist(ineq, cand)
-        ]
-        assert (eps is None) == (brute == [])
-        if brute:
-            assert eps == brute[0]
+        assert eps is not None and eps == oracles.first_witness(ineq)
 
     @settings(max_examples=150)
     @given(inequalities(6))
     def test_search_agrees_with_exhaustion(self, ineq):
-        variables = inequality_props(ineq)
-        brute = [
-            cand
-            for cand in order_type_candidates(variables)
-            if is_skeletal_sahlqvist(ineq, cand)
-        ]
-        found = find_order_type(ineq)
-        if brute:
-            assert found == brute[0]
-        else:
-            assert found is None
+        # the 2^n search, each candidate decided on the signed trees
+        assert find_order_type(ineq) == oracles.first_witness(ineq)
 
 
 class TestDefinite:

@@ -1,6 +1,7 @@
 """The command-line surface: exit codes, JSON contracts, golden regression."""
 
 import json
+import time
 
 import jsonschema
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridcorr.cli import _json, main
+from hybridcorr.syntax import parse_input
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +62,25 @@ class TestClassify:
     def test_not_skeletal_exit_three(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "[]p -> <>p")
         assert code == 3
+
+    def test_eleven_props_classify_and_reduce(self, capsys):
+        # no cap on the variables: the order type is found in one pass, and
+        # it is the first witness of the 2^11 search on the signed trees
+        text = (
+            "[]p1 & <>p2 & p3 & [](p4 -> p5) & <>~p6 & p7 & @'i p8 & !x. <>(x & p9)"
+            " & p10 & ~[]p11 -> [](p1 | p2) | <>p3 | ~p4 | []p6 | <>p7 | []p8 | p9"
+            " | <>p10 | []p11"
+        )
+        expected = oracles.first_witness(parse_input(text))
+        assert str(expected) == "p1=d,p2=1,p3=1,p4=1,p5=d,p6=1,p7=1,p8=1,p9=1,p10=1,p11=1"
+        code, out, _ = run_cli(capsys, "classify", text, "--json")
+        assert code == 0
+        assert json.loads(out)["order_type"] == expected.to_json()
+        code, out, _ = run_cli(capsys, "correspond", text, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["status"] == "success"
+        assert report["order_type"] == expected.to_json()
 
     def test_json_matches_schema(self, capsys):
         code, out, _ = run_cli(capsys, "classify", "<>p1 & p2 <= <>[]<>p1 | <>[]<>p2", "--json")
@@ -192,11 +215,6 @@ class TestHostileInput:
         self.one_line_error(code, out, err)
         assert "5 nominals exceed the cap 4" in err
 
-    def test_over_the_order_type_search_cap(self, capsys):
-        text = " & ".join(f"p{k}" for k in range(11)) + " -> p0"
-        code, out, err = run_cli(capsys, "classify", text)
-        self.one_line_error(code, out, err)
-
     def test_deep_nesting(self, capsys):
         code, out, err = run_cli(capsys, "classify", "<>" * 3000 + "p -> p")
         self.one_line_error(code, out, err)
@@ -211,6 +229,25 @@ class TestHostileInput:
             code, out, err = run_cli(capsys, command, "<>" * 2000 + "p -> p", "--json")
             self.one_line_error(code, out, err)
             assert err == "error: input is nested too deeply\n"
+
+    def test_world_cap_above_five(self, capsys, monkeypatch):
+        # six worlds are 68,753,097,234 frames: refused before any is built
+        runs = [
+            ("verify", "<>p -> p", "--max-worlds", "6"),
+            ("axioms-check", "--max-worlds", "6"),
+        ]
+        for argv in runs:
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 1.0
+            self.one_line_error(code, out, err)
+            assert "68,753,097,234 frames" in err
+        monkeypatch.setenv("HYBRIDCORR_MAX_WORLDS", "9")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", "<>p -> p")
+        assert time.perf_counter() - start < 1.0
+        self.one_line_error(code, out, err)
+        assert "9 worlds" in err
 
     def test_verify_world_cap_below_one(self, capsys):
         # no frames would be checked, so nothing could disagree

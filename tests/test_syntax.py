@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hybridcorr.alba import _ineq_symbols, ineq_props
-from hybridcorr.classify import inequality_props
+from hybridcorr.classify import Polarity, inequality_props, polarity
 from hybridcorr.syntax import (
     BOT,
     NODE_NAMES,
@@ -27,10 +27,10 @@ from hybridcorr.syntax import (
     Not,
     Or,
     ParseError,
-    Polarity,
     Prop,
     Sign,
     Svar,
+    Symbol,
     all_symbols,
     children,
     fmt,
@@ -44,7 +44,6 @@ from hybridcorr.syntax import (
     parse,
     parse_inequality,
     parse_quasi,
-    polarity,
     prop,
     props,
     props_in_order,
@@ -476,6 +475,21 @@ class TestNodeFacts:
         assert nominals(f) == {nom("i")}
         assert repr(f) == repr(parse("!x. @x (<>y & p) -> @'i q"))
         assert "_memo" not in repr(f) and "_memo" in vars(f)
+
+
+class TestSymbolHash:
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from(list(Kind)),
+        st.text("abcxyz", min_size=1, max_size=3),
+        st.integers(0, 5),
+    )
+    def test_hash_is_the_dataclass_hash(self, kind, name, index):
+        # the kept hash is the value the dataclass computed, so set order
+        # and every output stay as they were
+        sym = Symbol(kind, name, index)
+        assert hash(sym) == hash((kind, name, index))
+        assert sym == Symbol(kind, name, index) and "_hash" not in repr(sym)
 
 
 class TestFresh:
