@@ -53,9 +53,7 @@ def main() -> int:
     ap.add_argument("--max-worlds", type=int, default=3)
     args = ap.parse_args()
 
-    limits = EnumerationLimits(
-        max_worlds=args.max_worlds, max_props=3, max_nominals=12, max_count=50_000_000
-    )
+    limits = EnumerationLimits(max_worlds=args.max_worlds)
     print(f"checking against all frames with <= {args.max_worlds} worlds")
 
     ok = True

@@ -16,7 +16,10 @@ from .semantics import (
     DEFAULT_LIMITS,
     EnumerationLimits,
     FramesUpTo,
+    admit,
+    check_cases,
     frame_at_index,
+    frame_blocks,
     frame_indices,
     frame_valid,
     valid_frame_mask,
@@ -334,9 +337,15 @@ def check_schemas(
 ) -> list[SchemaCheck]:
     """Brute-force every schema instance on every frame with up to
     limits.max_worlds worlds; a failure names the first frame, in
-    enumerate_frames order, that refutes it."""
+    enumerate_frames order, that refutes it.
+
+    The instances are one check: their cases are summed and admitted
+    before any of them is decided."""
+    schemas = schemas if schemas is not None else all_schemas()
+    blocks = list(frame_blocks(limits.max_worlds, limits))
+    admit(sum(check_cases(inst, blocks) for schema in schemas for inst in schema.instances))
     out: list[SchemaCheck] = []
-    for schema in schemas if schemas is not None else all_schemas():
+    for schema in schemas:
         failures: list[str] = []
         for inst in schema.instances:
             valid = valid_frame_mask(frame_valid, inst, limits)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 
 from . import alba, corpus
@@ -29,7 +28,13 @@ from .classify import (
     render_tree,
     signed_tree,
 )
-from .semantics import EnumerationCapError, EnumerationLimits, frame_agreement
+from .semantics import (
+    DEFAULT_LIMITS,
+    MAX_WORLDS,
+    EnumerationCapError,
+    EnumerationLimits,
+    frame_agreement,
+)
 from .syntax import Inequality, ParseError, parse_input, parse_quasi
 from .translate import tr_quasi, tr_quasiset, verify_tr_equivalence
 
@@ -94,13 +99,6 @@ def _write_json(value, newline: str, put) -> None:
         put(newline + "]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _limits(args) -> EnumerationLimits:
-    limits = EnumerationLimits.from_env()
-    if args.max_worlds is not None:
-        limits = replace(limits, max_worlds=args.max_worlds)
-    return limits
 
 
 def _eps_argument(args, ineq: Inequality) -> OrderType | None:
@@ -196,7 +194,7 @@ def cmd_translate(args) -> int:
 
 def cmd_verify(args) -> int:
     ineq = parse_input(args.formula)
-    limits = _limits(args)
+    limits = EnumerationLimits(args.max_worlds)
     result = alba.run(ineq)
     if not result.ok:
         if args.json:
@@ -228,7 +226,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_axioms_check(args) -> int:
-    checks = check_schemas(_limits(args))
+    checks = check_schemas(EnumerationLimits(args.max_worlds))
     failures = [c for c in checks if not c.ok]
     if args.json:
         print(
@@ -249,11 +247,10 @@ def cmd_axioms_check(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    limits = EnumerationLimits.from_env()
     if args.action == "run":
-        ok, lines = corpus.run_corpus(limits)
+        ok, lines = corpus.run_corpus()
     else:
-        ok, lines = corpus.bless_corpus(limits=limits)
+        ok, lines = corpus.bless_corpus()
     for line in lines:
         print(line)
     return EXIT_OK if ok else EXIT_ERROR
@@ -273,6 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
         if formula:
             p.add_argument("formula", help="formula text, or an inequality 'phi <= psi'")
         p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def max_worlds(p: argparse.ArgumentParser) -> None:
+        p.add_argument(
+            "--max-worlds",
+            type=int,
+            default=DEFAULT_LIMITS.max_worlds,
+            metavar="N",
+            help=f"check every frame with 1..N worlds, N from 1 to {MAX_WORLDS}"
+            " (default %(default)s)",
+        )
 
     p = sub.add_parser("classify", help="decide skeletal-Sahlqvist-hood")
     common(p)
@@ -298,12 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="brute-force frame equivalence of input and output")
     common(p)
-    p.add_argument("--max-worlds", type=int, default=None)
+    max_worlds(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("axioms-check", help="validate the axiom/derived-theorem schemas")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-worlds", type=int, default=None)
+    max_worlds(p)
     p.set_defaults(func=cmd_axioms_check)
 
     p = sub.add_parser("corpus", help="golden-file regression over the shipped corpus")

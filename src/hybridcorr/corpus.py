@@ -10,7 +10,7 @@ then re-verifies frame equivalence before accepting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 from . import alba
@@ -92,8 +92,9 @@ CORPUS: list[CorpusEntry] = [
 
 GOLDEN_RESOURCE = "corpus_goldens.json"
 # The goldens' valid_frames index the frames with up to this many worlds;
-# run and bless always enumerate at this size, whatever the caller's limits.
+# run and bless always enumerate at this size.
 GOLDEN_WORLDS = 3
+GOLDEN_LIMITS = EnumerationLimits(max_worlds=GOLDEN_WORLDS)
 
 
 def compute_entry(
@@ -167,14 +168,13 @@ def golden_path():
     return resources.files("hybridcorr").joinpath("data").joinpath(GOLDEN_RESOURCE)
 
 
-def run_corpus(limits: EnumerationLimits = DEFAULT_LIMITS) -> tuple[bool, list[str]]:
+def run_corpus() -> tuple[bool, list[str]]:
     """Recompute every entry and diff against the stored goldens."""
-    limits = replace(limits, max_worlds=GOLDEN_WORLDS)
     goldens = load_goldens()
     lines: list[str] = []
     ok = True
     for entry in CORPUS:
-        record = compute_entry(entry, limits)
+        record = compute_entry(entry, GOLDEN_LIMITS)
         stored = goldens.get(entry.name)
         if stored is None:
             ok = False
@@ -188,17 +188,14 @@ def run_corpus(limits: EnumerationLimits = DEFAULT_LIMITS) -> tuple[bool, list[s
     return ok, lines
 
 
-def bless_corpus(
-    path=None, limits: EnumerationLimits = DEFAULT_LIMITS
-) -> tuple[bool, list[str]]:
+def bless_corpus(path=None) -> tuple[bool, list[str]]:
     """Recompute goldens, verify them at frame level, then write them out."""
-    limits = replace(limits, max_worlds=GOLDEN_WORLDS)
     records: dict[str, dict] = {}
     lines: list[str] = []
     ok = True
     for entry in CORPUS:
-        record = compute_entry(entry, limits)
-        problems = verify_entry(entry, record, limits)
+        record = compute_entry(entry, GOLDEN_LIMITS)
+        problems = verify_entry(entry, record, GOLDEN_LIMITS)
         if problems:
             ok = False
             lines.extend(f"FAIL     {p}" for p in problems)

@@ -17,17 +17,24 @@ Verification enumerates every frame up to a size cap (2 + 16 + 512 = 530
 frames for sizes 1..3, 66,066 up to 4) and every valuation of the symbols
 that occur in the formula under test.  Each size is one block while it has
 at most 2^16 frames; larger sizes split into blocks of 2^16 frames, so a
-value never exceeds 8 KB.  The validity checks return the mask of the
-frames on which the formula is valid; given ``FramesUpTo(cap)`` they decide
-one item on every frame up to the cap in one call, and ``frame_agreement``
-runs them for an input and its pure outputs side by side.  Every question
-is whether a quasi-inequality is valid: ``_quasi_program`` compiles it once
-(symbols, slot map, compiled sides) and then, block by block, re-binds the
-compiled closures to the block and runs the one loop over valuations of
-props and placements of nominals and state variables.  ``frame_valid(f)``
-decides ``=> as_inequality(f)`` on it, ``frame_valid_quasi`` and the
-translation check in ``translate`` run on it too.  Purity is required only
-of the outputs in ``frame_agreement`` and of the translated item.
+value never exceeds 8 KB.  One budget bounds every check: its cases, on a
+block of n worlds n^nominals * 2^(n*props) * n^state-variables, summed
+over the blocks it decides, may not exceed ``MAX_CASES`` = 2^20.
+``_quasi_program`` checks the sum once per check (``check_cases``,
+``admit``), before any table of valuations and placements is built, and
+raises ``EnumerationCapError`` otherwise; ``axioms.check_schemas`` admits
+the sum over all its instances before it decides any.  The validity
+checks return the mask of the frames on which the formula is valid; given
+``FramesUpTo(cap)`` they decide one item on every frame up to the cap in
+one call, and ``frame_agreement`` runs them for an input and its pure
+outputs side by side.  Every question is whether a quasi-inequality is
+valid: ``_quasi_program`` compiles it once (symbols, slot map, compiled
+sides) and then, block by block, re-binds the compiled closures to the
+block and runs the one loop over valuations of props and placements of
+nominals and state variables.  ``frame_valid(f)`` decides ``=>
+as_inequality(f)`` on it, ``frame_valid_quasi`` and the translation check
+in ``translate`` run on it too.  Purity is required only of the outputs in
+``frame_agreement`` and of the translated item.
 
 Renaming worlds preserves validity: (F, V) satisfies q iff (pi F, pi V)
 does.  So on a block that holds every frame of its size (every size up to
@@ -65,9 +72,6 @@ import collections
 import functools
 import itertools
 import math
-import os
-import random
-import re
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
@@ -102,32 +106,15 @@ class UnboundSymbolError(Exception):
 
 
 class EnumerationCapError(Exception):
-    """A brute-force enumeration would exceed the configured resource cap."""
-
-
-def _env_int(var: str, default: int) -> int:
-    text = os.environ.get(var)
-    try:
-        return default if text is None else int(text)
-    except ValueError:
-        raise ValueError(f"{var} must be an integer, got {text!r}") from None
+    """A check would exceed the case budget MAX_CASES, or frames of more
+    worlds than the world cap were asked for."""
 
 
 @dataclass(frozen=True)
 class EnumerationLimits:
-    max_worlds: int = 3
-    max_props: int = 3
-    max_nominals: int = 4
-    max_count: int = 5_000_000
+    """The frames a check enumerates: every frame with 1..max_worlds worlds."""
 
-    @classmethod
-    def from_env(cls) -> EnumerationLimits:
-        return cls(
-            max_worlds=_env_int("HYBRIDCORR_MAX_WORLDS", 3),
-            max_props=_env_int("HYBRIDCORR_MAX_PROPS", 3),
-            max_nominals=_env_int("HYBRIDCORR_MAX_NOMINALS", 4),
-            max_count=_env_int("HYBRIDCORR_MAX_ENUM", 5_000_000),
-        )
+    max_worlds: int = 3
 
 
 DEFAULT_LIMITS = EnumerationLimits()
@@ -239,7 +226,12 @@ def eval_at(model: KripkeModel, g: Assignment, w: int, f: Formula) -> bool:
 
 
 def truth_mask(model: KripkeModel, g: Assignment, f: Formula) -> int:
-    """Truth set of f as a bitmask over worlds (bit w set iff f holds at w)."""
+    """Truth set of f as a bitmask over worlds (bit w set iff f holds at w).
+
+    The validity checks run _compile on whole frame blocks under their own
+    valuations and placements; this is the one entry that runs it on a
+    given model and assignment, which the differential tests compare with
+    eval_at world by world."""
     worlds = range(model.frame.size)
     values: dict[Symbol, tuple[int, ...]] = {
         s: tuple(int(w in ws) for w in worlds) for s, ws in model.prop_val.items()
@@ -553,28 +545,27 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
     return [go(f) for f in fs], bind
 
 
-def _enumeration_count(n: int, n_props: int, n_noms: int, n_svars: int) -> int:
-    return (n ** n_noms) * (2 ** (n * n_props)) * (n ** n_svars)
+# The most cases one check may decide: see check_cases.  Within it the
+# largest table of canonical valuations and placements has about 2^19
+# members (20 nominals on the block of every frame of 2 worlds).
+MAX_CASES = 1 << 20
 
 
-def _check_budget(
-    frames: FrameBlock | KripkeFrame,
-    prop_syms: list[Symbol],
-    nom_syms: list[Symbol],
-    svar_syms: list[Symbol],
-    limits: EnumerationLimits,
-) -> None:
-    if len(prop_syms) > limits.max_props:
-        raise EnumerationCapError(
-            f"{len(prop_syms)} propositional variables exceed the cap {limits.max_props}"
-        )
-    if len(nom_syms) > limits.max_nominals:
-        raise EnumerationCapError(
-            f"{len(nom_syms)} nominals exceed the cap {limits.max_nominals}"
-        )
-    count = _enumeration_count(frames.size, len(prop_syms), len(nom_syms), len(svar_syms))
-    if count > limits.max_count:
-        raise EnumerationCapError(f"enumeration of {count} cases exceeds cap {limits.max_count}")
+def check_cases(
+    item: Formula | QuasiInequality, blocks: Iterable[FrameBlock | KripkeFrame]
+) -> int:
+    """The cases of deciding item on blocks: on a block of n worlds, every
+    valuation of its props and placement of its nominals and free state
+    variables, n^nominals * 2^(n*props) * n^state-variables, summed over
+    the blocks."""
+    props, noms, svars = map(len, sorted_symbols(item))
+    return sum(b.size ** (noms + svars) << b.size * props for b in blocks)
+
+
+def admit(cases: int) -> None:
+    """Raise EnumerationCapError if a check of this many cases exceeds MAX_CASES."""
+    if cases > MAX_CASES:
+        raise EnumerationCapError(f"{cases:,} cases exceed the budget of {MAX_CASES:,} per check")
 
 
 def _renamable(frames: FrameBlock | KripkeFrame) -> int:
@@ -840,20 +831,18 @@ def _one_batch(p: int, k: int, n: int, m: int, count: int) -> tuple[Batch, tuple
 
 def _quasi_program(
     q: QuasiInequality,
-    first: FrameBlock | KripkeFrame,
-    limits: EnumerationLimits,
+    blocks: Sequence[FrameBlock | KripkeFrame],
     extra: Sequence[Formula] = (),
 ):
-    """Compile q, and the formulas extra with the same slots, once for a
-    run of blocks whose first is first; return (slots, env, holds,
-    batches, extra_at).
+    """Admit the check of q on blocks, whose cases are summed over them,
+    then compile q, and the formulas extra with the same slots, once for
+    those blocks; return (slots, env, holds, batches, extra_at).
 
     slots numbers q's props, then its nominals, then its state variables.
-    batches(block) checks the budget for block, then cuts the canonical
-    valuations of the props and placements of the nominals and state
-    variables in the block's worlds (see _canonical_placements, with m =
-    _renamable(block)) into batches of _batch_width(block), in
-    lexicographic order.  For each batch it binds the compiled formulas to
+    batches(block) cuts the canonical valuations of the props and
+    placements of the nominals and state variables in the block's worlds
+    (see _canonical_placements, with m = _renamable(block)) into batches of
+    _batch_width(block), in lexicographic order.  For each batch it binds the compiled formulas to
     the block repeated once per member, sets the list env to the batch's
     values, member b in segment b of every value (bits b*block.count up),
     and yields the batch's representatives.  holds(env, care) is the mask
@@ -861,8 +850,8 @@ def _quasi_program(
     antecedents and the conclusion are judged against one shared
     environment.  extra_at holds the closures of the extra formulas.
     """
+    admit(check_cases(q, blocks))
     prop_syms, nom_syms, svar_syms = sorted_symbols(q)
-    _check_budget(first, prop_syms, nom_syms, svar_syms, limits)
     slots = {s: k for k, s in enumerate(prop_syms + nom_syms + svar_syms)}
     ineqs = (*q.antecedents, q.conclusion)
     compiled, bind = _compile([f for i in ineqs for f in (i.lhs, i.rhs)] + list(extra), slots)
@@ -894,7 +883,6 @@ def _quasi_program(
 
     def batches(block: FrameBlock | KripkeFrame) -> Iterator[Batch]:
         nonlocal full
-        _check_budget(block, prop_syms, nom_syms, svar_syms, limits)
         n, count, m = block.size, block.count, _renamable(block)
         width = _batch_width(block)
         reps = _canonical_placements(p, k, n, m)
@@ -934,7 +922,7 @@ def _valid_mask(
         blocks = list(frame_blocks(frames.size, limits))
     else:
         blocks = [frames]
-    slots, env, holds, batches, _ = _quasi_program(q, blocks[0], limits)
+    slots, env, holds, batches, _ = _quasi_program(q, blocks)
 
     def decided(block: FrameBlock | KripkeFrame) -> tuple[int, int]:
         mask, count = block.full, block.count
@@ -1123,70 +1111,6 @@ FRAME_CLASSES = {
     "none": lambda fr: False,
     "singleton": lambda fr: fr.size == 1,
 }
-
-
-# ---------------------------------------------------------------------------
-# Random models and the text fixture format
-# ---------------------------------------------------------------------------
-
-
-def random_model(
-    rng: random.Random,
-    prop_syms: Iterable[Symbol],
-    nom_syms: Iterable[Symbol],
-    max_worlds: int = 3,
-) -> KripkeModel:
-    n = rng.randint(1, max_worlds)
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-    rel = frozenset(p for p in pairs if rng.random() < 0.5)
-    frame = KripkeFrame(n, rel)
-    pv = {
-        s: frozenset(w for w in range(n) if rng.random() < 0.5) for s in prop_syms
-    }
-    nv = {s: rng.randrange(n) for s in nom_syms}
-    return KripkeModel(frame, pv, nv)
-
-
-_MODEL_ITEM = re.compile(r"^\s*(worlds|rel|'[a-z]\w*|[a-z]\w*)\s*=\s*(.*?)\s*$")
-
-
-def parse_model(text: str) -> tuple[KripkeModel, dict[Symbol, int]]:
-    """Parse the fixture format ``worlds=n; rel={(0,1)}; 'i=0; p={0,2}; x=1``.
-
-    Returns the model and an assignment for any state variables mentioned.
-    """
-    size: int | None = None
-    rel: frozenset[tuple[int, int]] = frozenset()
-    pv: dict[Symbol, frozenset[int]] = {}
-    nv: dict[Symbol, int] = {}
-    g: dict[Symbol, int] = {}
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        m = _MODEL_ITEM.match(part)
-        if not m:
-            raise ValueError(f"cannot parse model item {part!r}")
-        key, value = m.group(1), m.group(2)
-        if key == "worlds":
-            size = int(value)
-        elif key == "rel":
-            pairs = re.findall(r"\(\s*(\d+)\s*,\s*(\d+)\s*\)", value)
-            rel = frozenset((int(a), int(b)) for a, b in pairs)
-        elif key.startswith("'"):
-            nv[Symbol(Kind.NOM, key[1:])] = int(value)
-        elif value.startswith("{"):
-            worlds = frozenset(int(w) for w in re.findall(r"\d+", value))
-            pv[Symbol(Kind.PROP, key)] = worlds
-        else:
-            kind = Kind.SVAR if key[0] in "xyz" else Kind.PROP
-            if kind is Kind.SVAR:
-                g[Symbol(Kind.SVAR, key)] = int(value)
-            else:
-                pv[Symbol(Kind.PROP, key)] = frozenset({int(value)})
-    if size is None:
-        raise ValueError("model text must set worlds=n")
-    return KripkeModel(KripkeFrame(size, rel), pv, nv), g
 
 
 def model_to_json(model: KripkeModel, g: Assignment | None = None) -> dict:

@@ -630,7 +630,6 @@ _LEVEL_IMPLIES = 1
 _LEVEL_OR = 2
 _LEVEL_AND = 3
 _LEVEL_UNARY = 4
-_LEVEL_ATOM = 5
 
 
 def _render(f: Formula, level: int) -> str:

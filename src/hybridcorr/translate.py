@@ -137,9 +137,7 @@ def verify_tr_equivalence(
     checked = mismatched = 0
     mismatches: list[dict] = []
     blocks = list(frame_blocks(limits.max_worlds, limits))
-    slots, env, holds, batches, (translated_at,) = _quasi_program(
-        quasi, blocks[0], limits, (translation,)
-    )
+    slots, env, holds, batches, (translated_at,) = _quasi_program(quasi, blocks, (translation,))
     for block in blocks:
         full, count = block.full, block.count
         for batch in batches(block):

@@ -49,7 +49,6 @@ from hybridcorr.semantics import (
     holds_quasi,
     is_reflexive,
     is_transitive,
-    random_model,
 )
 from hybridcorr.syntax import (
     Down,
@@ -64,9 +63,10 @@ from hybridcorr.syntax import (
 )
 from hybridcorr.translate import tr_ineq, tr_quasi
 
+from models import random_model
 from strategies import all_models_for_item
 
-LIMITS = EnumerationLimits(max_worlds=3, max_props=3, max_nominals=12, max_count=50_000_000)
+LIMITS = EnumerationLimits(max_worlds=3)
 
 _cache: dict = {}
 
@@ -186,7 +186,7 @@ FOUR_WORLD_CLASS_COUNTS = {"refl-dia": 4165, "trans": 4180, "sym": 1098, "dense"
 
 def test_criterion_3_frame_soundness_at_four_worlds():
     t0 = time.monotonic()
-    limits = EnumerationLimits(max_worlds=4, max_props=3, max_nominals=12, max_count=50_000_000)
+    limits = EnumerationLimits(max_worlds=4)
     reports = {}
     for name, (entry, result) in corpus_runs().items():
         reports[name] = frame_agreement(parse_input(entry.input_text), result.quasis, limits)

@@ -35,7 +35,6 @@ from hybridcorr.semantics import (
     frame_valid,
     frame_valid_quasi_set,
     holds_inequality,
-    random_model,
 )
 from hybridcorr.syntax import (
     BOT,
@@ -64,6 +63,7 @@ from hybridcorr.syntax import (
     nom,
 )
 
+from models import random_model
 from strategies import formulas, inequalities, models_for
 
 P = prop("p")
@@ -505,7 +505,7 @@ class TestArbitraryFormulaSoundness:
         f = Implies(ineq.lhs, ineq.rhs)
         from hybridcorr.semantics import EnumerationLimits
 
-        limits = EnumerationLimits(max_worlds=2, max_props=3, max_nominals=12)
+        limits = EnumerationLimits(max_worlds=2)
         for fr in enumerate_frames(2):
             assert frame_valid(fr, f, limits) == frame_valid_quasi_set(
                 fr, result.quasis, limits

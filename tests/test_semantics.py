@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,8 +30,6 @@ from hybridcorr.semantics import (
     holds_inequality,
     holds_quasi,
     model_to_json,
-    parse_model,
-    random_model,
     truth_mask,
 )
 from hybridcorr import semantics
@@ -43,6 +42,7 @@ from hybridcorr.semantics import (
     _one_batch,
     _orbit_representatives,
     _quasi_program,
+    check_cases,
 )
 from hybridcorr.syntax import (
     BOT,
@@ -66,6 +66,7 @@ from hybridcorr.syntax import (
     svar,
 )
 
+from models import parse_model, random_model
 from strategies import formulas, models_for, quasis
 
 P = prop("p")
@@ -106,6 +107,21 @@ def oracle_valid_quasi(fr, q):
 
 def mask_bits(mask, count):
     return [(mask >> m) & 1 for m in range(count)]
+
+
+def conjunction_of(noms, svars=0):
+    """The conjunction of noms distinct nominals and svars state variables."""
+    atoms = [f"'i{k}" for k in range(noms)] + [f"x{k}" for k in range(svars)]
+    return parse(" & ".join(atoms))
+
+
+def refused_before_any_table(monkeypatch):
+    """Make building a table of valuations and placements fail the test."""
+
+    def built(*args):
+        raise AssertionError("a table was built before the budget was checked")
+
+    monkeypatch.setattr(semantics, "_canonical_placements", built)
 
 
 def model(frame, pv=None, nv=None):
@@ -217,10 +233,47 @@ class TestFrameValid:
             for f in fs:
                 assert frame_valid(fr, f) == oracle_valid(fr, f)
 
-    def test_cap_guard(self):
-        f = parse("p & q & r & p1")
-        with pytest.raises(EnumerationCapError):
-            frame_valid(LOOP1, f)
+    def test_cap_guard(self, monkeypatch):
+        # 21 nominals: 1 + 2^21 cases on the frames with up to 2 worlds
+        refused_before_any_table(monkeypatch)
+        q = QuasiInequality((), Inequality(conjunction_of(21), TOP))
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError, match="2,097,153 cases exceed the budget of 1,048,576"):
+            frame_valid_quasi(FramesUpTo(2), q)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestCaseBudget:
+    """One budget, MAX_CASES = 2^20, bounds a check's cases: on a block of n
+    worlds n^nominals * 2^(n*props) * n^state-variables, summed over the
+    blocks the check decides, and admitted before any table is built."""
+
+    def test_cases_summed_over_blocks(self, monkeypatch):
+        f = parse("<>(p & q & r) -> <>p")
+        five = EnumerationLimits(max_worlds=5)
+        # 2 + 64 + 512 + 4,096 on sizes 1..4, 2^15 on each of 512 blocks at 5
+        assert check_cases(f, frame_blocks(5, five)) == 16_781_896
+        refused_before_any_table(monkeypatch)
+        with pytest.raises(EnumerationCapError, match="16,781,896 cases"):
+            frame_valid(FramesUpTo(5), f, five)
+        # 20 nominals: no block has more than 2^20 cases, the two together do
+        q = QuasiInequality((), Inequality(conjunction_of(20), TOP))
+        with pytest.raises(EnumerationCapError, match="1,048,577 cases"):
+            frame_valid_quasi(FramesUpTo(2), q)
+
+    def test_state_variables_counted(self, monkeypatch):
+        # 10 nominals and 11 state variables: 1 + 2^21 cases up to 2 worlds
+        f = Implies(conjunction_of(10, 11), TOP)
+        assert check_cases(f, frame_blocks(2)) == 2_097_153
+        refused_before_any_table(monkeypatch)
+        with pytest.raises(EnumerationCapError, match="2,097,153 cases"):
+            frame_valid(FramesUpTo(2), f)
+
+    def test_props_need_no_cap_of_their_own(self):
+        # four props on one frame of one world are 16 cases
+        assert check_cases(parse("p & q & r & p1"), [LOOP1]) == 16
+        assert frame_valid(LOOP1, parse("p & q & r & p1")) == 0
+        assert frame_valid(LOOP1, parse("p & q & r & p1 -> p1")) == 1
 
 
 class TestSlicedAgainstOracle:
@@ -455,7 +508,7 @@ class TestSymmetryReduction:
         from hybridcorr.corpus import CORPUS
         from hybridcorr.generate import GeneratorConfig, SkeletalGenerator
 
-        limits = EnumerationLimits(max_worlds=4, max_nominals=12, max_count=50_000_000)
+        limits = EnumerationLimits(max_worlds=4)
         block = block_of_size(4)
         sample = sorted(random.Random(1).sample(range(1 << 16), 32))
         keep = sum(1 << m for m in sample)
@@ -531,14 +584,14 @@ class TestBatches:
     evaluation on count frames.  With the bound set to 0 every batch has
     one member, which gives the reference masks."""
 
-    LIMITS = EnumerationLimits(max_worlds=3, max_nominals=7)
+    LIMITS = EnumerationLimits(max_worlds=3)
 
     def test_batches_at_three_worlds(self):
         # 7 nominals: 365 canonical placements, in batches of 2^16 / 512
         assert _batch_width(THREE) == 128
         assert len(_orbit_representatives(0, 7, 3, 3)) == 365
         q = parse_quasi("'a <= <>'b ; 'c <= <>'d ; 'e <= <>'f => 'g <= ~'a")
-        *_, batches, _ = _quasi_program(q, THREE, self.LIMITS)
+        *_, batches, _ = _quasi_program(q, [THREE])
         assert [len(batch) for batch in batches(THREE)] == [128, 128, 109]
         assert len(_orbit_representatives(1, 5, 3, 3)) == 326
         assert len(_orbit_representatives(2, 3, 3, 3)) == 296

@@ -219,12 +219,20 @@ class TestEquivalence:
         with pytest.raises(ValueError, match="not pure"):
             verify_tr_equivalence(parse_inequality("'i <= <>p"), self.LIMITS)
 
-    def test_caps_apply(self):
-        q = parse_quasi("'i0 <= <>'j1 ; <>'j1 <= ~'i1 => 'i0 <= ~'i1")
-        with pytest.raises(EnumerationCapError):
-            verify_tr_equivalence(q, EnumerationLimits(max_worlds=2, max_nominals=2))
-        with pytest.raises(EnumerationCapError):
-            verify_tr_equivalence(q, EnumerationLimits(max_worlds=3, max_count=26))
+    def test_caps_apply(self, monkeypatch):
+        import hybridcorr.semantics as semantics
+
+        # ten nominals: 1 + 2^10 + 3^10 cases up to 3 worlds, and 4^10 more at 4
+        nominals = " & ".join(f"'i{k}" for k in range(1, 10))
+        q = parse_quasi(f"'i0 <= <>({nominals}) => 'i0 <= ~'i1")
+        assert verify_tr_equivalence(q, EnumerationLimits(max_worlds=3)).ok
+
+        def built(*args):
+            raise AssertionError("a table was built before the budget was checked")
+
+        monkeypatch.setattr(semantics, "_canonical_placements", built)
+        with pytest.raises(EnumerationCapError, match="1,108,650 cases exceed the budget of 1,048,576"):
+            verify_tr_equivalence(q, EnumerationLimits(max_worlds=4))
 
     def test_purity_preserved(self):
         q = parse_quasi("'i0 <= []~'i1 => 'i0 <= ~'i1")
@@ -283,7 +291,7 @@ class TestBatches:
     and splits a batch by placement only when it has a mismatch.  With the
     batch bound set to 0 every batch has one member: the reference."""
 
-    LIMITS = EnumerationLimits(max_worlds=3, max_nominals=7)
+    LIMITS = EnumerationLimits(max_worlds=3)
     # 7 nominals: 365 canonical placements at 3 worlds, in batches of 128
     TEXT = "'a <= <>'b ; 'c <= <>'d ; 'e <= <>'f => 'g <= ~'a"
 
