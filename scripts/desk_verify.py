@@ -20,24 +20,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from hybridcorr.alba import run
 from hybridcorr.corpus import CORPUS
 from hybridcorr.generate import GeneratorConfig, SkeletalGenerator
-from hybridcorr.semantics import EnumerationLimits, frame_agreement
+from hybridcorr.semantics import EnumerationLimits
 from hybridcorr.syntax import fmt, parse_input
-from hybridcorr.translate import verify_tr_equivalence
+from hybridcorr.translate import verify_correspondence
 
 
 def check_case(name, ineq, result, limits):
     t0 = time.monotonic()
-    agreement = frame_agreement(ineq, result.quasis, limits)
+    agreement = verify_correspondence(ineq, result.quasis, limits)
     if not agreement.ok:
         print(f"FAIL {name}: disagreement on {agreement.counterexamples[0]}")
         return False
-    models = 0
-    for q in result.quasis:
-        report = verify_tr_equivalence(q, limits)
+    for report in agreement.translations:
         if not report.ok:
             print(f"FAIL {name}: translation mismatch {report.mismatches[0]}")
             return False
-        models += report.checked
+    models = sum(report.checked for report in agreement.translations)
     dt = time.monotonic() - t0
     print(
         f"ok   {name}: valid on {agreement.valid_in.bit_count()}/{agreement.frames} frames, "

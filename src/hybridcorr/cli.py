@@ -33,10 +33,9 @@ from .semantics import (
     MAX_WORLDS,
     EnumerationCapError,
     EnumerationLimits,
-    frame_agreement,
 )
 from .syntax import Inequality, ParseError, parse_input, parse_quasi
-from .translate import tr_quasi, tr_quasiset, verify_tr_equivalence
+from .translate import tr_quasi, tr_quasiset, verify_correspondence
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -201,9 +200,8 @@ def cmd_verify(args) -> int:
             print(_json(result.to_json()))
         print(f"failure: {result.reason}", file=sys.stderr)
         return EXIT_FAILURE
-    agreement = frame_agreement(ineq, result.quasis, limits)
-    tr_reports = [verify_tr_equivalence(q, limits) for q in result.quasis]
-    tr_ok = all(r.ok for r in tr_reports)
+    agreement = verify_correspondence(ineq, result.quasis, limits)
+    tr_ok = all(r.ok for r in agreement.translations)
     report = {
         "input": str(ineq),
         "frames": agreement.frames,

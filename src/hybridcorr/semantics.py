@@ -20,21 +20,24 @@ at most 2^16 frames; larger sizes split into blocks of 2^16 frames, so a
 value never exceeds 8 KB.  One budget bounds every check: its cases, on a
 block of n worlds n^nominals * 2^(n*props) * n^state-variables, summed
 over the blocks it decides, may not exceed ``MAX_CASES`` = 2^20.
-``_quasi_program`` checks the sum once per check (``check_cases``,
+``_valid_mask`` checks the sum once per check (``check_cases``,
 ``admit``), before any table of valuations and placements is built, and
 raises ``EnumerationCapError`` otherwise; ``axioms.check_schemas`` admits
-the sum over all its instances before it decides any.  The validity
-checks return the mask of the frames on which the formula is valid; given
-``FramesUpTo(cap)`` they decide one item on every frame up to the cap in
-one call, and ``frame_agreement`` runs them for an input and its pure
-outputs side by side.  Every question is whether a quasi-inequality is
-valid: ``_quasi_program`` compiles it once (symbols, slot map, compiled
-sides) and then, block by block, re-binds the compiled closures to the
-block and runs the one loop over valuations of props and placements of
-nominals and state variables.  ``frame_valid(f)`` decides ``=>
-as_inequality(f)`` on it, ``frame_valid_quasi`` and the translation check
-in ``translate`` run on it too.  Purity is required only of the outputs in
-``frame_agreement`` and of the translated item.
+the sum over all its instances, and ``translate.verify_correspondence``
+each of its checks, before deciding any.  The validity checks return the
+mask of the frames on which the formula is valid; given ``FramesUpTo(cap)``
+they decide one item on every frame up to the cap in one call.  Every
+question is whether a quasi-inequality is valid: ``_valid_mask`` compiles
+it once (symbols, slot map, compiled sides) and then, block by block,
+re-binds the compiled closures to the block and runs the one loop over
+valuations of props and placements of nominals and state variables.
+``frame_valid(f)`` decides ``=> as_inequality(f)`` on it and
+``frame_valid_quasi`` decides q; both narrow the frames still in question
+batch by batch and stop a block once none is left.  ``equivalence_check``
+runs the same loop on a pure q with a formula f compiled beside it,
+deciding every batch on every frame and comparing q with f there: that is
+the translation check of ``translate``, and the mask it returns is q's
+validity, so ``verify`` decides each output once.
 
 Renaming worlds preserves validity: (F, V) satisfies q iff (pi F, pi V)
 does.  So on a block that holds every frame of its size (every size up to
@@ -44,7 +47,11 @@ props that hold there, the colours must not decrease, and nominals and
 state variables follow a restricted growth string within each run of equal
 colour.  ``_valid_mask`` then closes each block's mask under renaming with
 delta swaps on its index bits (``_close_under_renaming``), and the
-translation check weighs each placement by its orbit's size.  A single
+translation check weighs each placement by its orbit's size: renaming maps
+the block's frames onto themselves, so the models checked and mismatched
+stay exact.  The first mismatch reported is the one a walk over every
+placement would report first, since a canonical placement is the least of
+its orbit; later ones come from canonical placements only.  A single
 frame, or a block of a size above 4, renames nothing and decides every
 valuation and placement, generated lazily unless they fit in one batch.
 
@@ -577,7 +584,7 @@ def _renamable(frames: FrameBlock | KripkeFrame) -> int:
 
 # (valuation, placement, weight): see _canonical_placements
 Representative = tuple[tuple[int, ...], tuple[int, ...], int]
-# Representatives decided side by side: see _quasi_program
+# Representatives decided side by side: see _tables
 Batch = Sequence[Representative]
 
 
@@ -829,114 +836,138 @@ def _one_batch(p: int, k: int, n: int, m: int, count: int) -> tuple[Batch, tuple
     return reps, _widen(reps, n, count)
 
 
-def _quasi_program(
-    q: QuasiInequality,
-    blocks: Sequence[FrameBlock | KripkeFrame],
-    extra: Sequence[Formula] = (),
-):
-    """Admit the check of q on blocks, whose cases are summed over them,
-    then compile q, and the formulas extra with the same slots, once for
-    those blocks; return (slots, env, holds, batches, extra_at).
+MAX_COUNTEREXAMPLES = 5
 
-    slots numbers q's props, then its nominals, then its state variables.
-    batches(block) cuts the canonical valuations of the props and
-    placements of the nominals and state variables in the block's worlds
-    (see _canonical_placements, with m = _renamable(block)) into batches of
-    _batch_width(block), in lexicographic order.  For each batch it binds the compiled formulas to
-    the block repeated once per member, sets the list env to the batch's
-    values, member b in segment b of every value (bits b*block.count up),
-    and yields the batch's representatives.  holds(env, care) is the mask
-    of the frames (and members) among care on which q holds under env: the
-    antecedents and the conclusion are judged against one shared
-    environment.  extra_at holds the closures of the extra formulas.
-    """
-    admit(check_cases(q, blocks))
-    prop_syms, nom_syms, svar_syms = sorted_symbols(q)
-    slots = {s: k for k, s in enumerate(prop_syms + nom_syms + svar_syms)}
-    ineqs = (*q.antecedents, q.conclusion)
-    compiled, bind = _compile([f for i in ineqs for f in (i.lhs, i.rhs)] + list(extra), slots)
-    full = 0
 
-    def inclusion(lf, rf):
-        def included(env) -> int:
-            """Mask of the frames where lhs's truth set lies within rhs's."""
-            m = full
-            for x, y in zip(lf(env), rf(env)):
-                m &= (full ^ x) | y
-            return m
-
-        return included
-
-    sides = compiled[: 2 * len(ineqs)]
-    *antecedents, conclusion = [inclusion(lf, rf) for lf, rf in zip(sides[::2], sides[1::2])]
-
-    def holds(env, care: int) -> int:
-        held = care
-        for included in antecedents:
-            held &= included(env)
-            if not held:
-                return care
-        return (care ^ held) | (held & conclusion(env))
-
-    p, k = len(prop_syms), len(slots) - len(prop_syms)
-    env: list[tuple[int, ...]] = [()] * len(slots)
-
-    def batches(block: FrameBlock | KripkeFrame) -> Iterator[Batch]:
-        nonlocal full
-        n, count, m = block.size, block.count, _renamable(block)
-        width = _batch_width(block)
-        reps = _canonical_placements(p, k, n, m)
-        # With m = 1, reps is the lazy product of 2^(n*p) valuations and
-        # n^k placements.  A table that fits in one batch is widened once.
-        if (len(reps) if m > 1 else n**k << n * p) <= width:
-            tables: Iterable[tuple[Batch, tuple]] = (_one_batch(p, k, n, m, count),)
-        else:
-            rest = iter(reps)
-            chunks = iter(lambda: tuple(itertools.islice(rest, width)), ())
-            tables = ((chunk, _widen(chunk, n, count)) for chunk in chunks)
-        members = 0
-        for batch, values in tables:
-            if len(batch) != members:
-                members = len(batch)
-                full = bind(block if members == 1 else _replicated(block, members))
-            env[:] = values
-            yield batch
-
-    return slots, env, holds, batches, compiled[2 * len(ineqs) :]
+def _tables(p: int, k: int, block: FrameBlock | KripkeFrame) -> Iterator[tuple[Batch, Sequence]]:
+    """The canonical valuations of p props and placements of k symbols in
+    block's worlds (see _canonical_placements, with m = _renamable(block)),
+    in lexicographic order, cut into batches of _batch_width(block), each
+    with the environment that decides it on the block repeated once per
+    member: member b in segment b of every value (bits b*block.count up)."""
+    n, count, m = block.size, block.count, _renamable(block)
+    width = _batch_width(block)
+    reps = _canonical_placements(p, k, n, m)
+    # With m = 1, reps is the lazy product of 2^(n*p) valuations and
+    # n^k placements.  A table that fits in one batch is widened once.
+    if (len(reps) if m > 1 else n**k << n * p) <= width:
+        yield _one_batch(p, k, n, m, count)
+        return
+    rest = iter(reps)
+    for chunk in iter(lambda: tuple(itertools.islice(rest, width)), ()):
+        yield chunk, _widen(chunk, n, count)
 
 
 def _valid_mask(
     frames: FramesUpTo | FrameBlock | KripkeFrame,
     q: QuasiInequality,
     limits: EnumerationLimits,
-) -> int:
-    """The loop behind frame_valid and frame_valid_quasi.  Neither calls the
-    other, so the perfbench tracer counts a call of either exactly once.
+    translation: Formula | None = None,
+) -> tuple[int, int, int, list[dict]]:
+    """The one loop over blocks and batches, behind frame_valid,
+    frame_valid_quasi and equivalence_check.  None of them calls another,
+    so the perfbench tracer counts a call of each exactly once.
 
-    q is compiled once and decided block by block, a batch at a time.  Only
-    canonical valuations and placements are decided; closing each block's
-    mask under renaming its worlds gives the frames on which q holds under
-    every one.  With no symbol at all the one empty placement is decided
-    already."""
-    if isinstance(frames, FramesUpTo):
-        blocks = list(frame_blocks(frames.size, limits))
-    else:
-        blocks = [frames]
-    slots, env, holds, batches, _ = _quasi_program(q, blocks)
+    The check of q on the blocks of frames is admitted, its cases summed
+    over them, before anything is built.  q is then compiled once, with the
+    translation if there is one, and decided block by block, a batch at a
+    time; the antecedents and the conclusion are judged against one shared
+    environment.  Only canonical valuations and placements are decided;
+    closing each block's mask under renaming its worlds gives the frames on
+    which q holds under every one.  With no symbol at all the one empty
+    placement is decided already.
 
-    def decided(block: FrameBlock | KripkeFrame) -> tuple[int, int]:
-        mask, count = block.full, block.count
-        for batch in batches(block):
-            # Every segment of the spread mask lies within mask, so the fold does.
-            members = len(batch)
-            mask = _fold(holds(env, _spread(mask, count, members)), count, members)
-            if not mask:
-                break
-        if mask and slots:
-            mask = _close_under_renaming(mask, block.size, _renamable(block))
-        return mask, block.count
+    Returns (mask, checked, mismatched, mismatches).  Without a translation
+    the mask narrows batch by batch, a block stops deciding once its mask
+    is empty, and the other three are 0, 0 and [].  With one, every batch
+    is decided on all its frames and members and compared with the AND
+    over worlds of the translation: checked adds the batch's frames times
+    its summed weights, and a batch is split into its members only when the
+    two differ, to add each member's differing frames times its weight to
+    mismatched and to decode the first MAX_COUNTEREXAMPLES of them.
+    """
+    blocks = list(frame_blocks(frames.size, limits)) if isinstance(frames, FramesUpTo) else [frames]
+    admit(check_cases(q, blocks))
+    prop_syms, nom_syms, svar_syms = sorted_symbols(q)
+    slots = {s: k for k, s in enumerate(prop_syms + nom_syms + svar_syms)}
+    sides = [f for i in (*q.antecedents, q.conclusion) for f in (i.lhs, i.rhs)]
+    compiled, bind = _compile(sides + ([] if translation is None else [translation]), slots)
+    pairs, translated_at = compiled[: len(sides)], compiled[len(sides) :]
+    env: list[tuple[int, ...]] = [()] * len(slots)
+    full = 0
 
-    return _concatenated(map(decided, blocks))
+    *antecedents, conclusion = zip(pairs[::2], pairs[1::2])
+
+    def included(lf, rf) -> int:
+        """Mask of the frames where lhs's truth set lies within rhs's."""
+        m = full
+        for x, y in zip(lf(env), rf(env)):
+            m &= (full ^ x) | y
+        return m
+
+    def holds(care: int) -> int:
+        """Mask of the frames (and members) among care on which q holds."""
+        held = care
+        for pair in antecedents:
+            held &= included(*pair)
+            if not held:
+                return care
+        return (care ^ held) | (held & included(*conclusion))
+
+    p, k = len(prop_syms), len(slots) - len(prop_syms)
+    checked = mismatched = 0
+    mismatches: list[dict] = []
+
+    def decided() -> Iterator[tuple[int, int]]:
+        nonlocal full, checked, mismatched
+        for block in blocks:
+            mask, count, members = block.full, block.count, 0
+            for batch, values in _tables(p, k, block):
+                if len(batch) != members:
+                    members = len(batch)
+                    full = bind(block if members == 1 else _replicated(block, members))
+                env[:] = values
+                if not translated_at:
+                    # Every segment of the spread mask lies within mask, so the fold does.
+                    mask = _fold(holds(_spread(mask, count, members)), count, members)
+                    if not mask:
+                        break
+                    continue
+                held, translated = holds(full), full
+                for x in translated_at[0](env):
+                    translated &= x
+                mask &= _fold(held, count, members)
+                checked += count * sum(weight for *_, weight in batch)
+                diff = held ^ translated
+                if not diff:
+                    continue
+                parts = zip(
+                    batch,
+                    _segments(diff, count, members),
+                    _segments(translated, count, members),
+                )
+                for (_, placement, weight), part, translated_part in parts:
+                    if not part:
+                        continue
+                    mismatched += weight * part.bit_count()
+                    if len(mismatches) < MAX_COUNTEREXAMPLES:
+                        j = (part & -part).bit_length() - 1
+                        frame = frame_at(block.size, block.start + j)
+                        model = KripkeModel(frame, {}, dict(zip(nom_syms, placement)))
+                        g = dict(zip(svar_syms, placement[len(nom_syms) :]))
+                        globally = bool(translated_part >> j & 1)
+                        mismatches.append(
+                            {
+                                "model": model_to_json(model, g),
+                                "direct": not globally,
+                                "translated": globally,
+                            }
+                        )
+            if mask and slots:
+                mask = _close_under_renaming(mask, block.size, _renamable(block))
+            yield mask, count
+
+    return _concatenated(decided()), checked, mismatched, mismatches
 
 
 def _concatenated(parts: Iterable[tuple[int, int]]) -> int:
@@ -976,7 +1007,7 @@ def frame_valid(
     anything else as T <= f.  Only symbols occurring in f are enumerated;
     absent symbols cannot affect the truth value.
     """
-    return _valid_mask(frames, QuasiInequality((), as_inequality(f)), limits)
+    return _valid_mask(frames, QuasiInequality((), as_inequality(f)), limits)[0]
 
 
 def frame_valid_quasi(
@@ -990,7 +1021,27 @@ def frame_valid_quasi(
     The antecedents and the conclusion are judged against one shared
     valuation and assignment.
     """
-    return _valid_mask(frames, q, limits)
+    return _valid_mask(frames, q, limits)[0]
+
+
+def equivalence_check(
+    q: QuasiInequality,
+    f: Formula,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
+) -> tuple[int, int, int, list[dict]]:
+    """Decide the pure q on every frame with up to limits.max_worlds worlds
+    and compare it, on every model there (a frame and a placement of q's
+    nominals and state variables), with the formula f: q should hold iff f
+    is globally true.
+
+    Returns (valid, checked, mismatched, mismatches): the mask of the frames
+    on which q is valid, as frame_valid_quasi gives it on
+    FramesUpTo(limits.max_worlds); the models checked; the models on which
+    q and f differ; and the first MAX_COUNTEREXAMPLES of those decoded,
+    each as {"model", "direct", "translated"}.
+    """
+    require_pure(q)
+    return _valid_mask(FramesUpTo(limits.max_worlds), q, limits, f)
 
 
 def require_pure(q: QuasiInequality) -> None:
@@ -1014,32 +1065,6 @@ def frame_valid_quasi_set(
     return frames.full if valid == -1 else valid
 
 
-MAX_COUNTEREXAMPLES = 5
-
-
-@dataclass
-class FrameAgreement:
-    """Frame validity of an input and of its pure outputs, frame by frame.
-
-    Bit k of valid_in (valid_out) is set iff the input (the outputs) is
-    valid on frame k in enumerate_frames order; the counterexamples
-    describe the first MAX_COUNTEREXAMPLES frames where the two differ.
-    """
-
-    frames: int
-    valid_in: int
-    valid_out: int
-    counterexamples: list[str]
-
-    @property
-    def agreements(self) -> int:
-        return self.frames - (self.valid_in ^ self.valid_out).bit_count()
-
-    @property
-    def ok(self) -> bool:
-        return self.valid_in == self.valid_out
-
-
 def valid_frame_mask(check, item, limits: EnumerationLimits = DEFAULT_LIMITS) -> int:
     """Mask of the frames with up to limits.max_worlds worlds (bit k for
     frame k in enumerate_frames order) on which item is valid, where
@@ -1047,30 +1072,6 @@ def valid_frame_mask(check, item, limits: EnumerationLimits = DEFAULT_LIMITS) ->
     frame_valid_quasi_set, called once on FramesUpTo(limits.max_worlds)."""
     _check_world_cap(limits.max_worlds, limits)
     return check(FramesUpTo(limits.max_worlds), item, limits)
-
-
-def frame_agreement(
-    formula: Formula | Inequality,
-    quasis: Iterable[QuasiInequality],
-    limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> FrameAgreement:
-    """Check on every frame up to limits.max_worlds worlds whether the input
-    (an inequality is read as its implication) and the conjunction of the
-    quasi-inequalities, which must be pure, are valid."""
-    if isinstance(formula, Inequality):
-        formula = Implies(formula.lhs, formula.rhs)
-    quasis = tuple(quasis)
-    for q in quasis:
-        require_pure(q)
-    valid_in = valid_frame_mask(frame_valid, formula, limits)
-    valid_out = valid_frame_mask(frame_valid_quasi_set, quasis, limits)
-    counterexamples = [
-        f"{frame_at_index(k)}: input={bool(valid_in >> k & 1)} output={bool(valid_out >> k & 1)}"
-        for k in itertools.islice(frame_indices(valid_in ^ valid_out), MAX_COUNTEREXAMPLES)
-    ]
-    return FrameAgreement(
-        FramesUpTo(limits.max_worlds).count, valid_in, valid_out, counterexamples
-    )
 
 
 # ---------------------------------------------------------------------------

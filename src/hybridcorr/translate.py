@@ -8,37 +8,36 @@ readings apply the left-atom clause wins; the readings are equivalent and
 the test suite checks that.
 
 ``verify_tr_equivalence`` checks the translation exhaustively: on every
-frame with up to ``limits.max_worlds`` worlds (the cap the frame-agreement
-check uses) and under every placement of the item's nominals and state
-variables, the item holds iff its translation is globally true.  It runs on
-the sliced evaluator of ``semantics``, one frame block and one batch of
-placements at a time, and reports the number of models checked and the
-first refuting ones.  On a block that holds every frame of its size only
-one placement per orbit of the world permutations is decided, counted as
-many times as its orbit has members: renaming maps the block's frames onto
-themselves, so both counts stay exact.  A batch adds its frames times its
-summed weights to the models checked, and is split into its placements only
-when it has a mismatch.  The first refuting model reported is the one a
-walk over every placement would report first, since a canonical placement
-is the least of its orbit; later ones come from canonical placements only.
+frame with up to ``limits.max_worlds`` worlds and under every placement of
+the item's nominals and state variables, the item holds iff its translation
+is globally true.  The loop over frames and placements is the one of
+``semantics`` (``equivalence_check``), which decides the item's frame
+validity in the same pass; the report carries both.
+``verify_correspondence`` is the whole check of ``verify``: the input and
+its pure outputs define the same frames, and each output is equivalent to
+its translation.  Every one of its checks is admitted before any is
+decided.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from .alba import atom_term, fold_and, neg_atom_term
 from .semantics import (
     DEFAULT_LIMITS,
     MAX_COUNTEREXAMPLES,
     EnumerationLimits,
-    KripkeModel,
-    _quasi_program,
-    _segments,
-    _spread,
-    frame_at,
+    FramesUpTo,
+    admit,
+    check_cases,
+    equivalence_check,
+    frame_at_index,
     frame_blocks,
-    model_to_json,
+    frame_indices,
+    frame_valid,
     require_pure,
 )
 from .syntax import (
@@ -95,9 +94,13 @@ def tr_quasiset(qs: list[QuasiInequality] | tuple[QuasiInequality, ...]) -> Form
 
 @dataclass
 class TrEquivalenceReport:
-    """Models checked, models on which the two sides differ, and the first
-    few of those models decoded."""
+    """The frames on which the item is valid (bit k for frame k in
+    enumerate_frames order), models checked, models on which the two sides
+    differ, and the first few of those models decoded.  The mask is left
+    out of the repr: past 3 worlds it has more digits than int() converts
+    to text by default."""
 
+    valid: int = field(repr=False)
     checked: int
     mismatched: int
     mismatches: list[dict]
@@ -121,54 +124,73 @@ def verify_tr_equivalence(
 ) -> TrEquivalenceReport:
     """Check holds(item) == globally-true(Tr(item)) on every model with up to
     limits.max_worlds worlds: every frame and every placement of the item's
-    nominals and state variables.
-
-    The item must be pure.  Both sides are compiled once, with one slot
-    map, and decided for every frame of a block and every placement of a
-    batch at once.
+    nominals and state variables.  The item must be pure.
     """
     if isinstance(item, Inequality):
         translation = tr_ineq(item)
-        quasi = QuasiInequality((), item)
+        item = QuasiInequality((), item)
     else:
         translation = tr_quasi(item)
-        quasi = item
-    require_pure(quasi)
-    checked = mismatched = 0
-    mismatches: list[dict] = []
+    return TrEquivalenceReport(*equivalence_check(item, translation, limits))
+
+
+@dataclass
+class FrameAgreement:
+    """Frame validity of an input and of its pure outputs, frame by frame,
+    and the translation check of each output.
+
+    Bit k of valid_in (valid_out) is set iff the input (the outputs) is
+    valid on frame k in enumerate_frames order; the counterexamples
+    describe the first MAX_COUNTEREXAMPLES frames where the two differ.
+    The masks are left out of the repr, as in TrEquivalenceReport.
+    """
+
+    frames: int
+    valid_in: int = field(repr=False)
+    valid_out: int = field(repr=False)
+    counterexamples: list[str]
+    translations: list[TrEquivalenceReport]
+
+    @property
+    def agreements(self) -> int:
+        return self.frames - (self.valid_in ^ self.valid_out).bit_count()
+
+    @property
+    def ok(self) -> bool:
+        return self.valid_in == self.valid_out
+
+
+def verify_correspondence(
+    formula: Formula | Inequality,
+    quasis: Iterable[QuasiInequality],
+    limits: EnumerationLimits = DEFAULT_LIMITS,
+) -> FrameAgreement:
+    """Check on every frame up to limits.max_worlds worlds whether the input
+    (an inequality is read as its implication) and the conjunction of the
+    quasi-inequalities, which must be pure, are valid, and check each
+    quasi-inequality against its translation (verify_tr_equivalence), whose
+    valid masks give the outputs' side.
+
+    Purity and the world cap are checked first, then the input's check and
+    each output's check are admitted, each on its own; only then is any of
+    them decided.
+    """
+    if isinstance(formula, Inequality):
+        formula = Implies(formula.lhs, formula.rhs)
+    quasis = tuple(quasis)
+    for q in quasis:
+        require_pure(q)
     blocks = list(frame_blocks(limits.max_worlds, limits))
-    slots, env, holds, batches, (translated_at,) = _quasi_program(quasi, blocks, (translation,))
-    for block in blocks:
-        full, count = block.full, block.count
-        for batch in batches(block):
-            care = _spread(full, count, len(batch))
-            translated = care
-            for x in translated_at(env):
-                translated &= x
-            diff = holds(env, care) ^ translated
-            checked += count * sum(weight for *_, weight in batch)
-            if not diff:
-                continue
-            parts = zip(
-                batch,
-                _segments(diff, count, len(batch)),
-                _segments(translated, count, len(batch)),
-            )
-            for (_, placement, weight), part, translated_part in parts:
-                if not part:
-                    continue
-                mismatched += weight * part.bit_count()
-                if len(mismatches) < MAX_COUNTEREXAMPLES:
-                    j = (part & -part).bit_length() - 1
-                    values = dict(zip(slots, placement))
-                    model = KripkeModel(
-                        frame_at(block.size, block.start + j),
-                        {},
-                        {s: w for s, w in values.items() if s.kind is Kind.NOM},
-                    )
-                    g = {s: w for s, w in values.items() if s.kind is Kind.SVAR}
-                    held = bool(translated_part >> j & 1)
-                    mismatches.append(
-                        {"model": model_to_json(model, g), "direct": not held, "translated": held}
-                    )
-    return TrEquivalenceReport(checked, mismatched, mismatches)
+    for item in (formula, *quasis):
+        admit(check_cases(item, blocks))
+    frames = FramesUpTo(limits.max_worlds)
+    valid_in = frame_valid(frames, formula, limits)
+    translations = [verify_tr_equivalence(q, limits) for q in quasis]
+    valid_out = frames.full
+    for report in translations:
+        valid_out &= report.valid
+    counterexamples = [
+        f"{frame_at_index(k)}: input={bool(valid_in >> k & 1)} output={bool(valid_out >> k & 1)}"
+        for k in itertools.islice(frame_indices(valid_in ^ valid_out), MAX_COUNTEREXAMPLES)
+    ]
+    return FrameAgreement(frames.count, valid_in, valid_out, counterexamples, translations)

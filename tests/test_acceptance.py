@@ -37,12 +37,13 @@ from hybridcorr.generate import GeneratorConfig, SkeletalGenerator
 from hybridcorr.semantics import (
     FRAME_CLASSES,
     EnumerationLimits,
+    FramesUpTo,
     enumerate_frames,
-    frame_agreement,
     frame_at,
     frame_blocks,
     frame_indices,
     frame_valid,
+    frame_valid_quasi,
     frame_valid_quasi_set,
     globally_true,
     holds_inequality,
@@ -61,7 +62,7 @@ from hybridcorr.syntax import (
     prop,
     subformulas,
 )
-from hybridcorr.translate import tr_ineq, tr_quasi
+from hybridcorr.translate import tr_ineq, tr_quasi, verify_correspondence
 
 from models import random_model
 from strategies import all_models_for_item
@@ -179,6 +180,29 @@ def test_criterion_3_frame_soundness():
     print(f"\nACCEPTANCE 3 (frame soundness, 530 frames): PASS ({elapsed:.1f} s)")
 
 
+def test_one_pass_matches_the_early_exit_path():
+    # verify_correspondence takes each output's valid mask from its
+    # translation check, which decides every placement on every frame; the
+    # validity check narrows and stops early.  Both give the same masks.
+    four = EnumerationLimits(max_worlds=4)
+    runs = [
+        (parse_input(entry.input_text), result.quasis, LIMITS)
+        for entry, result in corpus_runs().values()
+    ]
+    runs += [(ineq, result.quasis, LIMITS) for ineq, _, result in generated_oracle_runs()]
+    runs += [
+        (parse_input(entry.input_text), result.quasis, four)
+        for entry, result in (corpus_runs()[name] for name in ("refl-dia", "sym"))
+    ]
+    for ineq, quasis, limits in runs:
+        frames = FramesUpTo(limits.max_worlds)
+        report = verify_correspondence(ineq, quasis, limits)
+        assert len(report.translations) == len(quasis)
+        for q, translation in zip(quasis, report.translations):
+            assert translation.valid == frame_valid_quasi(frames, q, limits), str(q)
+        assert report.valid_out == frame_valid_quasi_set(frames, quasis, limits), str(ineq)
+
+
 # Frames with up to 4 worlds in each named class, counted with the
 # FRAME_CLASSES predicates.
 FOUR_WORLD_CLASS_COUNTS = {"refl-dia": 4165, "trans": 4180, "sym": 1098, "dense": 35272}
@@ -189,12 +213,20 @@ def test_criterion_3_frame_soundness_at_four_worlds():
     limits = EnumerationLimits(max_worlds=4)
     reports = {}
     for name, (entry, result) in corpus_runs().items():
-        reports[name] = frame_agreement(parse_input(entry.input_text), result.quasis, limits)
+        reports[name] = verify_correspondence(
+            parse_input(entry.input_text), result.quasis, limits
+        )
     for k, (ineq, eps, result) in enumerate(generated_oracle_runs()):
-        reports[f"gen{k} {ineq}"] = frame_agreement(ineq, result.quasis, limits)
+        reports[f"gen{k} {ineq}"] = verify_correspondence(ineq, result.quasis, limits)
     assert all(r.frames == 66_066 for r in reports.values())
     failing = [(name, r.counterexamples[:1]) for name, r in reports.items() if not r.ok]
     assert failing == [], failing[:3]
+    mismatched = [
+        (name, t.mismatches[:1]) for name, r in reports.items() for t in r.translations if not t.ok
+    ]
+    assert mismatched == [], mismatched[:3]
+    # the 66,066-bit masks stay out of the repr, which would fail on them
+    assert repr(reports["sym"]).startswith("FrameAgreement(frames=66066, counterexamples=[]")
 
     frames = list(enumerate_frames(4, limits))
     for name, count in FOUR_WORLD_CLASS_COUNTS.items():

@@ -249,6 +249,19 @@ class TestHostileInput:
             self.one_line_error(code, out, err)
             assert f"{cases} cases exceed the budget of 1,048,576" in err
 
+    def test_verify_admits_every_check_before_deciding_any(self, capsys, monkeypatch):
+        # The input side (16,414 cases) fits the budget and the output side
+        # does not: the output is refused before the input is decided.
+        import hybridcorr.semantics as semantics
+
+        def built(*args):
+            raise AssertionError("a table was built before every check was admitted")
+
+        monkeypatch.setattr(semantics, "_canonical_placements", built)
+        code, out, err = run_cli(capsys, "verify", "<> <> <> p -> <> p", "--max-worlds", "5")
+        self.one_line_error(code, out, err)
+        assert err == "error: 1,601,300 cases exceed the budget of 1,048,576 per check\n"
+
     def test_deep_nesting(self, capsys):
         code, out, err = run_cli(capsys, "classify", "<>" * 3000 + "p -> p")
         self.one_line_error(code, out, err)

@@ -18,7 +18,6 @@ from hybridcorr.semantics import (
     UnboundSymbolError,
     enumerate_frames,
     eval_at,
-    frame_agreement,
     frame_at,
     frame_at_index,
     frame_blocks,
@@ -41,7 +40,7 @@ from hybridcorr.semantics import (
     _concatenated,
     _one_batch,
     _orbit_representatives,
-    _quasi_program,
+    _tables,
     check_cases,
 )
 from hybridcorr.syntax import (
@@ -65,6 +64,7 @@ from hybridcorr.syntax import (
     sorted_symbols,
     svar,
 )
+from hybridcorr.translate import verify_correspondence
 
 from models import parse_model, random_model
 from strategies import formulas, models_for, quasis
@@ -591,8 +591,8 @@ class TestBatches:
         assert _batch_width(THREE) == 128
         assert len(_orbit_representatives(0, 7, 3, 3)) == 365
         q = parse_quasi("'a <= <>'b ; 'c <= <>'d ; 'e <= <>'f => 'g <= ~'a")
-        *_, batches, _ = _quasi_program(q, [THREE])
-        assert [len(batch) for batch in batches(THREE)] == [128, 128, 109]
+        assert list(map(len, sorted_symbols(q))) == [0, 7, 0]
+        assert [len(batch) for batch, _ in _tables(0, 7, THREE)] == [128, 128, 109]
         assert len(_orbit_representatives(1, 5, 3, 3)) == 326
         assert len(_orbit_representatives(2, 3, 3, 3)) == 296
 
@@ -693,11 +693,11 @@ class TestFrameValidQuasi:
 
     def test_purity_required(self):
         # frame_valid_quasi decides any quasi-inequality; the outputs that
-        # frame_agreement compares with the input must be pure
+        # verify_correspondence compares with the input must be pure
         q = parse_quasi("'i <= p => 'i <= ~'j")
         assert frame_valid_quasi(BARE1, q) == 0  # p true at the one world
         with pytest.raises(ValueError, match="not pure"):
-            frame_agreement(parse("[]p -> p"), [q], EnumerationLimits(max_worlds=1))
+            verify_correspondence(parse("[]p -> p"), [q], EnumerationLimits(max_worlds=1))
 
     def test_binder_idempotence_against_replacement(self):
         # evaluating the binder equals naming the world with a fresh nominal
@@ -745,7 +745,7 @@ class TestFrameAgreement:
                 continue
             ineq = parse_input(entry.input_text)
             quasis = run(ineq).quasis
-            report = frame_agreement(ineq, quasis, self.LIMITS)
+            report = verify_correspondence(ineq, quasis, self.LIMITS)
             f = Implies(ineq.lhs, ineq.rhs)
             assert report.frames == len(frames) == 18
             assert list(frame_indices(report.valid_in)) == [
@@ -764,7 +764,7 @@ class TestFrameAgreement:
 
         trans = parse_input("<> <> p -> <> p")
         refl_box = run(parse_input("[]p -> p")).quasis
-        report = frame_agreement(trans, refl_box, EnumerationLimits(max_worlds=3))
+        report = verify_correspondence(trans, refl_box, EnumerationLimits(max_worlds=3))
         assert report.frames == 530
         assert not report.ok
         assert report.agreements < report.frames
