@@ -24,7 +24,9 @@ over the blocks it decides, may not exceed ``MAX_CASES`` = 2^20.
 ``admit``), before any table of valuations and placements is built, and
 raises ``EnumerationCapError`` otherwise; ``axioms.check_schemas`` admits
 the sum over all its instances, and ``translate.verify_correspondence``
-each of its checks, before deciding any.  The validity checks return the
+each of its checks, before deciding any.  ``axioms.check_schemas`` then
+decides the instances that share their symbols as one conjunction, which
+has the cases of any one of them.  The validity checks return the
 mask of the frames on which the formula is valid; given ``FramesUpTo(cap)``
 they decide one item on every frame up to the cap in one call.  Every
 question is whether a quasi-inequality is valid: ``_valid_mask`` compiles

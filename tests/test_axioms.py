@@ -1,5 +1,6 @@
 """Schema registry: every base-system axiom and derived fact is a validity."""
 
+from hybridcorr import axioms
 from hybridcorr.axioms import (
     Schema,
     all_schemas,
@@ -9,8 +10,14 @@ from hybridcorr.axioms import (
     distribution_schemas,
     justification_schemas,
 )
-from hybridcorr.semantics import EnumerationLimits
-from hybridcorr.syntax import parse
+from hybridcorr.semantics import (
+    EnumerationLimits,
+    FramesUpTo,
+    frame_at_index,
+    frame_indices,
+    frame_valid,
+)
+from hybridcorr.syntax import parse, sorted_symbols
 
 
 def test_axiom_names_cover_the_base_system():
@@ -42,10 +49,22 @@ def test_distribution_equivalences_present():
     assert len(distribution_schemas()) == 12
 
 
-def test_all_schemas_valid_on_two_worlds():
+def test_all_schemas_valid_on_two_worlds(monkeypatch):
     # the acceptance suite runs the full three-world check
+    decided = []
+
+    def counted(frames, f, limits):
+        decided.append(f)
+        return frame_valid(frames, f, limits)
+
+    monkeypatch.setattr(axioms, "frame_valid", counted)
     checks = check_schemas(EnumerationLimits(max_worlds=2))
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
+    # one conjunction per symbol signature, not one check per instance
+    signatures = {
+        tuple(map(tuple, sorted_symbols(inst))) for s in all_schemas() for inst in s.instances
+    }
+    assert len(decided) == len(signatures) == 12
 
 
 def test_registry_has_instances_everywhere():
@@ -58,3 +77,20 @@ def test_failure_names_the_first_refuting_frame():
     (check,) = check_schemas(schemas=[Schema("bad", (parse("<>p -> p"),))])
     assert not check.ok
     assert check.failures == ["<>p -> p fails on worlds=2; rel={(0,1)}"]
+
+
+def test_only_the_failing_instances_are_named():
+    two = EnumerationLimits(max_worlds=2)
+
+    def refutation(f):
+        invalid = FramesUpTo(2).full ^ frame_valid(FramesUpTo(2), f, two)
+        return f"{f} fails on {frame_at_index(next(frame_indices(invalid)))}"
+
+    # <>p -> p fails beside passing instances with its symbols; 'i -> []'i
+    # has other symbols
+    mixed = Schema("mixed", tuple(map(parse, ["p -> p", "<>p -> p", "p | ~p"])))
+    nominal = Schema("nominal", (parse("'i -> []'i"),))
+    checks = check_schemas(two, [mixed, nominal])
+    assert [(c.name, c.instances) for c in checks] == [("mixed", 3), ("nominal", 1)]
+    assert checks[0].failures == [refutation(parse("<>p -> p"))]
+    assert checks[1].failures == [refutation(parse("'i -> []'i"))]

@@ -5,11 +5,12 @@ import random
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hybridcorr.semantics import (
     FRAME_CLASSES,
+    MAX_CASES,
     EnumerationCapError,
     EnumerationLimits,
     FramesUpTo,
@@ -232,6 +233,15 @@ class TestFrameValid:
         for fr in enumerate_frames(2):
             for f in fs:
                 assert frame_valid(fr, f) == oracle_valid(fr, f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(formulas(6), formulas(6))
+    def test_conjunction_is_valid_where_both_are(self, f, g):
+        # validity is universal over valuations and placements, which
+        # axioms.check_schemas relies on to decide instances as one conjunction
+        assume(check_cases(And(f, g), frame_blocks(2)) <= MAX_CASES)
+        both = frame_valid(FramesUpTo(2), And(f, g))
+        assert both == frame_valid(FramesUpTo(2), f) & frame_valid(FramesUpTo(2), g)
 
     def test_cap_guard(self, monkeypatch):
         # 21 nominals: 1 + 2^21 cases on the frames with up to 2 worlds
