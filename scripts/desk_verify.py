@@ -20,7 +20,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from hybridcorr.alba import run
 from hybridcorr.corpus import CORPUS
 from hybridcorr.generate import GeneratorConfig, SkeletalGenerator
-from hybridcorr.semantics import EnumerationLimits
+from hybridcorr.semantics import EnumerationCapError, EnumerationLimits
 from hybridcorr.syntax import fmt, parse_input
 from hybridcorr.translate import verify_correspondence
 
@@ -50,7 +50,15 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--max-worlds", type=int, default=3)
     args = ap.parse_args()
+    try:
+        return sweep(args)
+    except (ValueError, EnumerationCapError) as e:
+        # A world cap outside 1..5, as hybridcorr verify reports it.
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
+
+def sweep(args) -> int:
     limits = EnumerationLimits(max_worlds=args.max_worlds)
     print(f"checking against all frames with <= {args.max_worlds} worlds")
 

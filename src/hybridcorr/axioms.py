@@ -16,14 +16,11 @@ from typing import Callable, Iterable
 from .semantics import (
     DEFAULT_LIMITS,
     EnumerationLimits,
-    FramesUpTo,
     admit,
     check_cases,
     frame_at_index,
-    frame_blocks,
     frame_indices,
     frame_valid,
-    valid_frame_mask,
 )
 from .syntax import (
     And,
@@ -350,8 +347,7 @@ def check_schemas(
     instance.  Only a group that fails somewhere is decided instance by
     instance, to name its failing instances."""
     schemas = schemas if schemas is not None else all_schemas()
-    blocks = list(frame_blocks(limits.max_worlds, limits))
-    admit(sum(check_cases(inst, blocks) for schema in schemas for inst in schema.instances))
+    admit(sum(check_cases(inst, limits) for schema in schemas for inst in schema.instances))
 
     def signature(f: Formula) -> tuple:
         return tuple(map(tuple, sorted_symbols(f)))
@@ -360,11 +356,11 @@ def check_schemas(
     for schema in schemas:
         for inst in schema.instances:
             groups.setdefault(signature(inst), []).append(inst)
-    full = FramesUpTo(limits.max_worlds).full
+    full = limits.full
     failed = {
         key
         for key, group in groups.items()
-        if valid_frame_mask(frame_valid, functools.reduce(And, group), limits) != full
+        if frame_valid(limits, functools.reduce(And, group)) != full
     }
     out: list[SchemaCheck] = []
     for schema in schemas:
@@ -372,7 +368,7 @@ def check_schemas(
         for inst in schema.instances:
             if signature(inst) not in failed:
                 continue
-            invalid = full ^ valid_frame_mask(frame_valid, inst, limits)
+            invalid = full ^ frame_valid(limits, inst)
             if invalid:
                 failures.append(f"{inst} fails on {frame_at_index(next(frame_indices(invalid)))}")
         out.append(SchemaCheck(schema.name, len(schema.instances), failures))

@@ -46,6 +46,7 @@ from .syntax import (
     Sign,
     Svar,
     Symbol,
+    _union,
     props_in_order,
     signed_children,
 )
@@ -286,10 +287,6 @@ _PLUS_TABLES = _sign_tables(Sign.PLUS)
 _MINUS_TABLES = _sign_tables(Sign.MINUS)
 _PLUS_JOIN = _PLUS_TABLES[1]
 _MINUS_JOIN = _MINUS_TABLES[1]
-
-
-def _union(a: frozenset[Symbol], b: frozenset[Symbol]) -> frozenset[Symbol]:
-    return a | b if a and b else a or b
 
 
 def signed_facts(f: Formula, sign: Sign) -> SignedFacts:

@@ -264,9 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, formula: bool = True) -> None:
-        if formula:
-            p.add_argument("formula", help="formula text, or an inequality 'phi <= psi'")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("formula", help="formula text, or an inequality 'phi <= psi'")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     def max_worlds(p: argparse.ArgumentParser) -> None:

@@ -23,7 +23,6 @@ from .semantics import (
     frame_indices,
     frame_valid,
     frame_valid_quasi_set,
-    valid_frame_mask,
 )
 from .syntax import Implies, parse_input, quasi_to_json
 from .translate import tr_quasiset
@@ -118,7 +117,7 @@ def compute_entry(
     ]
     tr = tr_quasiset(list(result.quasis))
     record["tr"] = {"text": str(tr)}
-    valid = valid_frame_mask(frame_valid_quasi_set, result.quasis, limits)
+    valid = frame_valid_quasi_set(limits, result.quasis)
     record["valid_frames"] = list(frame_indices(valid))
     return record
 
@@ -141,7 +140,7 @@ def verify_entry(
     if not entry.expect_skeletal:
         return problems
     ineq = parse_input(entry.input_text)
-    valid_in = valid_frame_mask(frame_valid, Implies(ineq.lhs, ineq.rhs), limits)
+    valid_in = frame_valid(limits, Implies(ineq.lhs, ineq.rhs))
     if list(frame_indices(valid_in)) != record["valid_frames"]:
         problems.append(f"{entry.name}: output and input define different frame classes")
     if entry.frame_class is not None:

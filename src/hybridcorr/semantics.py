@@ -20,19 +20,22 @@ at most 2^16 frames; larger sizes split into blocks of 2^16 frames, so a
 value never exceeds 8 KB.  One budget bounds every check: its cases, on a
 block of n worlds n^nominals * 2^(n*props) * n^state-variables, summed
 over the blocks it decides, may not exceed ``MAX_CASES`` = 2^20.
-``_valid_mask`` checks the sum once per check (``check_cases``,
-``admit``), before any table of valuations and placements is built, and
-raises ``EnumerationCapError`` otherwise; ``axioms.check_schemas`` admits
-the sum over all its instances, and ``translate.verify_correspondence``
-each of its checks, before deciding any.  ``axioms.check_schemas`` then
+The validity checks take one frames value, a ``FrameBlock``, a
+``KripkeFrame`` or ``EnumerationLimits`` (every frame up to its world
+cap, decided in one call), and return the mask of those frames on which
+the formula is valid.  ``_valid_mask`` checks the sum once per check
+(``check_cases``, ``admit``), before any table of valuations and
+placements is built, and raises ``EnumerationCapError`` otherwise;
+``check_cases`` checks the world cap first and counts the blocks of
+each size without building them.  ``axioms.check_schemas`` admits the
+sum over all its instances, and ``translate.verify_correspondence`` each
+of its checks, before deciding any.  ``axioms.check_schemas`` then
 decides the instances that share their symbols as one conjunction, which
-has the cases of any one of them.  The validity checks return the
-mask of the frames on which the formula is valid; given ``FramesUpTo(cap)``
-they decide one item on every frame up to the cap in one call.  Every
-question is whether a quasi-inequality is valid: ``_valid_mask`` compiles
-it once (symbols, slot map, compiled sides) and then, block by block,
-re-binds the compiled closures to the block and runs the one loop over
-valuations of props and placements of nominals and state variables.
+has the cases of any one of them.  Every question is whether a
+quasi-inequality is valid: ``_valid_mask`` compiles it once (symbols,
+slot map, compiled sides) and then, block by block, re-binds the
+compiled closures to the block and runs the one loop over valuations of
+props and placements of nominals and state variables.
 ``frame_valid(f)`` decides ``=> as_inequality(f)`` on it and
 ``frame_valid_quasi`` decides q; both narrow the frames still in question
 batch by batch and stop a block once none is left.  ``equivalence_check``
@@ -121,9 +124,30 @@ class EnumerationCapError(Exception):
 
 @dataclass(frozen=True)
 class EnumerationLimits:
-    """The frames a check enumerates: every frame with 1..max_worlds worlds."""
+    """The frames a check enumerates: every frame with 1..max_worlds worlds,
+    in enumerate_frames order.  The validity checks decide an item on all
+    of them in one call, one block after another, and bit k of their mask
+    stands for frame k.
+
+    Like a FrameBlock or a KripkeFrame it has a size (the world cap), a
+    count of frames and their full mask; the full mask is only built within
+    the world cap (_check_world_cap).
+    """
 
     max_worlds: int = 3
+
+    @property
+    def size(self) -> int:
+        return self.max_worlds
+
+    @property
+    def count(self) -> int:
+        return _frames_below(self.max_worlds + 1)
+
+    @property
+    def full(self) -> int:
+        _check_world_cap(self.max_worlds)
+        return (1 << self.count) - 1
 
 
 DEFAULT_LIMITS = EnumerationLimits()
@@ -315,23 +339,6 @@ def _frames_below(n: int) -> int:
     return sum(1 << (k * k) for k in range(1, n))
 
 
-@dataclass(frozen=True)
-class FramesUpTo:
-    """Every frame with 1..size worlds, in enumerate_frames order: the
-    validity checks decide an item on all of them in one call, one block
-    after another, and bit k of their mask stands for frame k."""
-
-    size: int
-
-    @property
-    def count(self) -> int:
-        return _frames_below(self.size + 1)
-
-    @property
-    def full(self) -> int:
-        return (1 << self.count) - 1
-
-
 @functools.cache
 def _edge_slices(bits: int) -> tuple[int, ...]:
     """Slice k has bit m set iff bit k of m is set, for m < 2^bits."""
@@ -350,27 +357,22 @@ def _edge_slices(bits: int) -> tuple[int, ...]:
 MAX_WORLDS = 5
 
 
-def _check_world_cap(max_size: int, limits: EnumerationLimits) -> None:
+def _check_world_cap(max_size: int) -> None:
+    """Raise unless frames of 1..max_size worlds may be enumerated."""
     if max_size < 1:
         raise ValueError(f"world cap {max_size} is below 1: a frame has at least one world")
-    if max_size > limits.max_worlds:
-        raise EnumerationCapError(
-            f"max_size {max_size} exceeds the world cap {limits.max_worlds}"
-        )
     if max_size > MAX_WORLDS:
         raise EnumerationCapError(
-            f"{max_size} worlds would mean {FramesUpTo(max_size).count:,} frames; "
+            f"{max_size} worlds would mean {EnumerationLimits(max_size).count:,} frames; "
             f"checks stop at {MAX_WORLDS} worlds"
         )
 
 
-def frame_blocks(
-    max_size: int,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> Iterator[FrameBlock]:
-    """Every frame with 1..max_size worlds, as blocks in enumerate_frames order."""
-    _check_world_cap(max_size, limits)
-    return (block for n in range(1, max_size + 1) for block in _blocks_of_size(n))
+def frame_blocks(limits: EnumerationLimits) -> Iterator[FrameBlock]:
+    """Every frame of limits, as blocks in enumerate_frames order: 2^max(0,
+    n*n - 16) blocks of each size n."""
+    _check_world_cap(limits.max_worlds)
+    return (block for n in range(1, limits.max_worlds + 1) for block in _blocks_of_size(n))
 
 
 def _blocks_of_size(n: int) -> Iterable[FrameBlock]:
@@ -429,7 +431,9 @@ def enumerate_frames(
 
     Size n contributes 2^(n*n) frames; frame m is frame_at(n, m).
     """
-    _check_world_cap(max_size, limits)
+    _check_world_cap(max_size)
+    if max_size > limits.max_worlds:
+        raise EnumerationCapError(f"max_size {max_size} exceeds the world cap {limits.max_worlds}")
     for n in range(1, max_size + 1):
         for m in range(1 << (n * n)):
             yield frame_at(n, m)
@@ -561,14 +565,22 @@ MAX_CASES = 1 << 20
 
 
 def check_cases(
-    item: Formula | QuasiInequality, blocks: Iterable[FrameBlock | KripkeFrame]
+    item: Formula | QuasiInequality, frames: EnumerationLimits | FrameBlock | KripkeFrame
 ) -> int:
-    """The cases of deciding item on blocks: on a block of n worlds, every
+    """The cases of deciding item on frames: on a block of n worlds, every
     valuation of its props and placement of its nominals and free state
     variables, n^nominals * 2^(n*props) * n^state-variables, summed over
-    the blocks."""
+    the blocks (those of frame_blocks for limits, whose world cap is
+    checked first)."""
     props, noms, svars = map(len, sorted_symbols(item))
-    return sum(b.size ** (noms + svars) << b.size * props for b in blocks)
+    if isinstance(frames, EnumerationLimits):
+        _check_world_cap(frames.max_worlds)
+        # 2^max(0, n*n - 16) blocks of each size n
+        return sum(
+            n ** (noms + svars) << n * props + max(0, n * n - BLOCK_EDGE_BITS)
+            for n in range(1, frames.max_worlds + 1)
+        )
+    return frames.size ** (noms + svars) << frames.size * props
 
 
 def admit(cases: int) -> None:
@@ -861,9 +873,8 @@ def _tables(p: int, k: int, block: FrameBlock | KripkeFrame) -> Iterator[tuple[B
 
 
 def _valid_mask(
-    frames: FramesUpTo | FrameBlock | KripkeFrame,
+    frames: EnumerationLimits | FrameBlock | KripkeFrame,
     q: QuasiInequality,
-    limits: EnumerationLimits,
     translation: Formula | None = None,
 ) -> tuple[int, int, int, list[dict]]:
     """The one loop over blocks and batches, behind frame_valid,
@@ -888,8 +899,8 @@ def _valid_mask(
     two differ, to add each member's differing frames times its weight to
     mismatched and to decode the first MAX_COUNTEREXAMPLES of them.
     """
-    blocks = list(frame_blocks(frames.size, limits)) if isinstance(frames, FramesUpTo) else [frames]
-    admit(check_cases(q, blocks))
+    admit(check_cases(q, frames))
+    blocks = frame_blocks(frames) if isinstance(frames, EnumerationLimits) else [frames]
     prop_syms, nom_syms, svar_syms = sorted_symbols(q)
     slots = {s: k for k, s in enumerate(prop_syms + nom_syms + svar_syms)}
     sides = [f for i in (*q.antecedents, q.conclusion) for f in (i.lhs, i.rhs)]
@@ -996,11 +1007,7 @@ def _concatenated(parts: Iterable[tuple[int, int]]) -> int:
     return stack[0][0]
 
 
-def frame_valid(
-    frames: FramesUpTo | FrameBlock | KripkeFrame,
-    f: Formula,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
-) -> int:
+def frame_valid(frames: EnumerationLimits | FrameBlock | KripkeFrame, f: Formula) -> int:
     """Mask of the frames on which f holds at every world under every
     valuation and assignment (0 or 1 for a single frame).
 
@@ -1009,13 +1016,11 @@ def frame_valid(
     anything else as T <= f.  Only symbols occurring in f are enumerated;
     absent symbols cannot affect the truth value.
     """
-    return _valid_mask(frames, QuasiInequality((), as_inequality(f)), limits)[0]
+    return _valid_mask(frames, QuasiInequality((), as_inequality(f)))[0]
 
 
 def frame_valid_quasi(
-    frames: FramesUpTo | FrameBlock | KripkeFrame,
-    q: QuasiInequality,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
+    frames: EnumerationLimits | FrameBlock | KripkeFrame, q: QuasiInequality
 ) -> int:
     """Mask of the frames on which q holds under every valuation, nominal
     placement and assignment; 0 or 1 for a single frame.
@@ -1023,7 +1028,7 @@ def frame_valid_quasi(
     The antecedents and the conclusion are judged against one shared
     valuation and assignment.
     """
-    return _valid_mask(frames, q, limits)[0]
+    return _valid_mask(frames, q)[0]
 
 
 def equivalence_check(
@@ -1037,13 +1042,13 @@ def equivalence_check(
     is globally true.
 
     Returns (valid, checked, mismatched, mismatches): the mask of the frames
-    on which q is valid, as frame_valid_quasi gives it on
-    FramesUpTo(limits.max_worlds); the models checked; the models on which
+    on which q is valid, as frame_valid_quasi(limits, q) gives it; the
+    models checked; the models on which
     q and f differ; and the first MAX_COUNTEREXAMPLES of those decoded,
     each as {"model", "direct", "translated"}.
     """
     require_pure(q)
-    return _valid_mask(FramesUpTo(limits.max_worlds), q, limits, f)
+    return _valid_mask(limits, q, f)
 
 
 def require_pure(q: QuasiInequality) -> None:
@@ -1054,26 +1059,16 @@ def require_pure(q: QuasiInequality) -> None:
 
 
 def frame_valid_quasi_set(
-    frames: FramesUpTo | FrameBlock | KripkeFrame,
-    qs: Iterable[QuasiInequality],
-    limits: EnumerationLimits = DEFAULT_LIMITS,
+    frames: EnumerationLimits | FrameBlock | KripkeFrame, qs: Iterable[QuasiInequality]
 ) -> int:
-    """Mask of the frames on which every quasi-inequality of qs is valid."""
+    """Mask of the frames on which every quasi-inequality of qs is valid:
+    frames.full, within the world cap, if qs is empty."""
     valid = -1  # every bit set, without building frames.full (4 MB at 5 worlds)
     for q in qs:
-        valid &= frame_valid_quasi(frames, q, limits)
+        valid &= frame_valid_quasi(frames, q)
         if not valid:
             break
     return frames.full if valid == -1 else valid
-
-
-def valid_frame_mask(check, item, limits: EnumerationLimits = DEFAULT_LIMITS) -> int:
-    """Mask of the frames with up to limits.max_worlds worlds (bit k for
-    frame k in enumerate_frames order) on which item is valid, where
-    check(frames, item, limits) is a validity check such as frame_valid or
-    frame_valid_quasi_set, called once on FramesUpTo(limits.max_worlds)."""
-    _check_world_cap(limits.max_worlds, limits)
-    return check(FramesUpTo(limits.max_worlds), item, limits)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,16 @@ readings apply the left-atom clause wins; the readings are equivalent and
 the test suite checks that.
 
 ``verify_tr_equivalence`` checks the translation exhaustively: on every
-frame with up to ``limits.max_worlds`` worlds and under every placement of
-the item's nominals and state variables, the item holds iff its translation
-is globally true.  The loop over frames and placements is the one of
+frame of ``limits`` (every frame with up to ``limits.max_worlds`` worlds)
+and under every placement of the item's nominals and state variables, the
+item holds iff its translation is globally true.  The loop over frames and placements is the one of
 ``semantics`` (``equivalence_check``), which decides the item's frame
 validity in the same pass; the report carries both.
 ``verify_correspondence`` is the whole check of ``verify``: the input and
 its pure outputs define the same frames, and each output is equivalent to
-its translation.  Every one of its checks is admitted before any is
-decided.
+its translation.  Every one of its checks is admitted
+(``semantics.check_cases``, which also checks the world cap) before any
+is decided.
 """
 
 from __future__ import annotations
@@ -30,12 +31,10 @@ from .semantics import (
     DEFAULT_LIMITS,
     MAX_COUNTEREXAMPLES,
     EnumerationLimits,
-    FramesUpTo,
     admit,
     check_cases,
     equivalence_check,
     frame_at_index,
-    frame_blocks,
     frame_indices,
     frame_valid,
     require_pure,
@@ -180,17 +179,15 @@ def verify_correspondence(
     quasis = tuple(quasis)
     for q in quasis:
         require_pure(q)
-    blocks = list(frame_blocks(limits.max_worlds, limits))
     for item in (formula, *quasis):
-        admit(check_cases(item, blocks))
-    frames = FramesUpTo(limits.max_worlds)
-    valid_in = frame_valid(frames, formula, limits)
+        admit(check_cases(item, limits))
+    valid_in = frame_valid(limits, formula)
     translations = [verify_tr_equivalence(q, limits) for q in quasis]
-    valid_out = frames.full
+    valid_out = limits.full
     for report in translations:
         valid_out &= report.valid
     counterexamples = [
         f"{frame_at_index(k)}: input={bool(valid_in >> k & 1)} output={bool(valid_out >> k & 1)}"
         for k in itertools.islice(frame_indices(valid_in ^ valid_out), MAX_COUNTEREXAMPLES)
     ]
-    return FrameAgreement(frames.count, valid_in, valid_out, counterexamples, translations)
+    return FrameAgreement(limits.count, valid_in, valid_out, counterexamples, translations)

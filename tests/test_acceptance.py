@@ -37,7 +37,6 @@ from hybridcorr.generate import GeneratorConfig, SkeletalGenerator
 from hybridcorr.semantics import (
     FRAME_CLASSES,
     EnumerationLimits,
-    FramesUpTo,
     enumerate_frames,
     frame_at,
     frame_blocks,
@@ -158,14 +157,14 @@ def test_criterion_3_frame_soundness():
     for required in ("refl-box", "refl-dia", "trans", "join-split"):
         assert required in entries
 
-    blocks = list(frame_blocks(3, LIMITS))
+    blocks = list(frame_blocks(LIMITS))
     assert sum(b.count for b in blocks) == 530
     disagreements = []
 
     def compare(name, ineq, quasis):
         f = Implies(ineq.lhs, ineq.rhs)
         for b in blocks:
-            differ = frame_valid(b, f, LIMITS) ^ frame_valid_quasi_set(b, quasis, LIMITS)
+            differ = frame_valid(b, f) ^ frame_valid_quasi_set(b, quasis)
             disagreements.extend(
                 (name, frame_at(b.size, b.start + j)) for j in frame_indices(differ)
             )
@@ -195,12 +194,11 @@ def test_one_pass_matches_the_early_exit_path():
         for entry, result in (corpus_runs()[name] for name in ("refl-dia", "sym"))
     ]
     for ineq, quasis, limits in runs:
-        frames = FramesUpTo(limits.max_worlds)
         report = verify_correspondence(ineq, quasis, limits)
         assert len(report.translations) == len(quasis)
         for q, translation in zip(quasis, report.translations):
-            assert translation.valid == frame_valid_quasi(frames, q, limits), str(q)
-        assert report.valid_out == frame_valid_quasi_set(frames, quasis, limits), str(ineq)
+            assert translation.valid == frame_valid_quasi(limits, q), str(q)
+        assert report.valid_out == frame_valid_quasi_set(limits, quasis), str(ineq)
 
 
 # Frames with up to 4 worlds in each named class, counted with the
@@ -249,7 +247,7 @@ def test_criterion_4_known_correspondents():
     assert out_box.ok and out_trans.ok and out_dia.ok
 
     def valid_set(result):
-        return [fr for fr in frames if frame_valid_quasi_set(fr, result.quasis, LIMITS)]
+        return [fr for fr in frames if frame_valid_quasi_set(fr, result.quasis)]
 
     assert valid_set(out_box) == reflexive
     assert valid_set(out_trans) == transitive

@@ -503,13 +503,8 @@ class TestArbitraryFormulaSoundness:
         result = run(ineq, eps_hint=eps)
         assert result.ok
         f = Implies(ineq.lhs, ineq.rhs)
-        from hybridcorr.semantics import EnumerationLimits
-
-        limits = EnumerationLimits(max_worlds=2)
         for fr in enumerate_frames(2):
-            assert frame_valid(fr, f, limits) == frame_valid_quasi_set(
-                fr, result.quasis, limits
-            )
+            assert frame_valid(fr, f) == frame_valid_quasi_set(fr, result.quasis)
 
 
 class TestFinalize:

@@ -12,7 +12,6 @@ from hybridcorr.axioms import (
 )
 from hybridcorr.semantics import (
     EnumerationLimits,
-    FramesUpTo,
     frame_at_index,
     frame_indices,
     frame_valid,
@@ -53,9 +52,9 @@ def test_all_schemas_valid_on_two_worlds(monkeypatch):
     # the acceptance suite runs the full three-world check
     decided = []
 
-    def counted(frames, f, limits):
+    def counted(frames, f):
         decided.append(f)
-        return frame_valid(frames, f, limits)
+        return frame_valid(frames, f)
 
     monkeypatch.setattr(axioms, "frame_valid", counted)
     checks = check_schemas(EnumerationLimits(max_worlds=2))
@@ -83,7 +82,7 @@ def test_only_the_failing_instances_are_named():
     two = EnumerationLimits(max_worlds=2)
 
     def refutation(f):
-        invalid = FramesUpTo(2).full ^ frame_valid(FramesUpTo(2), f, two)
+        invalid = two.full ^ frame_valid(two, f)
         return f"{f} fails on {frame_at_index(next(frame_indices(invalid)))}"
 
     # <>p -> p fails beside passing instances with its symbols; 'i -> []'i

@@ -32,3 +32,12 @@ def test_desk_verify_four_worlds():
     proc = run_script("desk_verify.py", "--generated", "5", "--max-worlds", "4")
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "all checks passed" in proc.stdout
+
+
+def test_desk_verify_world_cap_out_of_range():
+    # as hybridcorr verify: one error line and exit 1, no traceback
+    for cap, message in [("6", "checks stop at 5 worlds"), ("0", "below 1")]:
+        proc = run_script("desk_verify.py", "--generated", "0", "--max-worlds", cap)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr

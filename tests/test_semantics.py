@@ -13,7 +13,6 @@ from hybridcorr.semantics import (
     MAX_CASES,
     EnumerationCapError,
     EnumerationLimits,
-    FramesUpTo,
     KripkeFrame,
     KripkeModel,
     UnboundSymbolError,
@@ -77,7 +76,7 @@ I = nom("i")
 LOOP1 = KripkeFrame(1, frozenset({(0, 0)}))
 BARE1 = KripkeFrame(1, frozenset())
 # The one block of each size up to 2.
-BLOCKS = list(frame_blocks(2))
+BLOCKS = list(frame_blocks(EnumerationLimits(2)))
 
 
 def models_on(fr, sides):
@@ -239,9 +238,10 @@ class TestFrameValid:
     def test_conjunction_is_valid_where_both_are(self, f, g):
         # validity is universal over valuations and placements, which
         # axioms.check_schemas relies on to decide instances as one conjunction
-        assume(check_cases(And(f, g), frame_blocks(2)) <= MAX_CASES)
-        both = frame_valid(FramesUpTo(2), And(f, g))
-        assert both == frame_valid(FramesUpTo(2), f) & frame_valid(FramesUpTo(2), g)
+        two = EnumerationLimits(2)
+        assume(check_cases(And(f, g), two) <= MAX_CASES)
+        both = frame_valid(two, And(f, g))
+        assert both == frame_valid(two, f) & frame_valid(two, g)
 
     def test_cap_guard(self, monkeypatch):
         # 21 nominals: 1 + 2^21 cases on the frames with up to 2 worlds
@@ -249,7 +249,7 @@ class TestFrameValid:
         q = QuasiInequality((), Inequality(conjunction_of(21), TOP))
         start = time.perf_counter()
         with pytest.raises(EnumerationCapError, match="2,097,153 cases exceed the budget of 1,048,576"):
-            frame_valid_quasi(FramesUpTo(2), q)
+            frame_valid_quasi(EnumerationLimits(2), q)
         assert time.perf_counter() - start < 1.0
 
 
@@ -262,26 +262,49 @@ class TestCaseBudget:
         f = parse("<>(p & q & r) -> <>p")
         five = EnumerationLimits(max_worlds=5)
         # 2 + 64 + 512 + 4,096 on sizes 1..4, 2^15 on each of 512 blocks at 5
-        assert check_cases(f, frame_blocks(5, five)) == 16_781_896
+        assert check_cases(f, five) == 16_781_896
         refused_before_any_table(monkeypatch)
         with pytest.raises(EnumerationCapError, match="16,781,896 cases"):
-            frame_valid(FramesUpTo(5), f, five)
+            frame_valid(five, f)
         # 20 nominals: no block has more than 2^20 cases, the two together do
         q = QuasiInequality((), Inequality(conjunction_of(20), TOP))
         with pytest.raises(EnumerationCapError, match="1,048,577 cases"):
-            frame_valid_quasi(FramesUpTo(2), q)
+            frame_valid_quasi(EnumerationLimits(2), q)
+
+    def test_counted_per_size_as_summed_over_blocks(self):
+        # check_cases counts 2^max(0, n*n - 16) blocks of each size n (512
+        # at 5 worlds) without building them; the built blocks agree
+        items = [
+            parse(
+                " & ".join(
+                    [f"p{k}" for k in range(p)]
+                    + [f"'i{k}" for k in range(i)]
+                    + [f"x{k}" for k in range(x)]
+                )
+                or "T"
+            )
+            for p, i, x in itertools.product(range(4), repeat=3)
+        ]
+        by_size = {(n, item): 0 for n in range(1, 6) for item in items}
+        for block in frame_blocks(EnumerationLimits(5)):
+            for item in items:
+                by_size[block.size, item] += check_cases(item, block)
+        for n in range(1, 6):
+            for item in items:
+                summed = sum(by_size[size, item] for size in range(1, n + 1))
+                assert check_cases(item, EnumerationLimits(n)) == summed, (n, str(item))
 
     def test_state_variables_counted(self, monkeypatch):
         # 10 nominals and 11 state variables: 1 + 2^21 cases up to 2 worlds
         f = Implies(conjunction_of(10, 11), TOP)
-        assert check_cases(f, frame_blocks(2)) == 2_097_153
+        assert check_cases(f, EnumerationLimits(2)) == 2_097_153
         refused_before_any_table(monkeypatch)
         with pytest.raises(EnumerationCapError, match="2,097,153 cases"):
-            frame_valid(FramesUpTo(2), f)
+            frame_valid(EnumerationLimits(2), f)
 
     def test_props_need_no_cap_of_their_own(self):
         # four props on one frame of one world are 16 cases
-        assert check_cases(parse("p & q & r & p1"), [LOOP1]) == 16
+        assert check_cases(parse("p & q & r & p1"), LOOP1) == 16
         assert frame_valid(LOOP1, parse("p & q & r & p1")) == 0
         assert frame_valid(LOOP1, parse("p & q & r & p1 -> p1")) == 1
 
@@ -326,10 +349,10 @@ def placed(*items):
     return len(ns) + len(vs)
 
 
-def per_frame(check, item, n, frames, limits=EnumerationLimits(max_worlds=4)):
+def per_frame(check, item, n, frames):
     """The mask of check(frame_at(n, m), item) over the frame numbers m.
     A single frame renames no world, so it decides every placement."""
-    return sum(check(frame_at(n, m), item, limits) << m for m in frames)
+    return sum(check(frame_at(n, m), item) << m for m in frames)
 
 
 def stirling2(k, j):
@@ -351,7 +374,7 @@ def renamings(n, m):
 
 
 def block_of_size(n):
-    return next(b for b in frame_blocks(n, EnumerationLimits(max_worlds=n)) if b.size == n)
+    return next(b for b in frame_blocks(EnumerationLimits(max_worlds=n)) if b.size == n)
 
 
 THREE = block_of_size(3)
@@ -518,7 +541,6 @@ class TestSymmetryReduction:
         from hybridcorr.corpus import CORPUS
         from hybridcorr.generate import GeneratorConfig, SkeletalGenerator
 
-        limits = EnumerationLimits(max_worlds=4)
         block = block_of_size(4)
         sample = sorted(random.Random(1).sample(range(1 << 16), 32))
         keep = sum(1 << m for m in sample)
@@ -531,8 +553,8 @@ class TestSymmetryReduction:
         assert len(two_props) == 6
         for ineq in two_props:
             f = Implies(ineq.lhs, ineq.rhs)
-            assert frame_valid(block, f, limits) & keep == per_frame(
-                frame_valid, f, 4, sample, limits
+            assert frame_valid(block, f) & keep == per_frame(
+                frame_valid, f, 4, sample
             ), str(ineq)
         for entry in CORPUS:
             if not entry.expect_skeletal:
@@ -540,11 +562,11 @@ class TestSymmetryReduction:
             ineq = parse_input(entry.input_text)
             f = Implies(ineq.lhs, ineq.rhs)
             quasis = run(ineq).quasis
-            assert frame_valid(block, f, limits) & keep == per_frame(
-                frame_valid, f, 4, sample, limits
+            assert frame_valid(block, f) & keep == per_frame(
+                frame_valid, f, 4, sample
             ), entry.name
-            assert frame_valid_quasi_set(block, quasis, limits) & keep == per_frame(
-                frame_valid_quasi_set, quasis, 4, sample, limits
+            assert frame_valid_quasi_set(block, quasis) & keep == per_frame(
+                frame_valid_quasi_set, quasis, 4, sample
             ), entry.name
 
 
@@ -561,7 +583,7 @@ class TestRenamingWithProps:
     frame alone, which renames nothing and decides every valuation."""
 
     def check(self, check, item, n):
-        mask = check(block_of_size(n), item, EnumerationLimits(max_worlds=4))
+        mask = check(block_of_size(n), item)
         assert _close_under_renaming(mask, n, n) == mask
         assert mask == per_frame(check, item, n, range(1 << (n * n)))
 
@@ -594,8 +616,6 @@ class TestBatches:
     evaluation on count frames.  With the bound set to 0 every batch has
     one member, which gives the reference masks."""
 
-    LIMITS = EnumerationLimits(max_worlds=3)
-
     def test_batches_at_three_worlds(self):
         # 7 nominals: 365 canonical placements, in batches of 2^16 / 512
         assert _batch_width(THREE) == 128
@@ -614,7 +634,7 @@ class TestBatches:
     @pytest.mark.parametrize(
         "frames, check, text",
         [
-            pytest.param(FramesUpTo(3), check, text, id=f"{check.__name__}-{text}")
+            pytest.param(EnumerationLimits(3), check, text, id=f"{check.__name__}-{text}")
             for check, text in [
                 # 7 nominals
                 (
@@ -657,11 +677,11 @@ class TestBatches:
     )
     def test_against_batches_of_one(self, monkeypatch, frames, check, text):
         item = parse_quasi(text) if check is frame_valid_quasi else parse(text)
-        batched = check(frames, item, self.LIMITS)
+        batched = check(frames, item)
         monkeypatch.setattr(semantics, "_BATCH_BITS", 0)
-        assert batched == check(frames, item, self.LIMITS)
+        assert batched == check(frames, item)
         if isinstance(frames, KripkeFrame):
-            assert batched == check(THREE, item, self.LIMITS) >> 7 & 1
+            assert batched == check(THREE, item) >> 7 & 1
         else:
             assert 0 < batched.bit_count() < frames.count
 
@@ -700,6 +720,13 @@ class TestFrameValidQuasi:
 
     def test_empty_set(self):
         assert frame_valid_quasi_set(BARE1, [])
+
+    def test_empty_set_past_the_world_cap(self):
+        # every frame up to 6 worlds would be a mask of 68,753,097,234 bits
+        with pytest.raises(EnumerationCapError, match="checks stop at 5 worlds"):
+            frame_valid_quasi_set(EnumerationLimits(6), [])
+        with pytest.raises(ValueError, match="below 1"):
+            frame_valid_quasi_set(EnumerationLimits(0), [])
 
     def test_purity_required(self):
         # frame_valid_quasi decides any quasi-inequality; the outputs that
@@ -759,12 +786,12 @@ class TestFrameAgreement:
             f = Implies(ineq.lhs, ineq.rhs)
             assert report.frames == len(frames) == 18
             assert list(frame_indices(report.valid_in)) == [
-                k for k, fr in enumerate(frames) if frame_valid(fr, f, self.LIMITS)
+                k for k, fr in enumerate(frames) if frame_valid(fr, f)
             ]
             assert list(frame_indices(report.valid_out)) == [
                 k
                 for k, fr in enumerate(frames)
-                if frame_valid_quasi_set(fr, quasis, self.LIMITS)
+                if frame_valid_quasi_set(fr, quasis)
             ]
             assert report.ok and report.agreements == 18
             assert report.counterexamples == []
@@ -821,14 +848,14 @@ class TestFrameBlocks:
             offset += len(decoded)
 
     def test_block_edges_decode_to_frames(self):
-        for block in frame_blocks(3):
+        for block in frame_blocks(EnumerationLimits(3)):
             n = block.size
             for j in range(block.count):
                 held = {(u, v) for u in range(n) for v in range(n) if (block.edges[u][v] >> j) & 1}
                 assert held == frame_at(n, block.start + j).relation
 
     def test_one_block_per_size_up_to_four(self):
-        blocks = list(frame_blocks(4, EnumerationLimits(max_worlds=4)))
+        blocks = list(frame_blocks(EnumerationLimits(max_worlds=4)))
         assert [(b.size, b.start, b.count) for b in blocks] == [
             (1, 0, 2), (2, 0, 16), (3, 0, 512), (4, 0, 65536)
         ]
@@ -837,7 +864,7 @@ class TestFrameBlocks:
     def test_five_worlds_split_into_blocks_of_2_16(self):
         # decoding only: no formula is evaluated at five worlds
         blocks = [
-            b for b in frame_blocks(5, EnumerationLimits(max_worlds=5)) if b.size == 5
+            b for b in frame_blocks(EnumerationLimits(max_worlds=5)) if b.size == 5
         ]
         assert len(blocks) == 512
         assert all(b.count == 1 << 16 for b in blocks)
@@ -855,8 +882,8 @@ class TestFrameBlocks:
         assert _concatenated([(0b1, 1), (0b10, 2), (0b101, 3)]) == 0b101_10_1
         # five worlds: 4 single blocks, then 512 blocks of 2^16 frames
         limits = EnumerationLimits(max_worlds=5)
-        serial = frame_valid(FramesUpTo(5), parse("<>T"), limits)
-        for k in random.Random(5).sample(range(FramesUpTo(5).count), 200):
+        serial = frame_valid(limits, parse("<>T"))
+        for k in random.Random(5).sample(range(limits.count), 200):
             fr = frame_at_index(k)
             sources = {u for u, _ in fr.relation}
             assert (serial >> k) & 1 == (len(sources) == fr.size), k
@@ -868,7 +895,7 @@ class TestFrameBlocks:
     def test_world_cap_below_one(self):
         for cap in (0, -2):
             with pytest.raises(ValueError):
-                frame_blocks(cap)
+                frame_blocks(EnumerationLimits(cap))
             with pytest.raises(ValueError):
                 list(enumerate_frames(cap))
 
