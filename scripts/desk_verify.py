@@ -5,7 +5,10 @@ Runs the shipped corpus plus a batch of generated skeletal inequalities
 through the full pipeline and checks, on every frame up to the world cap,
 that input and pure output define the same frame class, and that the
 translation is equivalent to the output on every model (frame and
-nominal placement) up to the world cap.  Prints one line per case.
+nominal placement) up to the world cap.  A corpus entry that names a frame
+class is also checked against that class's mask, computed from the edge
+masks without the evaluator.  Prints one line per case, then the sweep's
+total wall time.
 
 Usage: python scripts/desk_verify.py [--generated N] [--seed S] [--max-worlds W]
 """
@@ -20,12 +23,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from hybridcorr.alba import run
 from hybridcorr.corpus import CORPUS
 from hybridcorr.generate import GeneratorConfig, SkeletalGenerator
-from hybridcorr.semantics import EnumerationCapError, EnumerationLimits
+from hybridcorr.semantics import EnumerationCapError, EnumerationLimits, frame_class_mask
 from hybridcorr.syntax import fmt, parse_input
 from hybridcorr.translate import verify_correspondence
 
 
-def check_case(name, ineq, result, limits):
+def check_case(name, ineq, result, limits, frame_class=None):
     t0 = time.monotonic()
     agreement = verify_correspondence(ineq, result.quasis, limits)
     if not agreement.ok:
@@ -37,9 +40,16 @@ def check_case(name, ineq, result, limits):
             return False
     models = sum(report.checked for report in agreement.translations)
     dt = time.monotonic() - t0
+    named = ""
+    if frame_class is not None:
+        if agreement.valid_in != frame_class_mask(frame_class, limits):
+            print(f"FAIL {name}: valid frames are not exactly the {frame_class} ones")
+            return False
+        named = f" (the {frame_class} ones)"
     print(
-        f"ok   {name}: valid on {agreement.valid_in.bit_count()}/{agreement.frames} frames, "
-        f"{len(result.quasis)} quasi(s), translation equivalent on {models} models, {dt:.2f}s"
+        f"ok   {name}: valid on {agreement.valid_in.bit_count()}/{agreement.frames} frames"
+        f"{named}, {len(result.quasis)} quasi(s), translation equivalent on {models} models, "
+        f"{dt:.2f}s"
     )
     return True
 
@@ -59,6 +69,7 @@ def main() -> int:
 
 
 def sweep(args) -> int:
+    t0 = time.monotonic()
     limits = EnumerationLimits(max_worlds=args.max_worlds)
     print(f"checking against all frames with <= {args.max_worlds} worlds")
 
@@ -75,7 +86,7 @@ def sweep(args) -> int:
             print(f"FAIL {entry.name}: engine failure {result.reason}")
             ok = False
             continue
-        ok &= check_case(entry.name, ineq, result, limits)
+        ok &= check_case(entry.name, ineq, result, limits, entry.frame_class)
 
     cfg = GeneratorConfig(max_depth=4, max_props=2, max_nominals=1, filler_depth=2)
     gen = SkeletalGenerator(seed=args.seed, config=cfg)
@@ -89,6 +100,7 @@ def sweep(args) -> int:
         ok &= check_case(f"generated-{k}", ineq, result, limits)
 
     print("all checks passed" if ok else "CHECKS FAILED")
+    print(f"total wall time {time.monotonic() - t0:.2f}s")
     return 0 if ok else 1
 
 

@@ -17,9 +17,8 @@ from . import alba
 from .classify import find_order_type
 from .semantics import (
     DEFAULT_LIMITS,
-    FRAME_CLASSES,
     EnumerationLimits,
-    enumerate_frames,
+    frame_class_mask,
     frame_indices,
     frame_valid,
     frame_valid_quasi_set,
@@ -144,13 +143,8 @@ def verify_entry(
     if list(frame_indices(valid_in)) != record["valid_frames"]:
         problems.append(f"{entry.name}: output and input define different frame classes")
     if entry.frame_class is not None:
-        pred = FRAME_CLASSES[entry.frame_class]
-        expected = [
-            idx
-            for idx, fr in enumerate(enumerate_frames(limits.max_worlds, limits))
-            if pred(fr)
-        ]
-        if expected != record["valid_frames"]:
+        expected = frame_class_mask(entry.frame_class, limits)
+        if list(frame_indices(expected)) != record["valid_frames"]:
             problems.append(
                 f"{entry.name}: valid frames are not exactly the {entry.frame_class} ones"
             )

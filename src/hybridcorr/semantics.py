@@ -76,6 +76,22 @@ batch is widened once for each (props, symbols, size, renamable worlds,
 frame count) (``_one_batch``); a larger one is widened batch by batch,
 from the cached representatives or the lazy product.  Both caches keep
 the most recently used ``_TABLES_KEPT`` tables.
+
+A batch of one decides one valuation and placement, so every per-world
+value of a prop, a nominal, a state variable or a binder's unit is a
+constant: 0, or the full mask ``bind`` returns, that object itself (so are
+those of T and F).  That is every batch on a block of 2^16 frames (4
+worlds and up) and on a single frame.  The kernels of ``_compile`` and the
+inclusion and conjunction steps of ``_valid_mask`` test each operand for
+0 by value and for full by identity, and then do no big-int work: a
+negation swaps the two constants, a conjunction or disjunction returns the
+other operand or the constant, and ``<>`` skips a world whose value is 0
+and takes the edge mask itself where it is full, so ``<>'i`` returns the
+edge masks into i's world untouched.  A block mask that stays full is
+not closed under renaming.  A one-member table's values are looked up in
+``_world_sets`` on every use, as ``bind``'s full mask is, so the two stay
+one object.  Correctness never depends on recognising a constant: a value
+equal to full that is another object takes the general path.
 """
 
 from __future__ import annotations
@@ -84,6 +100,7 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
@@ -470,12 +487,23 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
         full = top[0]
         return full
 
+    # Each kernel tests its operands for the constants 0 and full (the
+    # bound object itself) and then does no big-int work on them.
+    def neg(xs) -> list[int]:
+        return [0 if x is full else full if not x else full ^ x for x in xs]
+
     def dia(xs) -> list[int]:
         out = []
         for row in rows:
             acc = 0
             for e, x in zip(row, xs):
-                acc |= e & x
+                if not x:
+                    continue
+                if x is full:
+                    # the first edge int is kept as it is, not copied
+                    acc = acc | e if acc else e
+                else:
+                    acc |= e & x
             out.append(acc)
         return out
 
@@ -496,22 +524,33 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
                 return lambda env: top
             case Not(c):
                 a = go(c)
-                return lambda env: [full ^ x for x in a(env)]
+                return lambda env: neg(a(env))
             case Or(l, r):
                 a, b = go(l), go(r)
-                return lambda env: [x | y for x, y in zip(a(env), b(env))]
+                return lambda env: [
+                    x if x is full or not y else y if y is full or not x else x | y
+                    for x, y in zip(a(env), b(env))
+                ]
             case And(l, r):
                 a, b = go(l), go(r)
-                return lambda env: [x & y for x, y in zip(a(env), b(env))]
+                return lambda env: [
+                    x if not x or y is full else y if x is full or not y else x & y
+                    for x, y in zip(a(env), b(env))
+                ]
             case Implies(l, r):
                 a, b = go(l), go(r)
-                return lambda env: [(full ^ x) | y for x, y in zip(a(env), b(env))]
+                return lambda env: [
+                    full
+                    if not x or y is full
+                    else y if x is full else (full ^ x) | y if y else full ^ x
+                    for x, y in zip(a(env), b(env))
+                ]
             case Dia(c):
                 a = go(c)
                 return lambda env: dia(a(env))
             case Box(c):
                 a = go(c)
-                return lambda env: [full ^ y for y in dia([full ^ x for x in a(env)])]
+                return lambda env: neg(dia(neg(a(env))))
             case At(t, c):
                 k = slot(t)
                 a = go(c)
@@ -845,7 +884,8 @@ def _widen(reps: Batch, n: int, count: int) -> Sequence[tuple[int, ...]]:
 @functools.lru_cache(maxsize=_TABLES_KEPT)
 def _one_batch(p: int, k: int, n: int, m: int, count: int) -> tuple[Batch, tuple]:
     """Every member of _canonical_placements(p, k, n, m) as one batch, with
-    its environment on count frames; only built when they fit in one."""
+    its environment on count frames; only built when they fit in one and
+    are more than one (see _tables)."""
     reps = tuple(_canonical_placements(p, k, n, m))
     return reps, _widen(reps, n, count)
 
@@ -863,8 +903,11 @@ def _tables(p: int, k: int, block: FrameBlock | KripkeFrame) -> Iterator[tuple[B
     width = _batch_width(block)
     reps = _canonical_placements(p, k, n, m)
     # With m = 1, reps is the lazy product of 2^(n*p) valuations and
-    # n^k placements.  A table that fits in one batch is widened once.
-    if (len(reps) if m > 1 else n**k << n * p) <= width:
+    # n^k placements.  A table that fits in one batch is widened once,
+    # unless it has one member: that one's values are looked up afresh in
+    # _world_sets, as bind's full is, so that they are that object itself
+    # even after _world_sets has dropped and rebuilt the entry.
+    if 1 < (len(reps) if m > 1 else n**k << n * p) <= width:
         yield _one_batch(p, k, n, m, count)
         return
     rest = iter(reps)
@@ -911,21 +954,31 @@ def _valid_mask(
 
     *antecedents, conclusion = zip(pairs[::2], pairs[1::2])
 
+    # As in _compile's kernels, an operand that is 0 or the bound full
+    # itself costs no big-int work.
     def included(lf, rf) -> int:
         """Mask of the frames where lhs's truth set lies within rhs's."""
         m = full
         for x, y in zip(lf(env), rf(env)):
-            m &= (full ^ x) | y
+            if not x or y is full:
+                continue
+            z = y if x is full else (full ^ x) | y
+            m = z if m is full else m & z
         return m
 
     def holds(care: int) -> int:
         """Mask of the frames (and members) among care on which q holds."""
         held = care
         for pair in antecedents:
-            held &= included(*pair)
-            if not held:
-                return care
-        return (care ^ held) | (held & included(*conclusion))
+            m = included(*pair)
+            if m is not full:
+                held = m if held is full else held & m
+                if not held:
+                    return care
+        m = included(*conclusion)
+        if m is full:
+            return care
+        return m if held is full else (care ^ held) | (held & m)
 
     p, k = len(prop_syms), len(slots) - len(prop_syms)
     checked = mismatched = 0
@@ -934,7 +987,10 @@ def _valid_mask(
     def decided() -> Iterator[tuple[int, int]]:
         nonlocal full, checked, mismatched
         for block in blocks:
-            mask, count, members = block.full, block.count, 0
+            # The block's mask starts at the full mask that a batch of one
+            # is bound to, so that the kernels' shortcuts apply to it.
+            whole = mask = full = bind(block)
+            count, members = block.count, 1
             for batch, values in _tables(p, k, block):
                 if len(batch) != members:
                     members = len(batch)
@@ -948,10 +1004,12 @@ def _valid_mask(
                     continue
                 held, translated = holds(full), full
                 for x in translated_at[0](env):
-                    translated &= x
-                mask &= _fold(held, count, members)
+                    if x is not full:
+                        translated = x if translated is full else translated & x
+                if held is not full:
+                    mask &= _fold(held, count, members)
                 checked += count * sum(weight for *_, weight in batch)
-                diff = held ^ translated
+                diff = 0 if held is translated else held ^ translated
                 if not diff:
                     continue
                 parts = zip(
@@ -976,7 +1034,8 @@ def _valid_mask(
                                 "translated": globally,
                             }
                         )
-            if mask and slots:
+            # An empty or full mask is closed under renaming already.
+            if slots and mask and mask != whole:
                 mask = _close_under_renaming(mask, block.size, _renamable(block))
             yield mask, count
 
@@ -1109,6 +1168,48 @@ FRAME_CLASSES = {
     "none": lambda fr: False,
     "singleton": lambda fr: fr.size == 1,
 }
+
+
+# The same classes decided on a whole block at once from its edge masks,
+# independently of _compile: each takes the block's edges and full mask and
+# returns the mask of the block's frames in the class.  FRAME_CLASSES stays
+# the per-frame reference they are tested against.
+
+
+def _composed(e) -> list[list[int]]:
+    """c[a][b]: the frames in which a reaches b in two steps."""
+    worlds = range(len(e))
+    return [
+        [functools.reduce(operator.or_, (e[a][u] & e[u][b] for u in worlds)) for b in worlds]
+        for a in worlds
+    ]
+
+
+def _included(xs, ys, full: int) -> int:
+    """The frames of full in which every xs[a][b] lies within ys[a][b]."""
+    outside = (x & (full ^ y) for row_x, row_y in zip(xs, ys) for x, y in zip(row_x, row_y))
+    return full ^ functools.reduce(operator.or_, outside, 0)
+
+
+_SLICED_CLASSES = {
+    "reflexive": lambda e, full: functools.reduce(operator.and_, (r[w] for w, r in enumerate(e))),
+    "transitive": lambda e, full: _included(_composed(e), e, full),
+    "symmetric": lambda e, full: _included(e, list(zip(*e)), full),
+    "dense": lambda e, full: _included(e, _composed(e), full),
+    "all": lambda e, full: full,
+    "none": lambda e, full: 0,
+    "singleton": lambda e, full: full if len(e) == 1 else 0,
+}
+
+
+def frame_class_mask(name: str, frames: EnumerationLimits | FrameBlock | KripkeFrame) -> int:
+    """Mask of the frames in the class FRAME_CLASSES[name], computed block by
+    block from the edge masks: reflexive is the AND of the diagonal edges,
+    transitive is R;R within R, symmetric R within its converse and dense
+    R within R;R."""
+    sliced = _SLICED_CLASSES[name]
+    blocks = frame_blocks(frames) if isinstance(frames, EnumerationLimits) else [frames]
+    return _concatenated((sliced(block.edges, block.full), block.count) for block in blocks)
 
 
 def model_to_json(model: KripkeModel, g: Assignment | None = None) -> dict:

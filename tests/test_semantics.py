@@ -21,6 +21,7 @@ from hybridcorr.semantics import (
     frame_at,
     frame_at_index,
     frame_blocks,
+    frame_class_mask,
     frame_indices,
     frame_valid,
     frame_valid_quasi,
@@ -37,16 +38,19 @@ from hybridcorr.semantics import (
     _batch_width,
     _canonical_placements,
     _close_under_renaming,
+    _compile,
     _concatenated,
     _one_batch,
     _orbit_representatives,
     _tables,
+    _world_sets,
     check_cases,
 )
 from hybridcorr.syntax import (
     BOT,
     TOP,
     And,
+    Dia,
     Implies,
     Inequality,
     Or,
@@ -64,7 +68,7 @@ from hybridcorr.syntax import (
     sorted_symbols,
     svar,
 )
-from hybridcorr.translate import verify_correspondence
+from hybridcorr.translate import tr_quasi, verify_correspondence
 
 from models import parse_model, random_model
 from strategies import formulas, models_for, quasis
@@ -611,6 +615,104 @@ class TestRenamingWithProps:
         self.check(frame_valid_quasi, q, 3)
 
 
+# Parts with a prop, a nominal, @ and a binder, joined to drawn pure
+# formulas so that every item has each of them.
+_hybrid_parts = st.sampled_from(
+    [parse(t) for t in ("@'i <>p", "!x. <>(x & ~p)", "@'i !x. [](p -> x)", "<>'i & @'i p")]
+)
+
+
+def with_hybrid_part(f):
+    return st.builds(lambda part, join: join(f, part), _hybrid_parts, _joins)
+
+
+def quasi_with_hybrid_part(q):
+    return st.builds(
+        lambda part, join: QuasiInequality(
+            q.antecedents, Inequality(join(q.conclusion.lhs, part), q.conclusion.rhs)
+        ),
+        _hybrid_parts,
+        _joins,
+    )
+
+
+FOUR = block_of_size(4)
+# one of the 512 blocks of 2^16 five-world frames, with some high edges set
+FIVE = next(
+    itertools.islice((b for b in frame_blocks(EnumerationLimits(5)) if b.size == 5), 300, None)
+)
+
+
+class TestConstantOperands:
+    """On blocks of 2^16 frames every batch has one member, so the values of
+    props, nominals and binder units are 0 or the bound full mask, and the
+    kernels skip big-int work on them.  Sampled bits of such a block's mask
+    against the same check on each frame alone, which decides its
+    valuations and placements side by side, where constants are rare."""
+
+    SAMPLE = sorted(random.Random(20).sample(range(1 << 16), 32))
+
+    def check(self, check, item):
+        for block in (FOUR, FIVE):
+            mask = check(block, item)
+            for j in self.SAMPLE:
+                frame = frame_at(block.size, block.start + j)
+                assert mask >> j & 1 == check(frame, item), str(frame)
+
+    @settings(max_examples=40, deadline=None)
+    @given(formulas(4, pure=True).filter(lambda f: placed(f) <= 1).flatmap(with_hybrid_part))
+    @example(parse("@'i <>p -> !x. <>(x & p)"))
+    @example(parse("@'i !x. [](p -> x)"))
+    def test_frame_valid(self, f):
+        self.check(frame_valid, f)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        quasis(2, pure=True).filter(lambda q: placed(q) <= 1).flatmap(quasi_with_hybrid_part)
+    )
+    @example(parse_quasi("'i <= <>p ; p <= !x. []<>x => @'i p <= <>'i"))
+    def test_frame_valid_quasi(self, q):
+        self.check(frame_valid_quasi, q)
+
+    def test_translation_check_against_wide_batches(self, monkeypatch):
+        # With 2^20 bits a batch on the 4-world block has up to 16 members,
+        # whose values are not the bound full: the general path decides them.
+        from hybridcorr.alba import run
+        from hybridcorr.corpus import CORPUS
+
+        outputs = [
+            q
+            for entry in CORPUS
+            if entry.expect_skeletal
+            for q in run(parse_input(entry.input_text)).quasis
+        ]
+        # <>Tr(q) fails at dead ends, so the check has mismatches to report
+        cases = [(q, f) for q in outputs for f in (tr_quasi(q), Dia(tr_quasi(q)))]
+        constants = [semantics._valid_mask(FOUR, q, f) for q, f in cases]
+        assert any(mismatched for _, _, mismatched, _ in constants)
+        monkeypatch.setattr(semantics, "_BATCH_BITS", 20)
+        assert [semantics._valid_mask(FOUR, q, f) for q, f in cases] == constants
+
+    def test_diamond_of_a_unit_is_its_edge_column(self):
+        # <>'i with 'i at world w is the column of edges into w, as it is
+        (dia_i,), bind = _compile([parse("<>'i")], {I: 0})
+        full = bind(FIVE)
+        for w in range(5):
+            unit = tuple(full if v == w else 0 for v in range(5))
+            assert all(out is row[w] for out, row in zip(dia_i([unit]), FIVE.edges))
+
+    def test_one_member_tables_hold_the_bound_full(self):
+        # A table of one member is looked up where bind takes full from, so
+        # the values stay that object after the world sets are rebuilt.
+        _, bind = _compile([], {})
+        for _ in range(2):
+            ((batch, values),) = _tables(0, 1, FOUR)
+            assert batch == (((), (0,), 4),)  # one nominal, at any of 4 worlds
+            full = bind(FOUR)
+            assert values[0][0] is full and values[0][1] == 0
+            _world_sets.cache_clear()
+
+
 class TestBatches:
     """The loop decides up to 2^16 / count valuations and placements per
     evaluation on count frames.  With the bound set to 0 every batch has
@@ -808,6 +910,35 @@ class TestFrameAgreement:
         disagreements = report.frames - report.agreements
         assert len(report.counterexamples) == min(5, disagreements)
         assert all("input=" in c and "output=" in c for c in report.counterexamples)
+
+
+class TestFrameClassMasks:
+    """The frame classes decided from the edge masks, block by block,
+    against the per-frame predicates of FRAME_CLASSES."""
+
+    def test_every_frame_up_to_four_worlds(self):
+        limits = EnumerationLimits(4)
+        frames = list(enumerate_frames(4, limits))
+        assert len(frames) == 66_066
+        for name, pred in FRAME_CLASSES.items():
+            expected = [k for k, fr in enumerate(frames) if pred(fr)]
+            assert list(frame_indices(frame_class_mask(name, limits))) == expected, name
+            for fr in frames[500:530]:
+                assert frame_class_mask(name, fr) == pred(fr), (name, fr)
+
+    def test_counts_up_to_five_worlds(self):
+        limits = EnumerationLimits(5)
+        counts = {
+            name: frame_class_mask(name, limits).bit_count()
+            for name in ("reflexive", "transitive", "symmetric", "dense", "singleton")
+        }
+        assert counts == {
+            "reflexive": 1_052_741,
+            "transitive": 158_483,
+            "symmetric": 33_866,
+            "dense": 15_374_769,
+            "singleton": 2,
+        }
 
 
 class TestEnumerateFrames:
