@@ -347,15 +347,17 @@ def check_schemas(
     instance.  Only a group that fails somewhere is decided instance by
     instance, to name its failing instances."""
     schemas = schemas if schemas is not None else all_schemas()
-    admit(sum(check_cases(inst, limits) for schema in schemas for inst in schema.instances))
-
-    def signature(f: Formula) -> tuple:
-        return tuple(map(tuple, sorted_symbols(f)))
-
+    # Each instance with its signature, the symbols that group it.
+    keyed = [
+        [(tuple(map(tuple, sorted_symbols(inst))), inst) for inst in schema.instances]
+        for schema in schemas
+    ]
     groups: dict[tuple, list[Formula]] = {}
-    for schema in schemas:
-        for inst in schema.instances:
-            groups.setdefault(signature(inst), []).append(inst)
+    for instances in keyed:
+        for key, inst in instances:
+            groups.setdefault(key, []).append(inst)
+    # The instances of a group have the same symbols and so the same cases.
+    admit(sum(len(group) * check_cases(group[0], limits) for group in groups.values()))
     full = limits.full
     failed = {
         key
@@ -363,10 +365,10 @@ def check_schemas(
         if frame_valid(limits, functools.reduce(And, group)) != full
     }
     out: list[SchemaCheck] = []
-    for schema in schemas:
+    for schema, instances in zip(schemas, keyed):
         failures: list[str] = []
-        for inst in schema.instances:
-            if signature(inst) not in failed:
+        for key, inst in instances:
+            if key not in failed:
                 continue
             invalid = full ^ frame_valid(limits, inst)
             if invalid:

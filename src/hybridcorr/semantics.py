@@ -3,15 +3,29 @@
 Two evaluators live here on purpose.  ``eval_at`` implements the
 satisfaction clauses world by world and is the reference oracle, which
 ``globally_true`` and the ``holds_*`` checks use.  ``_compile`` is the
-sliced evaluator: it turns a formula into closures that decide it on a
-whole block of frames at once.  A block holds frames of one size n in
-``enumerate_frames`` order; every symbol and every compiled formula has one
-int per world, whose bit j says whether it holds there (a nominal or state
-variable: is placed there) in frame j of the block (the bitslicing
-technique of Biham, "A fast new DES implementation in software", FSE 1997,
-applied to frames).  ``truth_mask``, ``frame_valid`` and
-``frame_valid_quasi`` all evaluate through it; a ``KripkeFrame`` is a block
-of one frame.  The property suite keeps it in agreement with the oracle.
+sliced evaluator: it turns the formulas of one validity question into
+kernels that decide them on a whole block of frames at once.  A block
+holds frames of one size n in ``enumerate_frames`` order; every symbol and
+every compiled formula has one int per world, whose bit j says whether it
+holds there (a nominal or state variable: is placed there) in frame j of
+the block (the bitslicing technique of Biham, "A fast new DES
+implementation in software", FSE 1997, applied to frames).
+``truth_mask``, ``frame_valid`` and ``frame_valid_quasi`` all evaluate
+through it; a ``KripkeFrame`` is a block of one frame.  The property suite
+keeps it in agreement with the oracle.
+
+The kernels form a DAG.  The question's formulas are interned
+(hash-consed) bottom up, each node keyed by its type, its slot numbers and
+its children's ids, so each distinct subformula with its resolved slots
+has one kernel, whichever formula and binder it occurs under.  A kernel
+that is called more than once per evaluation keeps its value until the
+next batch is loaded or a binder sets a slot it reads.  So it runs at
+most once per batch, and a subformula that does not read a binder's slot
+runs once, not once per world, in that binder's loop: loop-invariant code
+motion (Aho, Lam, Sethi and Ullman, *Compilers*, 2nd ed., section 9.5) by
+the same rule of reuse.  ``axioms.check_schemas``' conjunctions thus
+evaluate each subterm their instances share once, and the translation
+check evaluates the subformulas that Tr(q) shares with q's sides once.
 
 Verification enumerates every frame up to a size cap (2 + 16 + 512 = 530
 frames for sizes 1..3, 66,066 up to 4) and every valuation of the symbols
@@ -70,8 +84,8 @@ whole blocks of sizes 1..3, one on a block of 2^16 frames (4 worlds and
 up) and 65,536 on a single frame.  A batch's mask is its segments ANDed
 by halving, with the unused tail of a partial last batch set first.  One
 builder (``_widen``) makes every batch's environment: it joins each value
-from bytes in linear time, and looks a one-member batch's values up in a
-table of world sets per size and frame count.  A table that fits in one
+from bytes in linear time, and builds a one-member batch's values from
+the world sets of its size and frame count.  A table that fits in one
 batch is widened once for each (props, symbols, size, renamable worlds,
 frame count) (``_one_batch``); a larger one is widened batch by batch,
 from the cached representatives or the lazy product.  Both caches keep
@@ -88,10 +102,12 @@ negation swaps the two constants, a conjunction or disjunction returns the
 other operand or the constant, and ``<>`` skips a world whose value is 0
 and takes the edge mask itself where it is full, so ``<>'i`` returns the
 edge masks into i's world untouched.  A block mask that stays full is
-not closed under renaming.  A one-member table's values are looked up in
-``_world_sets`` on every use, as ``bind``'s full mask is, so the two stay
-one object.  Correctness never depends on recognising a constant: a value
-equal to full that is another object takes the general path.
+not closed under renaming.  ``_world_sets`` keeps, per size and frame
+count, the n + 2 world sets ``bind`` reads (no world, every world, and
+each world alone); a one-member table's values are built from its full
+mask on every use, as ``bind``'s full mask is taken from it, so the two
+stay one object.  Correctness never depends on recognising a constant: a
+value equal to full that is another object takes the general path.
 """
 
 from __future__ import annotations
@@ -460,32 +476,142 @@ def enumerate_frames(
 # The sliced evaluator
 # ---------------------------------------------------------------------------
 #
-# Formulas are compiled once per validity question into nested closures over
-# a flat environment list that holds the per-world values of every symbol:
-# a prop's bit is set where it holds, a nominal's or a state variable's
-# where it is placed.  ``slots`` maps each free symbol to its index in that
-# list and must number them 0..len(slots)-1; a binder takes the next index
-# for the extent of its scope.  The closures read the block only through
-# cells that ``bind`` re-points, so one compilation serves every block at no
-# cost per evaluation.
+# Formulas are compiled once per validity question into one DAG of kernels
+# over a flat environment list.  The list starts with the per-world values
+# of every symbol: a prop's bit is set where it holds, a nominal's or a
+# state variable's where it is placed.  ``slots`` maps each free symbol to
+# its index there and must number them 0..len(slots)-1; a binder takes the
+# next index for the extent of its scope.  Behind the symbols come the
+# binders' slots and then one cell per shared node: the kernels of the
+# formulas append them, set to None, when they are called on a list that
+# holds only the symbols' values, as it does after each load.
+#
+# The formulas are interned (hash-consed): a node's key is its type, its
+# slot and its children's ids, built bottom up, never Formula.__hash__,
+# which recurses, so each distinct pair of a subformula and its resolved
+# slots is one node with one kernel, whichever formula of the question it
+# occurs in and whatever its binders' names.  A node is shared if it
+# would be called more than once per evaluation: it has several parents
+# (or is several of the formulas), or a parent that varies with a
+# binder's slot that the node does not read, which would call it once per
+# world of the binder's loop.  A shared node keeps its value in its cell,
+# None until computed.  Loading a batch replaces the list's contents and
+# so clears every cell, and a binder clears the cells of the shared nodes
+# that read its slot each time it sets that slot.  So a value is reused
+# only while the batch, the bound block and every binder slot it reads
+# are unchanged: a shared kernel runs at most once per batch, and a
+# subformula that does not read a binder's slot runs once, not once per
+# world, in that binder's loop.  The kernels read the block only through
+# cells that ``bind`` re-points, so one compilation serves every block at
+# no cost per evaluation; a block is bound before its batches are loaded.
+
+# How _compile keys each node type: a symbol by its slot, a constant by its
+# type, a connective by its children, @ and a binder by a slot and a child.
+_SHAPES = {
+    Prop: "symbol",
+    Svar: "symbol",
+    Nom: "symbol",
+    Bot: "constant",
+    Top: "constant",
+    Not: "unary",
+    Dia: "unary",
+    Box: "unary",
+    Or: "binary",
+    And: "binary",
+    Implies: "binary",
+    At: "at",
+    Down: "down",
+}
+# The tag of a symbol's node in _compile's keys: a prop, a nominal and a
+# state variable all read their slot.
+_SLOT = "slot"
 
 
 def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
-    """Closures computing the per-world frame masks of each formula of fs
+    """Kernels computing the per-world frame masks of each formula of fs
     from an environment list, and bind(frames), which points all of them at
-    a block (or a frame) before they are called and returns the block's
-    full mask, the object unit values should hold."""
+    a block (or a frame) and returns the block's full mask, the object unit
+    values should hold.  Bind first, then load the symbols' values in slot
+    order, as a new list or by replacing a list's contents (env[:] =
+    values), and call the kernels on it."""
     n = full = 0
     rows = top = bot = units = ()
 
     def bind(frames: FrameBlock | KripkeFrame) -> int:
         nonlocal n, full, rows, top, bot, units
         n, rows = frames.size, frames.edges
-        sets = _world_sets(n, frames.count)
         # units[w]: the values of a binder's state variable set to w.
-        bot, top, units = sets[0], sets[-1], [sets[1 << w] for w in range(n)]
+        bot, top, units = _world_sets(n, frames.count)
         full = top[0]
         return full
+
+    # ids: node i's key, (tag, slot or None, children's ids...), to i, in
+    # order of i; reads[i]: the mask of the slots node i's value depends on;
+    # calls[i]: how often it is called per evaluation, where a parent that
+    # varies with a binder's slot the node does not read counts twice, since
+    # it calls the node again with the same value (a binder's loop varies
+    # with its own slot).
+    ids: dict[tuple, int] = {}
+    reads: list[int] = []
+    calls: list[int] = []
+    width = len(slots)  # the free symbols' slots and the most binders' in scope at once
+    bound = 0  # the mask of the slots a binder sets
+
+    def intern(h: Formula) -> int:
+        nonlocal width, bound
+        t = type(h)
+        try:
+            shape = _SHAPES[t]
+        except KeyError:
+            raise TypeError(f"not a formula: {h!r}") from None
+        loop = 0
+        if shape == "symbol":
+            k = slots.get(h.sym)
+            if k is None:
+                raise UnboundSymbolError(h.sym)
+            key, mask = (_SLOT, k), 1 << k
+        elif shape == "unary":
+            c = intern(h.child)
+            key, mask = (t, None, c), reads[c]
+        elif shape == "constant":
+            key, mask = (t, None), 0
+        elif shape == "binary":
+            a, b = intern(h.lhs), intern(h.rhs)
+            key, mask = (t, None, a, b), reads[a] | reads[b]
+        elif shape == "at":
+            k = slots.get(h.term)
+            if k is None:
+                raise UnboundSymbolError(h.term)
+            c = intern(h.child)
+            key, mask = (t, k, c), reads[c] | 1 << k
+        else:
+            v = h.var
+            scoped = v not in slots
+            if scoped:
+                slots[v] = len(slots)
+                width = max(width, len(slots))
+            k = slots[v]
+            loop = 1 << k
+            bound |= loop
+            c = intern(h.child)
+            if scoped:
+                # Outside this binder an occurrence of v is unbound.
+                del slots[v]
+            # The binder sets slot k itself: its value does not depend on it.
+            key, mask = (t, k, c), reads[c] & ~loop
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(reads)
+            reads.append(mask)
+            calls.append(0)
+            varies = (mask | loop) & bound
+            for c in key[2:]:
+                calls[c] += 2 if varies & ~reads[c] else 1
+        return i
+
+    roots = [intern(f) for f in fs]
+    for i in roots:
+        calls[i] += 1
 
     # Each kernel tests its operands for the constants 0 and full (the
     # bound object itself) and then does no big-int work on them.
@@ -507,94 +633,105 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
             out.append(acc)
         return out
 
-    def slot(s: Symbol) -> int:
-        k = slots.get(s)
-        if k is None:
-            raise UnboundSymbolError(s)
-        return k
+    # The kernels, children first.  A shared node's kernel keeps its value
+    # in cell `size` of the list; stale[k] lists the cells of the shared
+    # nodes that read slot k, which a binder of k clears.
+    size = width
+    stale: list[list[int]] = [[] for _ in range(width)]
+    kernels: list = []
+    for i, key in enumerate(ids):
+        t = key[0]
+        if t is _SLOT:
+            kernel = lambda env, k=key[1]: env[k]
+        elif t is Not:
+            kernel = lambda env, a=kernels[key[2]]: neg(a(env))
+        elif t is Dia:
+            kernel = lambda env, a=kernels[key[2]]: dia(a(env))
+        elif t is Box:
+            kernel = lambda env, a=kernels[key[2]]: neg(dia(neg(a(env))))
+        elif t is At:
 
-    def go(h: Formula):
-        match h:
-            case Prop(s) | Svar(s) | Nom(s):
-                k = slot(s)
-                return lambda env: env[k]
-            case Bot():
-                return lambda env: bot
-            case Top():
-                return lambda env: top
-            case Not(c):
-                a = go(c)
-                return lambda env: neg(a(env))
-            case Or(l, r):
-                a, b = go(l), go(r)
-                return lambda env: [
-                    x if x is full or not y else y if y is full or not x else x | y
-                    for x, y in zip(a(env), b(env))
-                ]
-            case And(l, r):
-                a, b = go(l), go(r)
-                return lambda env: [
-                    x if not x or y is full else y if x is full or not y else x & y
-                    for x, y in zip(a(env), b(env))
-                ]
-            case Implies(l, r):
-                a, b = go(l), go(r)
-                return lambda env: [
-                    full
-                    if not x or y is full
-                    else y if x is full else (full ^ x) | y if y else full ^ x
-                    for x, y in zip(a(env), b(env))
-                ]
-            case Dia(c):
-                a = go(c)
-                return lambda env: dia(a(env))
-            case Box(c):
-                a = go(c)
-                return lambda env: neg(dia(neg(a(env))))
-            case At(t, c):
-                k = slot(t)
-                a = go(c)
+            def kernel(env, k=key[1], a=kernels[key[2]]):
+                xs, ys = env[k], a(env)
+                if full in xs:
+                    # The term is at that world in every frame and member,
+                    # so nowhere else.  Unit values hold the bound full
+                    # itself, so this is an identity test for them.
+                    return (ys[xs.index(full)],) * n
+                acc = 0
+                for x, y in zip(xs, ys):
+                    acc |= x & y
+                return (acc,) * n
 
-                def at(env):
-                    xs, ys = env[k], a(env)
-                    if full in xs:
-                        # t is at that world in every frame and member, so
-                        # nowhere else.  Unit values hold the bound full
-                        # itself, so this is an identity test for them.
-                        return (ys[xs.index(full)],) * n
-                    acc = 0
-                    for x, y in zip(xs, ys):
-                        acc |= x & y
-                    return (acc,) * n
+        elif t is And:
+            kernel = lambda env, a=kernels[key[2]], b=kernels[key[3]]: [
+                x if not x or y is full else y if x is full or not y else x & y
+                for x, y in zip(a(env), b(env))
+            ]
+        elif t is Or:
+            kernel = lambda env, a=kernels[key[2]], b=kernels[key[3]]: [
+                x if x is full or not y else y if y is full or not x else x | y
+                for x, y in zip(a(env), b(env))
+            ]
+        elif t is Implies:
+            kernel = lambda env, a=kernels[key[2]], b=kernels[key[3]]: [
+                full
+                if not x or y is full
+                else y if x is full else (full ^ x) | y if y else full ^ x
+                for x, y in zip(a(env), b(env))
+            ]
+        elif t is Down:
 
-                return at
-            case Down(v, c):
-                scoped = v not in slots
-                if scoped:
-                    slots[v] = len(slots)
-                k = slots[v]
-                a = go(c)
-                if scoped:
-                    # Outside this binder an occurrence of v is unbound.
-                    del slots[v]
+            def kernel(env, k=key[1], a=kernels[key[2]], cells=stale[key[1]]):
+                saved = env[k]
+                out = []
+                for w, unit in enumerate(units):
+                    env[k] = unit
+                    for cell in cells:
+                        env[cell] = None
+                    out.append(a(env)[w])
+                env[k] = saved
+                for cell in cells:
+                    env[cell] = None
+                return out
 
-                def down(env):
-                    saved = env[k] if k < len(env) else None
-                    while len(env) <= k:
-                        env.append(None)
-                    out = []
-                    for w, unit in enumerate(units):
-                        env[k] = unit
-                        out.append(a(env)[w])
-                    if saved is not None:
-                        env[k] = saved
-                    return out
+        elif t is Top:
+            kernel = lambda env: top
+        else:
+            kernel = lambda env: bot
+        if calls[i] > 1 and len(key) > 2:  # a leaf costs less than its cell
+            kernel = _shared(kernel, size)
+            m = reads[i] & bound
+            while m:
+                s = m.bit_length() - 1
+                stale[s].append(size)
+                m ^= 1 << s
+            size += 1
+        kernels.append(kernel)
 
-                return down
-            case _:
-                raise TypeError(f"not a formula: {h!r}")
+    def entry(kernel):
+        def root(env):
+            if len(env) < size:
+                # Just loaded: no binder slot is set and no shared value kept.
+                env.extend([None] * (size - len(env)))
+            return kernel(env)
 
-    return [go(f) for f in fs], bind
+        return root
+
+    return [entry(kernels[i]) for i in roots], bind
+
+
+def _shared(kernel, cell: int):
+    """kernel, keeping its value in cell of the environment list until the
+    cell is cleared."""
+
+    def evaluated_once(env):
+        value = env[cell]
+        if value is None:
+            value = env[cell] = kernel(env)
+        return value
+
+    return evaluated_once
 
 
 # The most cases one check may decide: see check_cases.  Within it the
@@ -850,24 +987,32 @@ def _segment_pieces(count: int) -> tuple[int, dict[tuple[int, ...], bytes]]:
 
 
 @functools.lru_cache(maxsize=64)
-def _world_sets(n: int, count: int) -> tuple[tuple[int, ...], ...]:
-    """values[s]: the per-world values, over count frames, of a symbol that
-    holds (is placed) at the worlds of the set bits of s: all ones there
-    and 0 elsewhere."""
+def _world_sets(
+    n: int, count: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """(nowhere, everywhere, units): the per-world values, over count
+    frames, of a symbol that holds (is placed) at no world, at every world
+    and at world w alone (units[w]): all ones there and 0 elsewhere.  These
+    n + 2 sets are all that bind reads.  Every all-ones value is one
+    object, the full mask that bind returns."""
     full = (1 << count) - 1
-    return tuple(tuple(full if s >> w & 1 else 0 for w in range(n)) for s in range(1 << n))
+    worlds = range(n)
+    return (0,) * n, (full,) * n, tuple(tuple(full if v == w else 0 for v in worlds) for w in worlds)
 
 
 def _widen(reps: Batch, n: int, count: int) -> Sequence[tuple[int, ...]]:
     """The environment that decides reps side by side on count frames of
     size n: for each slot its per-world values, whose segment b (bits
     b*count up) is all ones iff, under reps[b], the prop holds (the symbol
-    is placed) at that world.  One member's values are looked up; more are
-    joined from bytes, in time linear in their size."""
+    is placed) at that world.  One member's values hold the full mask of
+    _world_sets, a placement's are looked up there; more members' are joined
+    from bytes, in time linear in their size."""
     if len(reps) == 1:
         ((valuation, placement, _),) = reps
-        values = _world_sets(n, count)
-        return [values[s] for s in valuation] + [values[1 << w] for w in placement]
+        _, everywhere, units = _world_sets(n, count)
+        full = everywhere[0]
+        props = [tuple(full if s >> w & 1 else 0 for w in range(n)) for s in valuation]
+        return props + [units[w] for w in placement]
     per, pieces = _segment_pieces(count)
     pad = [0] * (-len(reps) % per)
 

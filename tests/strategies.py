@@ -63,6 +63,32 @@ def formulas(max_leaves: int = 10, pure: bool = False) -> st.SearchStrategy[Form
     )
 
 
+_connectives = st.sampled_from([And, Or, Implies])
+
+
+@st.composite
+def shared_formulas(draw, max_leaves: int = 3, pure: bool = False) -> Formula:
+    """Formulas that reuse one drawn subformula s, which the compiled
+    evaluator keeps as one node: on both sides of a binary node, inside and
+    outside !x., under two sibling !x. binders, or beside and under a
+    binder that shadows a free x.  The result may sit under <>, [] or @'i."""
+    s, t = draw(formulas(max_leaves, pure)), draw(formulas(max_leaves, pure))
+    a, b, c = (draw(_connectives) for _ in range(3))
+    x = SVARS[0]
+    with_x = b(s, Svar(x))  # x occurs free in it
+    shape = draw(st.sampled_from(["both sides", "in and out", "siblings", "shadowed"]))
+    f = {
+        "both sides": a(s, s),
+        "in and out": a(s, Down(x, b(s, t))),
+        "siblings": a(Down(x, b(s, t)), Down(x, c(t, s))),
+        "shadowed": a(with_x, Down(x, c(with_x, t))),
+    }[shape]
+    context = draw(st.sampled_from([None, Dia, Box, At]))
+    if context is At:
+        return At(NOMS[0], f)
+    return f if context is None else context(f)
+
+
 def inequalities(max_leaves: int = 8) -> st.SearchStrategy[Inequality]:
     return st.builds(Inequality, formulas(max_leaves), formulas(max_leaves))
 

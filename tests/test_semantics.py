@@ -13,6 +13,7 @@ from hybridcorr.semantics import (
     MAX_CASES,
     EnumerationCapError,
     EnumerationLimits,
+    FrameBlock,
     KripkeFrame,
     KripkeModel,
     UnboundSymbolError,
@@ -71,7 +72,7 @@ from hybridcorr.syntax import (
 from hybridcorr.translate import tr_quasi, verify_correspondence
 
 from models import parse_model, random_model
-from strategies import formulas, models_for, quasis
+from strategies import formulas, models_for, quasis, shared_formulas
 
 P = prop("p")
 X = svar("x")
@@ -711,6 +712,110 @@ class TestConstantOperands:
             full = bind(FOUR)
             assert values[0][0] is full and values[0][1] == 0
             _world_sets.cache_clear()
+
+    def test_world_sets_hold_only_what_bind_reads(self):
+        # bind reads the empty set, the full set and the singletons: n + 2
+        # sets, not 2^n, so many worlds cost little
+        n = 18
+        cycle = KripkeFrame(n, frozenset((w, (w + 1) % n) for w in range(n)))
+        f = parse("<>'i")
+        start = time.perf_counter()
+        assert truth_mask(model(cycle, nv={I: 5}), {}, f) == 1 << 4
+        assert time.perf_counter() - start < 0.05
+        nowhere, everywhere, units = _world_sets(n, 1)
+        assert nowhere == (0,) * n and everywhere == (1,) * n and len(units) == n
+
+
+def few_symbols(f):
+    """Whether f has at most one prop and two nominals and free state
+    variables, so that eval_at decides it on sampled 4-world frames quickly."""
+    return len(sorted_symbols(f)[0]) <= 1 and placed(f) <= 2
+
+
+class _CountedRows(tuple):
+    """A block's edge rows that count how often they are walked: <> walks
+    them once per evaluation, and [] once through <>."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+class TestSharedSubformulas:
+    """Each validity question is compiled as a DAG: one kernel per distinct
+    subformula and slots, evaluated at most once per batch, and once, not
+    once per world, in the loop of a binder whose slot it does not read."""
+
+    SAMPLE3 = sorted(random.Random(22).sample(range(512), 12))
+    SAMPLE4 = sorted(random.Random(22).sample(range(1 << 16), 3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(shared_formulas().filter(few_symbols))
+    @example(parse("!x. <>x & !x. (<>x | p)"))  # sibling binders share <>x
+    @example(parse("(<>x & p) | !x. (<>x & p)"))  # a binder shadows the free x
+    def test_frame_valid_against_the_oracle(self, f):
+        # every frame of the blocks up to 2 worlds, sampled frames of 3 and 4
+        for block in BLOCKS:
+            expect = [int(oracle_valid(frame_at(block.size, m), f)) for m in range(block.count)]
+            assert mask_bits(frame_valid(block, f), block.count) == expect
+        for block, sample in ((THREE, self.SAMPLE3), (FOUR, self.SAMPLE4)):
+            mask = frame_valid(block, f)
+            for m in sample:
+                assert mask >> m & 1 == oracle_valid(frame_at(block.size, m), f), m
+
+    @settings(max_examples=100, deadline=None)
+    @given(shared_formulas(4).flatmap(lambda f: models_for(f).map(lambda mg: (f, *mg))))
+    def test_truth_mask_against_the_oracle(self, case):
+        f, m, g = case
+        mask = truth_mask(m, g, f)
+        for w in range(m.frame.size):
+            assert eval_at(m, g, w, f) == bool(mask >> w & 1)
+
+    def test_one_environment_list_reloaded(self):
+        # Replacing the list's contents clears the values kept for shared
+        # nodes, so each load is decided afresh.
+        f = parse("(<>p & <>p) | !x. (<>p & []<>x) | @'i <>p")
+        (held_at,), bind = _compile([f], {P: 0, I: 1})
+        frame = KripkeFrame(3, frozenset({(0, 1), (1, 2), (2, 2), (1, 0)}))
+        bind(frame)
+        env = []
+        for ws, at in [({0}, 0), ({1, 2}, 1), (set(), 2), ({0, 2}, 1), ({2}, 0)]:
+            env[:] = [tuple(int(w in ws) for w in range(3)), tuple(int(w == at) for w in range(3))]
+            held = held_at(env)
+            m = model(frame, {P: frozenset(ws)}, {I: at})
+            assert [bool(x) for x in held] == [eval_at(m, {}, w, f) for w in range(3)], ws
+
+    def walks(self, texts, loads=1):
+        """How often <> walks the edges when the formulas are evaluated on
+        the 2-world block with p at world 0, once per load."""
+        rows = _CountedRows(BLOCKS[1].edges)
+        compiled, bind = _compile([parse(t) for t in texts], {P: 0})
+        full = bind(FrameBlock(2, 0, 16, rows))
+        env = []
+        for _ in range(loads):
+            env[:] = [(full, 0)]
+            for kernel in compiled:
+                kernel(env)
+        return rows.walks
+
+    def test_a_repeated_subformula_is_evaluated_once(self):
+        assert self.walks(["<>p & <>p"]) == 1
+        assert self.walks(["<>p", "<>p | []p", "[]p -> <>p"]) == 2
+
+    def test_invariant_of_a_binder_is_evaluated_once(self):
+        # <>p does not read x: once, not once per world of the binder
+        assert self.walks(["!x. (<>p & x)"]) == 1
+        assert self.walks(["!x. !y. (<>p & x & <>y)"]) == 1 + 2 * 2
+
+    def test_each_load_is_evaluated_afresh(self):
+        assert self.walks(["<>p & <>p"], loads=3) == 3
+
+    def test_a_binder_slot_is_read_afresh(self):
+        # <>x reads the binder's slot: once per world, in each sibling binder
+        assert self.walks(["!x. <>x"]) == 2
+        assert self.walks(["!x. <>x & !x. (<>x | p)"]) == 4
 
 
 class TestBatches:
