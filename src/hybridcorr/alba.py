@@ -8,16 +8,17 @@ the two Ackermann rules (minimal/maximal valuations).  Stage 3 assembles
 pure quasi-inequalities and names any free state variables with fresh
 nominals.
 
-Every rule application is logged as a trace step carrying the consumed and
-produced inequalities plus a justification tag naming the schema that
-licenses it (the schemas themselves are validated semantically by the
-axioms module).  Traces replay: applying the recorded edits to the initial
-state reproduces the final state exactly.
+Every rule application is one call of _log_step, which logs a trace step
+(consumed and produced inequalities, and a tag naming the schema that
+licenses it, validated by the axioms module) and makes its edit.  Each
+system carries its trace; replaying it from the initial state reproduces
+the final state, the one the system reached.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -75,7 +76,8 @@ from .syntax import (
     with_children,
 )
 
-DEFAULT_STEP_BUDGET = 10_000
+# Rule applications one trace may log; more signal a non-terminating strategy.
+STEP_BUDGET = 10_000
 
 
 class EngineInvariantError(Exception):
@@ -126,7 +128,10 @@ class AlbaTrace:
     origin: str
     initial: tuple[Inequality, ...]
     steps: list[TraceStep] = field(default_factory=list)
-    final: tuple[Inequality, ...] = ()
+    final: tuple[Inequality, ...] = field(init=False)
+
+    def __post_init__(self):
+        self.final = self.initial
 
     def to_json(self) -> dict:
         return {
@@ -142,18 +147,15 @@ def apply_step(state: tuple[Inequality, ...], step: TraceStep) -> tuple[Inequali
     the position of the first consumed item.  The engine performs exactly
     this edit, so replaying a trace is a fold of apply_step."""
     work = list(state)
-    indices: list[int] = []
+    insert_at = len(work)
     for c in step.consumed:
-        for k, item in enumerate(work):
-            if item == c and k not in indices:
-                indices.append(k)
-                break
-        else:
-            raise EngineInvariantError(f"trace step consumes {c} which is not in the state")
-    insert_at = min(indices) if indices else len(work)
-    for k in sorted(indices, reverse=True):
+        try:
+            k = work.index(c)
+        except ValueError:
+            raise EngineInvariantError(f"trace step consumes {c} which is not in the state") from None
         del work[k]
-    work[insert_at:insert_at] = list(step.produced)
+        insert_at = min(insert_at, k)
+    work[insert_at:insert_at] = step.produced
     return tuple(work)
 
 
@@ -162,6 +164,21 @@ def replay(trace: AlbaTrace) -> tuple[Inequality, ...]:
     for step in trace.steps:
         state = apply_step(state, step)
     return state
+
+
+def _log_step(
+    trace: AlbaTrace, state: tuple[Inequality, ...], step: TraceStep
+) -> tuple[Inequality, ...]:
+    """Log step in trace and apply it to state; the result is the trace's
+    final state.  Every rule application of the engine is made here."""
+    if len(trace.steps) >= STEP_BUDGET:
+        raise EngineInvariantError(
+            f"step budget of {STEP_BUDGET} rule applications exceeded; "
+            "this signals a non-terminating strategy bug"
+        )
+    trace.steps.append(step)
+    trace.final = apply_step(state, step)
+    return trace.final
 
 
 # ---------------------------------------------------------------------------
@@ -238,37 +255,28 @@ def final_form(ineq: Inequality, eps: OrderType) -> int | None:
 
 @dataclass
 class System:
-    """One anchored set of inequalities in flight, with its anchors."""
+    """One anchored set of inequalities in flight, with its anchors and the
+    trace that reached it (a fresh one starting here when none is given)."""
 
     inequalities: tuple[Inequality, ...]
     conclusion: Inequality
     ctx: FreshContext
     origin: str
+    trace: AlbaTrace | None = None
+
+    def __post_init__(self):
+        if self.trace is None:
+            self.trace = AlbaTrace(self.origin, self.inequalities)
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def tick(self) -> None:
-        self.used += 1
-        if self.used > self.limit:
-            raise EngineInvariantError(
-                f"step budget of {self.limit} rule applications exceeded; "
-                "this signals a non-terminating strategy bug"
-            )
-
-
-# A stage-1 rewrite found in one inequality: rule name, the inequalities
-# that replace it, justification tag.
+# A stage-1 or substage-1 rewrite found in one inequality: rule name, the
+# inequalities that replace it, justification tag.
 Rewrite = tuple[str, tuple[Inequality, ...], str]
 
 
 def _saturate(
     state: tuple[Inequality, ...],
     trace: AlbaTrace,
-    budget: _Budget,
     find_step: Callable[[Inequality], Rewrite | None],
 ) -> tuple[Inequality, ...]:
     """Rewrite to fixpoint: scan the state in order, apply the first rewrite
@@ -283,10 +291,7 @@ def _saturate(
             k += 1
             continue
         rule, produced, just = found
-        budget.tick()
-        step = TraceStep(rule, (ineq,), produced, just)
-        trace.steps.append(step)
-        state = apply_step(state, step)
+        state = _log_step(trace, state, TraceStep(rule, (ineq,), produced, just))
     return state
 
 
@@ -402,21 +407,16 @@ def _uniform_step(ineq: Inequality) -> Rewrite | None:
 
 
 def preprocess(
-    ineq: Inequality,
-    eps: OrderType | None = None,
-    budget_limit: int = DEFAULT_STEP_BUDGET,
-    trace: AlbaTrace | None = None,
+    ineq: Inequality, eps: OrderType | None = None, trace: AlbaTrace | None = None
 ) -> list[Inequality]:
     """Distribution, splitting, and uniform-variable elimination, in that
     order, each to fixpoint.  With an order type given, every output is
     checked to be definite skeletal Sahlqvist for it."""
     if trace is None:
         trace = AlbaTrace("preprocess", (ineq,))
-    budget = _Budget(budget_limit)
     state: tuple[Inequality, ...] = (ineq,)
     for find_step in (_distribution_step, _split_step, _uniform_step):
-        state = _saturate(state, trace, budget, find_step)
-    trace.final = state
+        state = _saturate(state, trace, find_step)
     if eps is not None:
         for out in state:
             if not is_definite(out, eps):
@@ -431,20 +431,17 @@ def preprocess(
 # ---------------------------------------------------------------------------
 
 
-def first_approximation(
-    ineq: Inequality, ctx: FreshContext, origin: str = "system0", trace: AlbaTrace | None = None
-) -> System:
-    """Anchor both sides: {i0 <= lhs, rhs <= ~i1} with i0, i1 fresh."""
+def first_approximation(ineq: Inequality, ctx: FreshContext, origin: str = "system0") -> System:
+    """Anchor both sides: {i0 <= lhs, rhs <= ~i1} with i0, i1 fresh.  The
+    system's trace starts at the inequality."""
     i0 = ctx.fresh(Kind.NOM)
     i1 = ctx.fresh(Kind.NOM)
     left = Inequality(Nom(i0), ineq.lhs)
     right = Inequality(ineq.rhs, Not(Nom(i1)))
     conclusion = Inequality(Nom(i0), Not(Nom(i1)))
-    if trace is not None:
-        trace.steps.append(
-            TraceStep("first-approx", (ineq,), (left, right), "anchor-nominals")
-        )
-    return System((left, right), conclusion, ctx, origin)
+    trace = AlbaTrace(origin, (ineq,))
+    step = TraceStep("first-approx", (ineq,), (left, right), "anchor-nominals")
+    return System(_log_step(trace, trace.initial, step), conclusion, ctx, origin, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -575,44 +572,33 @@ def _ineq_symbols(ineq: Inequality) -> frozenset[Symbol]:
     return all_symbols(ineq.lhs) | all_symbols(ineq.rhs)
 
 
-def reduce_substage1(
-    system: System,
-    eps: OrderType | None = None,
-    budget_limit: int = DEFAULT_STEP_BUDGET,
-    trace: AlbaTrace | None = None,
-) -> System:
-    """Decompose to saturation, processing inequalities first-in-first-out
-    and each produced inequality immediately (innermost first).
+def reduce_substage1(system: System, eps: OrderType | None = None) -> System:
+    """Decompose to saturation with _saturate: the inequalities in order,
+    each produced one at once (innermost first).
 
-    The state is always ``done + queue``, the edit apply_step makes, so
-    ``done`` is the output.  Freshly introduced nominals are checked against
-    every symbol the system has held so far; shapes are checked on the input
-    and on what each step produces.
+    Freshly introduced nominals are checked against every symbol the system
+    has held so far; shapes are checked on the input and on what each step
+    produces.
     """
-    budget = _Budget(budget_limit)
-    queue = list(system.inequalities)
-    done: list[Inequality] = []
-    seen: set[Symbol] = set().union(*map(_ineq_symbols, queue))
-    _assert_shapes(queue, "substage-1 input")
-    while queue:
-        ineq = queue.pop(0)
+    seen: set[Symbol] = set().union(*map(_ineq_symbols, system.inequalities))
+    _assert_shapes(system.inequalities, "substage-1 input")
+
+    def find_step(ineq: Inequality) -> Rewrite | None:
         found = _match_decomposition(ineq, system.ctx)
         if found is None:
-            done.append(ineq)
-            continue
+            return None
         rule, just, produced, fresh_syms = found
         for s in fresh_syms:
             if s in seen:
                 raise EngineInvariantError(
                     f"approximation reused nominal {s} already in the system"
                 )
-        budget.tick()
-        if trace is not None:
-            trace.steps.append(TraceStep(rule, (ineq,), produced, just))
         _assert_shapes(produced, f"substage-1 {rule}")
         seen.update(*map(_ineq_symbols, produced))
-        queue[0:0] = produced
-    result = System(tuple(done), system.conclusion, system.ctx, system.origin)
+        return rule, produced, just
+
+    state = _saturate(system.inequalities, system.trace, find_step)
+    result = System(state, system.conclusion, system.ctx, system.origin, system.trace)
     if eps is not None:
         for ineq in result.inequalities:
             if final_form(ineq, eps) is None:
@@ -654,31 +640,12 @@ def _check_side_condition(ineq: Inequality, p: Symbol, side: Side) -> None:
     raise EngineInvariantError(f"inequality {ineq} lost the system shape")
 
 
-def _fold_or(terms: list[Formula]) -> Formula:
-    if not terms:
-        return BOT
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = Or(acc, t)
-    return acc
-
-
 def fold_and(terms: list[Formula]) -> Formula:
     """Left fold of the terms with And; top when there are none."""
-    if not terms:
-        return TOP
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = And(acc, t)
-    return acc
+    return functools.reduce(And, terms) if terms else TOP
 
 
-def ackermann(
-    system: System,
-    p: Symbol,
-    side: Side,
-    trace: AlbaTrace | None = None,
-) -> System:
+def ackermann(system: System, p: Symbol, side: Side) -> System:
     """Eliminate p from the whole system.
 
     Right-handed: the inequalities atom <= p define the minimal valuation
@@ -688,7 +655,8 @@ def ackermann(
     """
     if side is Side.RIGHT:
         defs = [i for i in system.inequalities if _is_right_def(i, p)]
-        value = _fold_or([term_formula(atom_term(d.lhs)) for d in defs])
+        atoms = [term_formula(atom_term(d.lhs)) for d in defs]
+        value = functools.reduce(Or, atoms) if atoms else BOT
         rule, just = f"ackermann-right({p})", "nominal-join"
     else:
         defs = [i for i in system.inequalities if _is_left_def(i, p)]
@@ -712,10 +680,8 @@ def ackermann(
             )
         )
     step = TraceStep(rule, tuple(consumed), tuple(produced), just)
-    if trace is not None:
-        trace.steps.append(step)
-    state = apply_step(system.inequalities, step)
-    result = System(state, system.conclusion, system.ctx, system.origin)
+    state = _log_step(system.trace, system.inequalities, step)
+    result = System(state, system.conclusion, system.ctx, system.origin, system.trace)
     _assert_shapes(result.inequalities, rule)
     if p in {q for i in result.inequalities for q in ineq_props(i)}:
         raise EngineInvariantError(f"{p} survived its own elimination")
@@ -723,42 +689,50 @@ def ackermann(
 
 
 class _Stuck(Exception):
-    def __init__(self, system: System, unresolved: list[Symbol]):
+    def __init__(
+        self,
+        system: System,
+        unresolved: list[Symbol],
+        reason: str = "propositional variables cannot be eliminated",
+    ):
         self.system = system
         self.unresolved = unresolved
+        self.reason = reason
 
 
-def _ackermann_loop(
-    system: System,
-    eps: OrderType | None,
-    trace: AlbaTrace | None,
-) -> System:
-    """Eliminate every propositional variable, first-occurrence order."""
-    while True:
-        remaining = props_in_order(*system.inequalities)
-        if not remaining:
-            return system
+def _ackermann_loop(system: System, eps: OrderType | None) -> System:
+    """Eliminate every propositional variable, first-occurrence order.
+
+    A variable that cannot be eliminated, because both sides violate
+    polarity or a substitution would capture a state variable, raises
+    _Stuck with the system as it stood.
+    """
+    while remaining := props_in_order(*system.inequalities):
         p = remaining[0]
-        if eps is not None and p in eps:
-            side = Side.RIGHT if eps[p] is Pol.ONE else Side.LEFT
-            system = ackermann(system, p, side, trace)
-            continue
-        # No order type: try the side whose defining shape is present, then
-        # the other; report the system stuck when both violate polarity.
-        sides = [Side.RIGHT, Side.LEFT]
-        if not any(_is_right_def(i, p) for i in system.inequalities) and any(
-            _is_left_def(i, p) for i in system.inequalities
-        ):
-            sides = [Side.LEFT, Side.RIGHT]
-        last_error: Exception | None = None
-        for side in sides:
-            try:
-                system = ackermann(system, p, side, trace)
-                break
-            except AckermannPolarityError as e:
-                last_error = e
-        else:
-            raise _Stuck(system, remaining) from last_error
+        try:
+            if eps is not None and p in eps:
+                side = Side.RIGHT if eps[p] is Pol.ONE else Side.LEFT
+                system = ackermann(system, p, side)
+                continue
+            # No order type: try the side whose defining shape is present,
+            # then the other.
+            sides = [Side.RIGHT, Side.LEFT]
+            if not any(_is_right_def(i, p) for i in system.inequalities) and any(
+                _is_left_def(i, p) for i in system.inequalities
+            ):
+                sides = [Side.LEFT, Side.RIGHT]
+            last_error: Exception | None = None
+            for side in sides:
+                try:
+                    system = ackermann(system, p, side)
+                    break
+                except AckermannPolarityError as e:
+                    last_error = e
+            else:
+                raise _Stuck(system, remaining) from last_error
+        except CaptureError as e:
+            raise _Stuck(system, remaining, f"unsafe substitution: {e}") from e
+    return system
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +740,7 @@ def _ackermann_loop(
 # ---------------------------------------------------------------------------
 
 
-def finalize(system: System, trace: AlbaTrace | None = None) -> QuasiInequality:
+def finalize(system: System) -> QuasiInequality:
     """Assemble the pure quasi-inequality and name free state variables."""
     for ineq in system.inequalities:
         if ineq_props(ineq):
@@ -789,9 +763,7 @@ def finalize(system: System, trace: AlbaTrace | None = None) -> QuasiInequality:
             for i in consumed
         )
         step = TraceStep(f"name-svar({x})", consumed, produced, "svar-naming")
-        if trace is not None:
-            trace.steps.append(step)
-        state = apply_step(state, step)
+        state = _log_step(system.trace, state, step)
     quasi = QuasiInequality(state, system.conclusion)
     for ineq in (*quasi.antecedents, quasi.conclusion):
         if not (ineq_is_pure(ineq) and not free_state_vars(ineq.lhs) and not free_state_vars(ineq.rhs)):
@@ -890,7 +862,6 @@ def run(
     input_formula: Formula | Inequality,
     eps_hint: OrderType | None = None,
     simplify: bool = False,
-    budget_limit: int = DEFAULT_STEP_BUDGET,
 ) -> AlbaResult:
     """Classify, preprocess, anchor, reduce, eliminate, output.
 
@@ -910,44 +881,23 @@ def run(
         eps = find_order_type(ineq)
 
     pre_trace = AlbaTrace("preprocess", (ineq,))
-    parts = preprocess(ineq, eps, budget_limit, pre_trace)
+    parts = preprocess(ineq, eps, pre_trace)
     traces: list[AlbaTrace] = [pre_trace]
 
     systems: list[System] = []
     for k, part in enumerate(parts):
-        origin = f"system{k}"
         ctx = FreshContext.from_formulas(part.lhs, part.rhs)
-        sys_trace = AlbaTrace(origin, (part,))
-        traces.append(sys_trace)
-        system = first_approximation(part, ctx, origin, sys_trace)
-        system = reduce_substage1(system, eps, budget_limit, sys_trace)
+        system = first_approximation(part, ctx, f"system{k}")
+        traces.append(system.trace)
+        system = reduce_substage1(system, eps)
         try:
-            system = _ackermann_loop(system, eps, sys_trace)
+            systems.append(_ackermann_loop(system, eps))
         except _Stuck as stuck:
-            sys_trace.final = stuck.system.inequalities
             return Failure(
-                eps,
-                stuck.system,
-                tuple(stuck.unresolved),
-                tuple(traces),
-                reason="propositional variables cannot be eliminated",
+                eps, stuck.system, tuple(stuck.unresolved), tuple(traces), stuck.reason
             )
-        except CaptureError as e:
-            sys_trace.final = system.inequalities
-            return Failure(
-                eps,
-                system,
-                tuple(props_in_order(*system.inequalities)),
-                tuple(traces),
-                reason=f"unsafe substitution: {e}",
-            )
-        systems.append(system)
 
-    quasis: list[QuasiInequality] = []
-    for system, sys_trace in zip(systems, traces[1:]):
-        quasi = finalize(system, sys_trace)
-        sys_trace.final = quasi.antecedents
-        quasis.append(quasi)
+    quasis = [finalize(system) for system in systems]
     if simplify:
         quasis = [simplify_quasi(q) for q in quasis]
     return Success(eps, tuple(quasis), tuple(parts), tuple(traces))

@@ -34,7 +34,7 @@ from .semantics import (
     EnumerationCapError,
     EnumerationLimits,
 )
-from .syntax import Inequality, ParseError, parse_input, parse_quasi
+from .syntax import Inequality, ParseError, formula_to_json, parse_input, parse_quasi
 from .translate import tr_quasi, tr_quasiset, verify_correspondence
 
 EXIT_OK = 0
@@ -183,8 +183,6 @@ def cmd_translate(args) -> int:
     quasi = parse_quasi(args.quasi)
     formula = tr_quasi(quasi)
     if args.json:
-        from .syntax import formula_to_json
-
         print(_json({"text": str(formula), "ast": formula_to_json(formula)}))
     else:
         print(str(formula))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hybridcorr import alba
 from hybridcorr.alba import (
     AlbaTrace,
     EngineInvariantError,
@@ -319,10 +320,11 @@ class TestReduceSubstage1:
         out = reduce_substage1(sys)
         assert all(has_system_shape(i) for i in out.inequalities)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(alba, "STEP_BUDGET", 2)
         sys = make_system("'i0 <= <><><><>p")
         with pytest.raises(EngineInvariantError):
-            reduce_substage1(sys, budget_limit=2)
+            reduce_substage1(sys)
 
 
 class TestAckermann:
@@ -536,6 +538,39 @@ class TestTraces:
         result = run(parse("<> <> p -> <> p"))
         for trace in result.traces:
             assert replay(trace) == trace.final
+
+    def test_failure_traces_end_where_each_system_stopped(self):
+        # system2 is stuck after system0 and system1 were reduced
+        result = run(parse("!y. ([]!x. p -> !y. (y -> q)) -> @y !x. (~x & (x & q))"))
+        assert isinstance(result, Failure)
+        assert [t.origin for t in result.traces][1:] == ["system0", "system1", "system2"]
+        for trace in result.traces:
+            assert replay(trace) == trace.final
+        assert [len(t.final) for t in result.traces[1:3]] == [2, 2]
+
+    def test_capture_failure_reports_the_system_it_stopped_at(self):
+        # q is eliminated; eliminating p would capture x under !x.
+        result = run(parse("<>((q -> x & 'i) & y) -> y | @x p | ~q | ~((p -> 'i) -> !x. p)"))
+        assert isinstance(result, Failure)
+        assert result.reason.startswith("unsafe substitution")
+        assert [str(p) for p in result.unresolved_props] == ["p"]
+        trace = result.traces[-1]
+        assert trace.steps[-1].rule == "ackermann-right(q)"
+        assert result.stuck_system.inequalities == replay(trace) == trace.final
+
+    def test_each_stage_logs_to_the_system_trace(self):
+        # a bare system starts its own trace; every stage extends it
+        sys = make_system("'i0 <= <>(p & x)", "<>p <= ~'i1")
+        assert sys.trace.initial == sys.inequalities and not sys.trace.steps
+        sys = reduce_substage1(sys)
+        assert [s.rule for s in sys.trace.steps] == ["approx-dia", "split-conj"]
+        assert replay(sys.trace) == sys.inequalities
+        sys = ackermann(sys, P, Side.RIGHT)
+        assert sys.trace.steps[-1].rule == "ackermann-right(p)"
+        assert replay(sys.trace) == sys.inequalities
+        q = finalize(sys)
+        assert sys.trace.steps[-1].rule == "name-svar(x)"
+        assert replay(sys.trace) == q.antecedents == sys.trace.final
 
     def test_deterministic_serialization(self):
         a = run(parse("<>p1 & p2 -> (<>[]<>p1 | <>[]<>p2)"))
