@@ -69,6 +69,7 @@ from .syntax import (
     props,
     props_in_order,
     quasi_to_json,
+    rename_binders,
     replace_state_var,
     signed_children,
     substitute_prop,
@@ -490,6 +491,7 @@ def _match_decomposition(
                     (),
                 )
             case Down(v, a):
+                a = rename_binders(a, lt, lambda: ctx.fresh(Kind.SVAR))
                 return (
                     "approx-down",
                     "down-at",
@@ -530,6 +532,7 @@ def _match_decomposition(
                     (),
                 )
             case Down(v, a):
+                a = rename_binders(a, rt, lambda: ctx.fresh(Kind.SVAR))
                 return (
                     "approx-down",
                     "down-at",
@@ -578,7 +581,8 @@ def reduce_substage1(system: System, eps: OrderType | None = None) -> System:
 
     Freshly introduced nominals are checked against every symbol the system
     has held so far; shapes are checked on the input and on what each step
-    produces.
+    produces.  A substitution that would capture a state variable raises
+    _Stuck, as in the Ackermann loop.
     """
     seen: set[Symbol] = set().union(*map(_ineq_symbols, system.inequalities))
     _assert_shapes(system.inequalities, "substage-1 input")
@@ -597,7 +601,12 @@ def reduce_substage1(system: System, eps: OrderType | None = None) -> System:
         seen.update(*map(_ineq_symbols, produced))
         return rule, produced, just
 
-    state = _saturate(system.inequalities, system.trace, find_step)
+    try:
+        state = _saturate(system.inequalities, system.trace, find_step)
+    except CaptureError as e:
+        state = system.trace.final
+        stuck = System(state, system.conclusion, system.ctx, system.origin, system.trace)
+        raise _Stuck(stuck, props_in_order(*state), f"unsafe substitution: {e}") from e
     result = System(state, system.conclusion, system.ctx, system.origin, system.trace)
     if eps is not None:
         for ineq in result.inequalities:
@@ -889,8 +898,8 @@ def run(
         ctx = FreshContext.from_formulas(part.lhs, part.rhs)
         system = first_approximation(part, ctx, f"system{k}")
         traces.append(system.trace)
-        system = reduce_substage1(system, eps)
         try:
+            system = reduce_substage1(system, eps)
             systems.append(_ackermann_loop(system, eps))
         except _Stuck as stuck:
             return Failure(

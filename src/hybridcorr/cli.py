@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Commands: classify, correspond, translate, verify, axioms-check, corpus.
-Exit codes: 0 ok, 1 error, 2 engine failure, 3 input not skeletal.
+Exit codes: 0 ok, 1 error (also a standard output closed early), 2 engine
+failure, 3 input not skeletal.
 All commands are thin wrappers: argument handling and report formatting
 only, the logic lives in the library modules.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -332,7 +334,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    raise SystemExit(main())
+    """Exit with main's code, or with EXIT_ERROR and no message when standard
+    output is closed before the report is written (as by ``| head``)."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit: let that write go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_ERROR
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

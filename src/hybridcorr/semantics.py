@@ -29,11 +29,19 @@ check evaluates the subformulas that Tr(q) shares with q's sides once.
 
 Verification enumerates every frame up to a size cap (2 + 16 + 512 = 530
 frames for sizes 1..3, 66,066 up to 4) and every valuation of the symbols
-that occur in the formula under test.  Each size is one block while it has
-at most 2^16 frames; larger sizes split into blocks of 2^16 frames, so a
-value never exceeds 8 KB.  One budget bounds every check: its cases, on a
-block of n worlds n^nominals * 2^(n*props) * n^state-variables, summed
-over the blocks it decides, may not exceed ``MAX_CASES`` = 2^20.
+that occur in the formula under test.  ``frame_blocks`` yields each size
+as one block while it has at most 2^16 frames and larger sizes in blocks
+of 2^16 frames, so a value never exceeds 8 KB.  Given ``EnumerationLimits``
+the checks decide every frame of up to three worlds as one block instead
+(``_small_frames``): frames of min(cap, 3) worlds, where a frame of k
+worlds lacks worlds k.., which have no edges, and ``lacking[w]`` masks the
+frames that lack world w.  An inclusion holds at a lacking world, and a
+placement of a symbol there holds vacuously.  That is exact: truth at the
+other worlds is the small frame's, since a lacking world has no edges and
+@ and a binder reach only worlds where a symbol is placed or evaluation
+is.  One budget bounds every check: its cases, on a block of n worlds
+n^nominals * 2^(n*props) * n^state-variables, summed over the blocks of
+``frame_blocks``, may not exceed ``MAX_CASES`` = 2^20.
 The validity checks take one frames value, a ``FrameBlock``, a
 ``KripkeFrame`` or ``EnumerationLimits`` (every frame up to its world
 cap, decided in one call), and return the mask of those frames on which
@@ -68,9 +76,14 @@ colour.  ``_valid_mask`` then closes each block's mask under renaming with
 delta swaps on its index bits (``_close_under_renaming``), and the
 translation check weighs each placement by its orbit's size: renaming maps
 the block's frames onto themselves, so the models checked and mismatched
-stay exact.  The first mismatch reported is the one a walk over every
-placement would report first, since a canonical placement is the least of
-its orbit; later ones come from canonical placements only.  A single
+stay exact.  The block of the small frames decides the canonical members
+of its size, and each size's part of its mask is closed under that size's
+renamings; on the frames of k worlds a member weighs the orbit size of its
+restriction to their worlds, or 0 if it places a symbol outside them or
+repeats an earlier member's restriction (``_small_representatives``).
+The first mismatch reported is the one a walk over every placement would
+report first, since a canonical placement is the least of its orbit;
+later ones come from canonical placements only, size by size.  A single
 frame, or a block of a size above 4, renames nothing and decides every
 valuation and placement, generated lazily unless they fit in one batch.
 
@@ -79,17 +92,19 @@ on count frames one evaluation decides up to 2^16 / count valuations and
 placements side by side (a batch), at least one.  Bit b*count + j of a
 value stands for member b of the batch in frame j, and the closures are
 bound to the frames repeated once per member (``_replicated``), so a value
-still stays within 8 KB.  That is 32,768, 4,096 and 128 members on the
-whole blocks of sizes 1..3, one on a block of 2^16 frames (4 worlds and
-up) and 65,536 on a single frame.  A batch's mask is its segments ANDed
-by halving, with the unused tail of a partial last batch set first.  One
-builder (``_widen``) makes every batch's environment: it joins each value
-from bytes in linear time, and builds a one-member batch's values from
-the world sets of its size and frame count.  A table that fits in one
-batch is widened once for each (props, symbols, size, renamable worlds,
-frame count) (``_one_batch``); a larger one is widened batch by batch,
-from the cached representatives or the lazy product.  Both caches keep
-the most recently used ``_TABLES_KEPT`` tables.
+still stays within 8 KB.  That is 123 members on the 530 small frames
+(32,768, 4,096 and 128 on a whole block of 1..3 worlds), one on a block
+of 2^16 frames (4 worlds and up) and 65,536 on a single frame.  A batch's
+mask is its segments ANDed by halving, with the unused tail of a partial
+last batch set first.  One builder (``_widen``) makes every batch's
+environment: it joins each value from the bytes of the fewest segments
+that fill whole bytes, in linear time, and builds a one-member batch's
+values from the world sets of its size and frame count.  A table that
+fits in one batch is widened once for each (props, symbols, size,
+renamable worlds, frame count) (``_one_batch``, and ``_one_small_batch``
+with its absent mask); a larger one is widened batch by batch, from the
+cached representatives or the lazy product.  The caches keep the most
+recently used ``_TABLES_KEPT`` tables.
 
 A batch of one decides one valuation and placement, so every per-world
 value of a prop, a nominal, a state variable or a binder's unit is a
@@ -430,6 +445,53 @@ def _blocks(n: int) -> Iterator[FrameBlock]:
 def _whole_block(n: int) -> FrameBlock:
     """The one block of every frame of size n (n <= 4), built once per process."""
     return next(_blocks(n))
+
+
+# The validity checks decide every frame of up to this many worlds as one block.
+_SMALL_WORLDS = 3
+
+
+@dataclass(frozen=True)
+class _SmallFrames(FrameBlock):
+    """Every frame of 1..size worlds (size <= _SMALL_WORLDS) in
+    enumerate_frames order, as one block of frames of size worlds: a frame
+    of k worlds lacks worlds k..size-1, which have no edges.
+
+    parts holds (offset, whole block of k worlds) for each k: bit offset +
+    j of the block's masks is frame j of that block.  lacking[w] is the
+    mask of the frames that lack world w."""
+
+    parts: tuple[tuple[int, FrameBlock], ...] = field(repr=False)
+    lacking: tuple[int, ...] = field(repr=False)
+
+    @property
+    def index(self) -> int:
+        return 0
+
+
+@functools.cache
+def _small_frames(size: int) -> _SmallFrames:
+    """The block of every frame of 1..size worlds, built once per process."""
+    parts = tuple((_frames_below(k), _whole_block(k)) for k in range(1, size + 1))
+    edges = tuple(
+        tuple(
+            _concatenated((b.edges[u][v] if max(u, v) < b.size else 0, b.count) for _, b in parts)
+            for v in range(size)
+        )
+        for u in range(size)
+    )
+    lacking = tuple((1 << _frames_below(w + 1)) - 1 for w in range(size))
+    return _SmallFrames(size, 0, _frames_below(size + 1), edges, parts, lacking)
+
+
+def _decided_blocks(limits: EnumerationLimits) -> Iterator[FrameBlock]:
+    """The blocks the validity checks decide limits' frames in, in order:
+    one of every frame up to _SMALL_WORLDS worlds, then frame_blocks' own."""
+    _check_world_cap(limits.max_worlds)
+    small = min(limits.max_worlds, _SMALL_WORLDS)
+    yield _small_frames(small)
+    for n in range(small + 1, limits.max_worlds + 1):
+        yield from _blocks_of_size(n)
 
 
 def frame_at(n: int, m: int) -> KripkeFrame:
@@ -797,9 +859,10 @@ def _canonical_placements(p: int, k: int, n: int, m: int) -> Iterable[Representa
     return _orbit_representatives(p, k, n, m)
 
 
-# Entries kept by _orbit_representatives and _one_batch.  Each table is
-# built once per key; the benchmark's workloads use at most 24 and 36
-# distinct keys (agree3), all four together 29 and 39.
+# Entries kept by each table cache.  Each table is built once per key; the
+# benchmark's workloads use at most 24 keys of _orbit_representatives, 12
+# of _small_representatives and 10 of _one_small_batch (agree3), all four
+# together 29, 13 and 11, and none of _one_batch.
 _TABLES_KEPT = 64
 
 
@@ -888,23 +951,30 @@ def _world_swaps(n: int) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
     return swaps
 
 
+# For m renamable worlds, transpositions t_1..t_r whose products
+# t_r^e_r ... t_1^e_1 (each e_i 0 or 1) are every permutation of them.
+_RENAMING_COVERS = {
+    1: (),
+    2: ((0, 1),),
+    3: ((0, 1), (0, 2), (1, 2)),
+    4: ((0, 1), (0, 2), (1, 3), (0, 1), (2, 3)),
+}
+
+
 def _close_under_renaming(mask: int, n: int, m: int) -> int:
     """The frames of size n all of whose renamings under the permutations of
     worlds 0..m-1 lie in mask.
 
-    Closing under the permutations of worlds 0..k-1 and then ANDing the
-    renamings by (j k), j < k, closes under those of worlds 0..k, because
-    the (j k) and the identity represent the cosets of S_k in S_(k+1).
+    If mask is closed under a set P of permutations, mask AND its renaming
+    by t is closed under P and tP.  So ANDing in turn the renamings by the
+    transpositions of _RENAMING_COVERS[m] closes it under all of them.
     """
-    for k in range(1, m):
-        closed = mask
-        for j in range(k):
-            renamed = mask
-            for shift, selector in _world_swaps(n)[j, k]:
-                t = ((renamed >> shift) ^ renamed) & selector
-                renamed ^= t | (t << shift)
-            closed &= renamed
-        mask = closed
+    for pair in _RENAMING_COVERS[m]:
+        renamed = mask
+        for shift, selector in _world_swaps(n)[pair]:
+            t = ((renamed >> shift) ^ renamed) & selector
+            renamed ^= t | (t << shift)
+        mask &= renamed
     return mask
 
 
@@ -948,12 +1018,6 @@ def _fold(mask: int, count: int, members: int) -> int:
     return mask
 
 
-def _segments(mask: int, count: int, members: int) -> list[int]:
-    """mask split into one mask over a block's count frames per member."""
-    frames = (1 << count) - 1
-    return [mask >> b * count & frames for b in range(members)]
-
-
 def _batch_width(frames: FrameBlock | KripkeFrame) -> int:
     """How many valuations and placements at most are decided side by side
     on frames: as many as fit in 2^_BATCH_BITS bits, at least one."""
@@ -972,14 +1036,14 @@ def _replicated(frames: FrameBlock | KripkeFrame, members: int) -> FrameBlock:
 
 @functools.cache
 def _segment_pieces(count: int) -> tuple[int, dict[tuple[int, ...], bytes]]:
-    """(per, pieces): per segments of count bits fill whole bytes, and
-    pieces maps their flags to those bytes, a segment all ones iff its flag
-    is 1."""
-    per = max(1, 8 // count)
+    """(per, pieces): per segments of count bits are the fewest that fill
+    whole bytes, and pieces maps their flags to those bytes, a segment all
+    ones iff its flag is 1."""
+    per = 8 // math.gcd(count, 8)
     ones = (1 << count) - 1
     pieces = {
         flags: sum(ones << i * count for i, f in enumerate(flags) if f).to_bytes(
-            max(1, count // 8), "little"
+            per * count // 8, "little"
         )
         for flags in itertools.product((0, 1), repeat=per)
     }
@@ -1035,29 +1099,93 @@ def _one_batch(p: int, k: int, n: int, m: int, count: int) -> tuple[Batch, tuple
     return reps, _widen(reps, n, count)
 
 
+@functools.lru_cache(maxsize=_TABLES_KEPT)
+def _small_representatives(p: int, k: int, size: int) -> tuple[Representative, ...]:
+    """_canonical_placements(p, k, size, size), each member weighed once per
+    part of _small_frames(size): its weight is a tuple, the part of n worlds
+    first for each n.
+
+    On the frames of n worlds a member decides its restriction to worlds
+    0..n-1, whose weight is the size of its orbit under their permutations.
+    It weighs 0 there if it places a symbol at a world >= n (it holds
+    vacuously there) or if an earlier member has the same restriction.  The
+    restrictions are the canonical members of n worlds: colours that do not
+    decrease over every world do so over the first n, and a placement in
+    the first n grows within the same runs.  So each of those is weighed
+    once, and the models checked and mismatched stay exact."""
+    unweighed = [
+        {(v, pl): w for v, pl, w in _canonical_placements(p, k, n, n)} for n in range(1, size)
+    ]
+    out = []
+    for valuation, placement, weight in _canonical_placements(p, k, size, size):
+        top = max(placement, default=0)
+        weights = tuple(
+            left.pop((tuple(v & (1 << n) - 1 for v in valuation), placement), 0) if top < n else 0
+            for n, left in enumerate(unweighed, 1)
+        )
+        out.append((valuation, placement, (*weights, weight)))
+    return tuple(out)
+
+
+def _absent(values: Sequence[tuple[int, ...]], p: int, block: _SmallFrames, members: int) -> int:
+    """The environment values' absent mask on block: bit b*block.count + j
+    is set iff member b places a symbol (slots p up) at a world that frame
+    j lacks."""
+    absent = 0
+    for w, lacks in enumerate(block.lacking):
+        placed = functools.reduce(operator.or_, (x[w] for x in values[p:]), 0)
+        if placed and lacks:
+            absent |= placed & _spread(lacks, block.count, members)
+    return absent
+
+
+@functools.lru_cache(maxsize=_TABLES_KEPT)
+def _one_small_batch(p: int, k: int, size: int) -> tuple[Batch, tuple, int]:
+    """_small_representatives(p, k, size) as one batch, with its environment
+    and absent mask on _small_frames(size); only built when they fit in one
+    and are more than one (see _tables)."""
+    block = _small_frames(size)
+    reps = _small_representatives(p, k, size)
+    values = _widen(reps, size, block.count)
+    return reps, values, _absent(values, p, block, len(reps))
+
+
 MAX_COUNTEREXAMPLES = 5
 
 
-def _tables(p: int, k: int, block: FrameBlock | KripkeFrame) -> Iterator[tuple[Batch, Sequence]]:
+def _tables(
+    p: int, k: int, block: FrameBlock | KripkeFrame
+) -> Iterator[tuple[Batch, Sequence, int]]:
     """The canonical valuations of p props and placements of k symbols in
-    block's worlds (see _canonical_placements, with m = _renamable(block)),
-    in lexicographic order, cut into batches of _batch_width(block), each
-    with the environment that decides it on the block repeated once per
-    member: member b in segment b of every value (bits b*block.count up)."""
-    n, count, m = block.size, block.count, _renamable(block)
+    block's worlds (see _canonical_placements, with m = _renamable(block),
+    or _small_representatives on a _SmallFrames block), in lexicographic
+    order, cut into batches of _batch_width(block), each with the
+    environment that decides it on the block repeated once per member
+    (member b in segment b of every value, bits b*block.count up) and its
+    absent mask (see _absent; 0 unless block is a _SmallFrames)."""
+    n, count = block.size, block.count
     width = _batch_width(block)
-    reps = _canonical_placements(p, k, n, m)
-    # With m = 1, reps is the lazy product of 2^(n*p) valuations and
-    # n^k placements.  A table that fits in one batch is widened once,
-    # unless it has one member: that one's values are looked up afresh in
-    # _world_sets, as bind's full is, so that they are that object itself
-    # even after _world_sets has dropped and rebuilt the entry.
-    if 1 < (len(reps) if m > 1 else n**k << n * p) <= width:
-        yield _one_batch(p, k, n, m, count)
+    small = isinstance(block, _SmallFrames)
+    if small:
+        reps = _small_representatives(p, k, n)
+        total = len(reps)
+    else:
+        m = _renamable(block)
+        reps = _canonical_placements(p, k, n, m)
+        # With m = 1, reps is the lazy product of 2^(n*p) valuations and
+        # n^k placements.
+        total = len(reps) if m > 1 else n**k << n * p
+    # A table that fits in one batch is widened once, unless it has one
+    # member: that one's values are looked up afresh in _world_sets, as
+    # bind's full is, so that they are that object itself even after
+    # _world_sets has dropped and rebuilt the entry.
+    if 1 < total <= width:
+        yield _one_small_batch(p, k, n) if small else (*_one_batch(p, k, n, m, count), 0)
         return
     rest = iter(reps)
     for chunk in iter(lambda: tuple(itertools.islice(rest, width)), ()):
-        yield chunk, _widen(chunk, n, count)
+        values = _widen(chunk, n, count)
+        yield chunk, values, _absent(values, p, block, len(chunk)) if small else 0
 
 
 def _valid_mask(
@@ -1071,24 +1199,28 @@ def _valid_mask(
 
     The check of q on the blocks of frames is admitted, its cases summed
     over them, before anything is built.  q is then compiled once, with the
-    translation if there is one, and decided block by block, a batch at a
-    time; the antecedents and the conclusion are judged against one shared
-    environment.  Only canonical valuations and placements are decided;
-    closing each block's mask under renaming its worlds gives the frames on
-    which q holds under every one.  With no symbol at all the one empty
-    placement is decided already.
+    translation if there is one, and decided block by block (for limits,
+    those of _decided_blocks), a batch at a time; the antecedents and the
+    conclusion are judged against one shared environment.  Only canonical
+    valuations and placements are decided; closing each block's mask, part
+    by part, under renaming its worlds gives the frames on which q holds
+    under every one.  With no symbol at all the one empty placement is
+    decided already.  On a _SmallFrames block an inclusion and the
+    translation hold at every world a frame lacks, and a member holds
+    vacuously on the frames that lack a world it places a symbol at.
 
     Returns (mask, checked, mismatched, mismatches).  Without a translation
     the mask narrows batch by batch, a block stops deciding once its mask
     is empty, and the other three are 0, 0 and [].  With one, every batch
     is decided on all its frames and members and compared with the AND
-    over worlds of the translation: checked adds the batch's frames times
-    its summed weights, and a batch is split into its members only when the
-    two differ, to add each member's differing frames times its weight to
-    mismatched and to decode the first MAX_COUNTEREXAMPLES of them.
+    over worlds of the translation: checked adds each part's frames times
+    its summed weights there, and a batch is split into its members only
+    when the two differ, to add each member's differing frames of a part
+    times its weight there to mismatched and to decode the first
+    MAX_COUNTEREXAMPLES of them, part by part.
     """
     admit(check_cases(q, frames))
-    blocks = frame_blocks(frames) if isinstance(frames, EnumerationLimits) else [frames]
+    blocks = _decided_blocks(frames) if isinstance(frames, EnumerationLimits) else [frames]
     prop_syms, nom_syms, svar_syms = sorted_symbols(q)
     slots = {s: k for k, s in enumerate(prop_syms + nom_syms + svar_syms)}
     sides = [f for i in (*q.antecedents, q.conclusion) for f in (i.lhs, i.rhs)]
@@ -1096,6 +1228,7 @@ def _valid_mask(
     pairs, translated_at = compiled[: len(sides)], compiled[len(sides) :]
     env: list[tuple[int, ...]] = [()] * len(slots)
     full = 0
+    outside: list[int] = []  # per world, the frames and members that lack it
 
     *antecedents, conclusion = zip(pairs[::2], pairs[1::2])
 
@@ -1104,10 +1237,12 @@ def _valid_mask(
     def included(lf, rf) -> int:
         """Mask of the frames where lhs's truth set lies within rhs's."""
         m = full
-        for x, y in zip(lf(env), rf(env)):
+        for x, y, out in zip(lf(env), rf(env), outside):
             if not x or y is full:
                 continue
             z = y if x is full else (full ^ x) | y
+            if out:
+                z |= out
             m = z if m is full else m & z
         return m
 
@@ -1132,56 +1267,79 @@ def _valid_mask(
     def decided() -> Iterator[tuple[int, int]]:
         nonlocal full, checked, mismatched
         for block in blocks:
+            small = isinstance(block, _SmallFrames)
+            parts = block.parts if small else ((0, block),)
+            lacking = block.lacking if small else (0,) * block.size
             # The block's mask starts at the full mask that a batch of one
             # is bound to, so that the kernels' shortcuts apply to it.
             whole = mask = full = bind(block)
+            outside[:] = lacking
             count, members = block.count, 1
-            for batch, values in _tables(p, k, block):
+            found: list[list[dict]] = [[] for _ in parts]
+            for batch, values, absent in _tables(p, k, block):
                 if len(batch) != members:
                     members = len(batch)
                     full = bind(block if members == 1 else _replicated(block, members))
+                    outside[:] = [_spread(x, count, members) for x in lacking]
                 env[:] = values
                 if not translated_at:
                     # Every segment of the spread mask lies within mask, so the fold does.
-                    mask = _fold(holds(_spread(mask, count, members)), count, members)
+                    care = _spread(mask, count, members)
+                    held = holds(care)
+                    if absent:
+                        held |= care & absent
+                    mask = _fold(held, count, members)
                     if not mask:
                         break
                     continue
                 held, translated = holds(full), full
-                for x in translated_at[0](env):
+                for x, out in zip(translated_at[0](env), outside):
+                    if out and x is not full:
+                        x |= out
                     if x is not full:
                         translated = x if translated is full else translated & x
+                if absent:
+                    held, translated = held | absent, translated | absent
                 if held is not full:
                     mask &= _fold(held, count, members)
-                checked += count * sum(weight for *_, weight in batch)
+                weighed = [w if small else (w,) for *_, w in batch]
+                checked += sum(part.count * w for ws in weighed for (_, part), w in zip(parts, ws))
                 diff = 0 if held is translated else held ^ translated
                 if not diff:
                     continue
-                parts = zip(
-                    batch,
-                    _segments(diff, count, members),
-                    _segments(translated, count, members),
-                )
-                for (_, placement, weight), part, translated_part in parts:
-                    if not part:
-                        continue
-                    mismatched += weight * part.bit_count()
-                    if len(mismatches) < MAX_COUNTEREXAMPLES:
-                        j = (part & -part).bit_length() - 1
-                        frame = frame_at(block.size, block.start + j)
-                        model = KripkeModel(frame, {}, dict(zip(nom_syms, placement)))
-                        g = dict(zip(svar_syms, placement[len(nom_syms) :]))
-                        globally = bool(translated_part >> j & 1)
-                        mismatches.append(
-                            {
-                                "model": model_to_json(model, g),
-                                "direct": not globally,
-                                "translated": globally,
-                            }
-                        )
+                for b, ((_, placement, _), ws) in enumerate(zip(batch, weighed)):
+                    segment = diff >> b * count & whole
+                    for (offset, part), weight, kept in zip(parts, ws, found):
+                        bits = segment >> offset & part.full
+                        if not bits or not weight:
+                            continue
+                        mismatched += weight * bits.bit_count()
+                        if len(kept) < MAX_COUNTEREXAMPLES:
+                            j = (bits & -bits).bit_length() - 1
+                            frame = frame_at(part.size, part.start + j)
+                            model = KripkeModel(frame, {}, dict(zip(nom_syms, placement)))
+                            g = dict(zip(svar_syms, placement[len(nom_syms) :]))
+                            globally = bool(translated >> b * count + offset + j & 1)
+                            kept.append(
+                                {
+                                    "model": model_to_json(model, g),
+                                    "direct": not globally,
+                                    "translated": globally,
+                                }
+                            )
             # An empty or full mask is closed under renaming already.
             if slots and mask and mask != whole:
-                mask = _close_under_renaming(mask, block.size, _renamable(block))
+                mask = _concatenated(
+                    (
+                        _close_under_renaming(
+                            mask >> offset & part.full, part.size, _renamable(part)
+                        ),
+                        part.count,
+                    )
+                    for offset, part in parts
+                )
+            for kept in found:
+                mismatches.extend(kept[: MAX_COUNTEREXAMPLES - len(mismatches)])
             yield mask, count
 
     return _concatenated(decided()), checked, mismatched, mismatches

@@ -537,22 +537,43 @@ def replace_state_var(f: Formula, x: Symbol, t: Symbol) -> Formula:
     """Replace free occurrences of the state variable x by the term t.
 
     t is a nominal or a state variable; occurrences bound by an inner
-    binder on x are left untouched.
+    binder on x are left untouched.  Rejects (rather than renames), as
+    substitute_prop does, when a free occurrence of x lies under a binder
+    on t (see rename_binders).
     """
     if t.kind not in (Kind.NOM, Kind.SVAR):
         raise ValueError(f"replacement term must be a nominal or state variable: {t}")
     t_formula = term_formula(t)
 
-    def go(g: Formula) -> Formula:
+    def go(g: Formula, captured: bool, path: tuple[int, ...]) -> Formula:
         if x not in free_state_vars(g):
             return g
         match g:
-            case Svar(s) if s == x:
-                return t_formula
             case Down(v, _) if v == x:
                 return g
+            case Svar(s) | At(s, _) if s == x and captured:
+                raise CaptureError(t, path)
+            case Svar(s) if s == x:
+                return t_formula
             case At(term, c) if term == x:
-                return At(t, go(c))
+                return At(t, go(c, captured, path + (0,)))
+            case Down(v, _) if v == t:
+                captured = True
+        return with_children(g, [go(c, captured, path + (k,)) for k, c in enumerate(children(g))])
+
+    return go(f, False, ())
+
+
+def rename_binders(f: Formula, v: Symbol, fresh: Callable[[], Symbol]) -> Formula:
+    """f with each binder on the state variable v, and the occurrences it
+    binds, renamed to a new state variable fresh() returns."""
+
+    def go(g: Formula) -> Formula:
+        if v not in all_symbols(g):
+            return g
+        if type(g) is Down and g.var == v:
+            z = fresh()
+            return Down(z, replace_state_var(go(g.child), v, z))
         return with_children(g, [go(c) for c in children(g)])
 
     return go(f)

@@ -31,6 +31,7 @@ from hybridcorr.alba import (
 )
 from hybridcorr.classify import OrderType, Pol, find_order_type
 from hybridcorr.semantics import (
+    EnumerationLimits,
     enumerate_frames,
     eval_at,
     frame_valid,
@@ -466,6 +467,18 @@ class TestRegressions:
         for fr in enumerate_frames(3):
             assert frame_valid(fr, f) == frame_valid_quasi_set(fr, result.quasis)
 
+    def test_down_renames_binders_on_the_state_variable_it_puts_in(self):
+        # approx-down puts x for y under !x.: the inner binder becomes x1,
+        # where the unrenamed output disagreed with the input on 88 frames
+        f = parse("@x !y. <>!x. @y <>x")
+        result = run(f)
+        assert result.ok
+        assert [str(q) for q in result.quasis] == [
+            "'i0 <= T ; <>!x1. @'j1 <>x1 <= ~'j1 => 'i0 <= ~'i1"
+        ]
+        limits = EnumerationLimits(3)
+        assert frame_valid(limits, f) == frame_valid_quasi_set(limits, result.quasis)
+
     def test_substage1_outputs_fit_the_five_shapes(self):
         from hybridcorr.alba import final_form
         from hybridcorr.generate import SkeletalGenerator
@@ -556,6 +569,16 @@ class TestTraces:
         assert [str(p) for p in result.unresolved_props] == ["p"]
         trace = result.traces[-1]
         assert trace.steps[-1].rule == "ackermann-right(q)"
+        assert result.stuck_system.inequalities == replay(trace) == trace.final
+
+    def test_substage1_capture_is_a_failure(self, monkeypatch):
+        # Without the renaming of its binders, approx-down would put x
+        # under !x.: the substitution is refused and the run fails.
+        monkeypatch.setattr(alba, "rename_binders", lambda f, v, fresh: f)
+        result = run(parse("@x !y. <>!x. @y <>x"))
+        assert isinstance(result, Failure)
+        assert result.reason.startswith("unsafe substitution")
+        trace = result.traces[-1]
         assert result.stuck_system.inequalities == replay(trace) == trace.final
 
     def test_each_stage_logs_to_the_system_trace(self):

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
 
 import jsonschema
@@ -221,6 +223,14 @@ class TestVerify:
         assert report["valid_frames"] == sum(2 ** (n * n - n) for n in range(1, 6)) == 1_052_741
         assert report["translation_equivalence_ok"] is True
 
+    def test_down_under_a_binder_on_its_term_agrees_everywhere(self, capsys):
+        # substage 1 once put x for y under !x. and disagreed on 88 frames
+        code, out, _ = run_cli(capsys, "verify", "@x !y. <>!x. @y <>x", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["frames"] == report["agreements"] == 530
+        assert report["translation_equivalence_ok"] is True
+
     def test_failure_json(self, capsys):
         code, out, err = run_cli(capsys, "verify", "[]p -> <>p", "--json")
         assert code == 2
@@ -319,6 +329,27 @@ class TestHostileInput:
                 code, out, err = run_cli(capsys, command, "p -> p", "--eps", eps)
                 self.one_line_error(code, out, err)
                 assert message in err
+
+
+class TestClosedOutput:
+    def test_reader_closing_the_pipe_early(self):
+        # The report (about 150 KB) outgrows the pipe, so writing it fails
+        # once the reader has closed its end after one byte.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        text = "<>" * 300 + "p -> p"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hybridcorr", "correspond", text, "--json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err and err.count("\n") <= 1
 
 
 class TestAxiomsCheck:

@@ -35,6 +35,7 @@ from hybridcorr.semantics import (
 )
 from hybridcorr import semantics
 from hybridcorr.semantics import (
+    MAX_COUNTEREXAMPLES,
     _TABLES_KEPT,
     _batch_width,
     _canonical_placements,
@@ -491,6 +492,38 @@ class TestRenamingClosure:
     def test_nothing_renamable_leaves_the_mask(self):
         assert _close_under_renaming(0b1011, 2, 1) == 0b1011
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_each_cover_gives_every_permutation(self, m):
+        cover = semantics._RENAMING_COVERS[m]
+        assert covered(cover, m) == set(itertools.permutations(range(m)))
+
+    def test_s4_cover_takes_five_transpositions(self):
+        assert len(semantics._RENAMING_COVERS[4]) == 5
+        assert len(semantics._RENAMING_COVERS[3]) == 3
+
+    @pytest.mark.parametrize("dropped", range(5))
+    def test_dropping_a_transposition_of_the_s4_cover_breaks_the_closure(
+        self, monkeypatch, dropped
+    ):
+        # a frame of 4 worlds with 24 distinct renamings: 16 products of
+        # the 4 transpositions left cannot reach them all
+        m = next(m for m in range(1 << 16) if len(renamings(4, m)) == 24)
+        full = (1 << (1 << 16)) - 1
+        cover = semantics._RENAMING_COVERS[4]
+        monkeypatch.setitem(semantics._RENAMING_COVERS, 4, cover[:dropped] + cover[dropped + 1 :])
+        closed = _close_under_renaming(full ^ (1 << m), 4, 4)
+        assert sum(1 << r for r in renamings(4, m)) != full ^ closed
+
+
+def covered(cover, m):
+    """The permutations t_r^e_r ... t_1^e_1 of worlds 0..m-1, each e_i 0 or
+    1, of the transpositions t_1..t_r of cover."""
+    perms = {tuple(range(m))}
+    for j, k in cover:
+        swap = {j: k, k: j}
+        perms |= {tuple(swap.get(w, w) for w in pi) for pi in perms}
+    return perms
+
 
 # Formulas that mention the prop p and nothing else propositional.
 _p_parts = st.sampled_from([parse("p"), parse("~p"), parse("<>p"), parse("[]~p")])
@@ -707,10 +740,10 @@ class TestConstantOperands:
         # the values stay that object after the world sets are rebuilt.
         _, bind = _compile([], {})
         for _ in range(2):
-            ((batch, values),) = _tables(0, 1, FOUR)
+            ((batch, values, absent),) = _tables(0, 1, FOUR)
             assert batch == (((), (0,), 4),)  # one nominal, at any of 4 worlds
             full = bind(FOUR)
-            assert values[0][0] is full and values[0][1] == 0
+            assert values[0][0] is full and values[0][1] == 0 and absent == 0
             _world_sets.cache_clear()
 
     def test_world_sets_hold_only_what_bind_reads(self):
@@ -829,7 +862,7 @@ class TestBatches:
         assert len(_orbit_representatives(0, 7, 3, 3)) == 365
         q = parse_quasi("'a <= <>'b ; 'c <= <>'d ; 'e <= <>'f => 'g <= ~'a")
         assert list(map(len, sorted_symbols(q))) == [0, 7, 0]
-        assert [len(batch) for batch, _ in _tables(0, 7, THREE)] == [128, 128, 109]
+        assert [len(batch) for batch, *_ in _tables(0, 7, THREE)] == [128, 128, 109]
         assert len(_orbit_representatives(1, 5, 3, 3)) == 326
         assert len(_orbit_representatives(2, 3, 3, 3)) == 296
 
@@ -891,6 +924,106 @@ class TestBatches:
             assert batched == check(THREE, item) >> 7 & 1
         else:
             assert 0 < batched.bit_count() < frames.count
+
+
+def per_size_blocks(cap, q, translation=None):
+    """_valid_mask on each block of frame_blocks, laid end to end: the
+    reference for the block of every frame up to three worlds."""
+    blocks = list(frame_blocks(EnumerationLimits(cap)))
+    results = [semantics._valid_mask(block, q, translation) for block in blocks]
+    return (
+        _concatenated((mask, block.count) for (mask, *_), block in zip(results, blocks)),
+        sum(checked for _, checked, _, _ in results),
+        sum(mismatched for _, _, mismatched, _ in results),
+        [m for *_, found in results for m in found][:MAX_COUNTEREXAMPLES],
+    )
+
+
+def within_budget(item, cap):
+    try:
+        semantics.admit(check_cases(item, EnumerationLimits(cap)))
+    except EnumerationCapError:
+        return False
+    return True
+
+
+class TestSmallFrames:
+    """The validity checks decide every frame of up to three worlds as one
+    block of frames of min(cap, 3) worlds.  The blocks of frame_blocks stay
+    the reference: decided one by one, their masks laid end to end and
+    their counts summed, they give the same results."""
+
+    def test_block_holds_every_small_frame(self):
+        for size in (1, 2, 3):
+            block = semantics._small_frames(size)
+            assert block.count == EnumerationLimits(size).count
+            for j in range(block.count):
+                fr = frame_at_index(j)
+                held = {
+                    (u, v)
+                    for u in range(size)
+                    for v in range(size)
+                    if block.edges[u][v] >> j & 1
+                }
+                assert held == fr.relation, j
+                assert [w for w in range(size) if block.lacking[w] >> j & 1] == list(
+                    range(fr.size, size)
+                )
+
+    @pytest.mark.parametrize("p, k", [(0, 0), (0, 4), (0, 7), (1, 3), (2, 2), (3, 0)])
+    def test_each_small_frame_model_is_weighed_once(self, p, k):
+        members = semantics._small_representatives(p, k, 3)
+        for part, n in enumerate((1, 2, 3)):
+            weights = [w[part] for *_, w in members]
+            assert sum(weights) == 2 ** (n * p) * n**k
+            assert sum(map(bool, weights)) == len(list(_canonical_placements(p, k, n, n)))
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4])
+    def test_corpus_outputs_against_per_size_blocks(self, cap):
+        from hybridcorr.alba import run
+        from hybridcorr.corpus import CORPUS
+
+        outputs = [
+            q
+            for entry in CORPUS
+            if entry.expect_skeletal
+            for q in run(parse_input(entry.input_text)).quasis
+        ]
+        # <>Tr(q) fails at dead ends, so the check has mismatches to report
+        cases = [
+            (q, f)
+            for q in outputs
+            for f in (None, tr_quasi(q), Dia(tr_quasi(q)))
+            if cap < 4 or len(sorted_symbols(q)[1]) <= 3
+        ]
+        found = 0
+        for q, f in cases:
+            merged = semantics._valid_mask(EnumerationLimits(cap), q, f)
+            assert merged == per_size_blocks(cap, q, f), (str(q), f)
+            found += merged[2] > 0
+        assert found
+
+    @settings(max_examples=60, deadline=None)
+    @given(quasis(max_leaves=4), st.integers(1, 4), st.sampled_from([None, 0, 1]))
+    def test_drawn_items_against_per_size_blocks(self, q, cap, side):
+        # A translation built from q's own conclusion, which may mention
+        # props: members whose restrictions repeat must weigh nothing.
+        assume(within_budget(q, cap))
+        c = q.conclusion
+        translation = None if side is None else Dia((c.lhs, c.rhs)[side])
+        merged = semantics._valid_mask(EnumerationLimits(cap), q, translation)
+        assert merged == per_size_blocks(cap, q, translation)
+
+    @pytest.mark.parametrize("count", [*range(1, 20), 530])
+    def test_widen_joins_any_count(self, count):
+        reps = [((v,), (w,), 1) for v in range(8) for w in range(3)]
+        values = semantics._widen(reps, 3, count)
+        ones = (1 << count) - 1
+        for b, (valuation, placement, _) in enumerate(reps):
+            for w in range(3):
+                assert values[0][w] >> b * count & ones == (ones if valuation[0] >> w & 1 else 0)
+                assert values[1][w] >> b * count & ones == (ones if placement[0] == w else 0)
+        assert all(x < 1 << len(reps) * count for row in values for x in row)
 
 
 class TestTableCaches:

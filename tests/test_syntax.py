@@ -47,6 +47,7 @@ from hybridcorr.syntax import (
     prop,
     props,
     props_in_order,
+    rename_binders,
     replace_state_var,
     signed_children,
     sorted_symbols,
@@ -209,6 +210,20 @@ class TestReplaceStateVar:
         assert _free_positions(replaced, X) == []
         if not _free_positions(f, X):
             assert replaced == f
+
+    def test_capture_rejected(self):
+        # y would fall under !x. at the Svar and at the @ (paths 0.0 and 1.0)
+        for text, path in [("!x. <>y", (0, 0)), ("<>x & !x. @y x", (1, 0))]:
+            with pytest.raises(CaptureError) as e:
+                replace_state_var(parse(text), Y, X)
+            assert e.value.var == X and e.value.path == path
+
+    def test_binders_renamed_apart(self):
+        fresh = iter([Symbol(Kind.SVAR, f"z{k}", k) for k in (1, 2)])
+        f = parse("<>x & !x. (x & !x. @x y)")
+        renamed = rename_binders(f, X, lambda: next(fresh))
+        assert str(renamed) == "<>x & !z1. (z1 & !z2. @z2 y)"
+        assert str(replace_state_var(renamed, Y, X)) == "<>x & !z1. (z1 & !z2. @z2 x)"
 
     @settings(max_examples=100)
     @given(formulas(8))
