@@ -2,7 +2,7 @@
 
 Two evaluators live here on purpose.  ``eval_at`` implements the
 satisfaction clauses world by world and is the reference oracle, which
-``globally_true`` and the ``holds_*`` checks use.  ``_compile`` is the
+the tests' per-model checks use.  ``_compile`` is the
 sliced evaluator: it turns the formulas of one validity question into
 kernels that decide them on a whole block of frames at once.  A block
 holds frames of one size n in ``enumerate_frames`` order; every symbol and
@@ -39,7 +39,10 @@ frames that lack world w.  An inclusion holds at a lacking world, and a
 placement of a symbol there holds vacuously.  That is exact: truth at the
 other worlds is the small frame's, since a lacking world has no edges and
 @ and a binder reach only worlds where a symbol is placed or evaluation
-is.  One budget bounds every check: its cases, on a block of n worlds
+is.  Every block the loop decides has one shape (``_layout``): a list of
+parts, each a whole block of one size at an offset, and ``lacking``; a
+``FrameBlock`` or a ``KripkeFrame`` is one part that lacks no world.  One
+budget bounds every check: its cases, on a block of n worlds
 n^nominals * 2^(n*props) * n^state-variables, summed over the blocks of
 ``frame_blocks``, may not exceed ``MAX_CASES`` = 2^20.
 The validity checks take one frames value, a ``FrameBlock``, a
@@ -67,25 +70,27 @@ the translation check of ``translate``, and the mask it returns is q's
 validity, so ``verify`` decides each output once.
 
 Renaming worlds preserves validity: (F, V) satisfies q iff (pi F, pi V)
-does.  So on a block that holds every frame of its size (every size up to
-4) the loop decides one valuation and placement per orbit of the world
-permutations (``_canonical_placements``): the worlds are coloured by the
-props that hold there, the colours must not decrease, and nominals and
-state variables follow a restricted growth string within each run of equal
-colour.  ``_valid_mask`` then closes each block's mask under renaming with
-delta swaps on its index bits (``_close_under_renaming``), and the
-translation check weighs each placement by its orbit's size: renaming maps
-the block's frames onto themselves, so the models checked and mismatched
-stay exact.  The block of the small frames decides the canonical members
-of its size, and each size's part of its mask is closed under that size's
-renamings; on the frames of k worlds a member weighs the orbit size of its
-restriction to their worlds, or 0 if it places a symbol outside them or
-repeats an earlier member's restriction (``_small_representatives``).
-The first mismatch reported is the one a walk over every placement would
-report first, since a canonical placement is the least of its orbit;
-later ones come from canonical placements only, size by size.  A single
-frame, or a block of a size above 4, renames nothing and decides every
-valuation and placement, generated lazily unless they fit in one batch.
+does.  Every table of valuations and placements comes from one function,
+``_members``, given how many worlds each part of the block can rename
+(``_renamable``: all n of a part that holds every frame of its size n, up
+to 4, else 1).  Where a part renames its worlds the loop decides one
+valuation and placement per orbit of the world permutations
+(``_orbit_members``): the worlds are coloured by the props that hold
+there, the colours must not decrease, and nominals and state variables
+follow a restricted growth string within each run of equal colour.
+``_valid_mask`` then closes each part of the block's mask under its own
+renamings with delta swaps on its index bits (``_close_under_renaming``),
+and each member carries one weight per part, which the translation check
+counts: on a part of the block's size the size of its orbit, and on a
+part of s worlds the orbit size of its restriction to worlds 0..s-1, or 0
+if it places a symbol outside them or repeats an earlier member's
+restriction.  Renaming maps each part's frames onto themselves, so the
+models checked and mismatched stay exact.  The first mismatch reported is
+the one a walk over every placement would report first, since a
+canonical placement is the least of its orbit; later ones come from
+canonical placements only, part by part.  A single frame, or a block of a
+size above 4, renames nothing and decides every valuation and placement,
+generated lazily unless they fit in one batch, each with weight (1,).
 
 The loop runs in batches, by one rule for blocks and single frames alike:
 on count frames one evaluation decides up to 2^16 / count valuations and
@@ -100,11 +105,11 @@ last batch set first.  One builder (``_widen``) makes every batch's
 environment: it joins each value from the bytes of the fewest segments
 that fill whole bytes, in linear time, and builds a one-member batch's
 values from the world sets of its size and frame count.  A table that
-fits in one batch is widened once for each (props, symbols, size,
-renamable worlds, frame count) (``_one_batch``, and ``_one_small_batch``
-with its absent mask); a larger one is widened batch by batch, from the
-cached representatives or the lazy product.  The caches keep the most
-recently used ``_TABLES_KEPT`` tables.
+fits in one batch is widened once, with its absent mask, for each shape
+(props, symbols, size, renamable worlds per part, frame count, lacking)
+(``_one_batch``); a larger one is widened batch by batch, from the cached
+orbit members or the lazy product.  The two caches keep the most recently
+used ``_TABLES_KEPT`` tables each.
 
 A batch of one decides one valuation and placement, so every per-world
 value of a prop, a nominal, a state variable or a binder's unit is a
@@ -144,7 +149,6 @@ from .syntax import (
     Down,
     Formula,
     Implies,
-    Inequality,
     Kind,
     Nom,
     Not,
@@ -326,26 +330,6 @@ def truth_mask(model: KripkeModel, g: Assignment, f: Formula) -> int:
     return sum(x << w for w, x in enumerate(held))
 
 
-def globally_true(model: KripkeModel, g: Assignment, f: Formula) -> bool:
-    """Whether f holds at every world, by the reference oracle."""
-    return all(eval_at(model, g, w, f) for w in range(model.frame.size))
-
-
-def holds_inequality(model: KripkeModel, g: Assignment, ineq: Inequality) -> bool:
-    """Truth-set inclusion: wherever lhs holds, rhs holds."""
-    return all(
-        (not eval_at(model, g, w, ineq.lhs)) or eval_at(model, g, w, ineq.rhs)
-        for w in range(model.frame.size)
-    )
-
-
-def holds_quasi(model: KripkeModel, g: Assignment, q: QuasiInequality) -> bool:
-    """Material implication over inequality judgments at one shared (V, g)."""
-    if all(holds_inequality(model, g, i) for i in q.antecedents):
-        return holds_inequality(model, g, q.conclusion)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Frame blocks
 # ---------------------------------------------------------------------------
@@ -410,8 +394,10 @@ def _check_world_cap(max_size: int) -> None:
     if max_size < 1:
         raise ValueError(f"world cap {max_size} is below 1: a frame has at least one world")
     if max_size > MAX_WORLDS:
+        # Counted at one world past the cap only: the count at max_size has
+        # about max_size^2 / 3.3 digits.
         raise EnumerationCapError(
-            f"{max_size} worlds would mean {EnumerationLimits(max_size).count:,} frames; "
+            f"{max_size} worlds would mean at least {_frames_below(MAX_WORLDS + 2):,} frames; "
             f"checks stop at {MAX_WORLDS} worlds"
         )
 
@@ -464,10 +450,6 @@ class _SmallFrames(FrameBlock):
     parts: tuple[tuple[int, FrameBlock], ...] = field(repr=False)
     lacking: tuple[int, ...] = field(repr=False)
 
-    @property
-    def index(self) -> int:
-        return 0
-
 
 @functools.cache
 def _small_frames(size: int) -> _SmallFrames:
@@ -482,6 +464,18 @@ def _small_frames(size: int) -> _SmallFrames:
     )
     lacking = tuple((1 << _frames_below(w + 1)) - 1 for w in range(size))
     return _SmallFrames(size, 0, _frames_below(size + 1), edges, parts, lacking)
+
+
+def _layout(
+    block: FrameBlock | KripkeFrame,
+) -> tuple[tuple[tuple[int, FrameBlock | KripkeFrame], ...], tuple[int, ...]]:
+    """(parts, lacking) of a block the validity checks decide: its parts as
+    (offset, whole block of one size), and per world the mask of its frames
+    that lack that world.  A FrameBlock or a KripkeFrame is one part that
+    lacks no world."""
+    if isinstance(block, _SmallFrames):
+        return block.parts, block.lacking
+    return ((0, block),), (0,) * block.size
 
 
 def _decided_blocks(limits: EnumerationLimits) -> Iterator[FrameBlock]:
@@ -834,93 +828,110 @@ def _renamable(frames: FrameBlock | KripkeFrame) -> int:
     return frames.size if frames.count == 1 << frames.size * frames.size else 1
 
 
-# (valuation, placement, weight): see _canonical_placements
-Representative = tuple[tuple[int, ...], tuple[int, ...], int]
-# Representatives decided side by side: see _tables
-Batch = Sequence[Representative]
+# (valuation, placement, weights): see _members
+Member = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+# Members decided side by side: see _tables
+Batch = Sequence[Member]
 
 
-def _canonical_placements(p: int, k: int, n: int, m: int) -> Iterable[Representative]:
-    """One valuation of p props and placement of k symbols in worlds
-    0..n-1 per orbit of the permutations of worlds 0..m-1, as (valuation,
-    placement, orbit size) in lexicographic order.
+def _members(p: int, k: int, n: int, renamable: tuple[int, ...]) -> Iterable[Member]:
+    """The valuations of p props and placements of k symbols in worlds
+    0..n-1 that a block decides, given _renamable of each of its parts, as
+    (valuation, placement, weights) in lexicographic order: weights[i] is
+    how many valuations and placements the member stands for on part i.
 
     A valuation is a tuple of p masks over the worlds (bit w of the i-th is
-    set iff prop i holds at w).  With m = 1 nothing is renamable: every
-    valuation and placement comes with weight 1, generated lazily in the
-    order of the full product.  Otherwise see _orbit_representatives.
+    set iff prop i holds at w).  With nothing renamable (a block of one
+    part) every valuation and placement comes with weight (1,), generated
+    lazily in the order of the full product.  Otherwise each part holds
+    every frame of its size, and the members are _orbit_members(p, k,
+    renamable).  Every table of the validity checks is built here.
     """
-    if m == 1:
+    if max(renamable) == 1:
         return (
-            (valuation, placement, 1)
+            (valuation, placement, (1,))
             for valuation in itertools.product(range(1 << n), repeat=p)
             for placement in itertools.product(range(n), repeat=k)
         )
-    return _orbit_representatives(p, k, n, m)
+    return _orbit_members(p, k, renamable)
 
 
 # Entries kept by each table cache.  Each table is built once per key; the
-# benchmark's workloads use at most 24 keys of _orbit_representatives, 12
-# of _small_representatives and 10 of _one_small_batch (agree3), all four
-# together 29, 13 and 11, and none of _one_batch.
+# benchmark's workloads use at most 40 keys of _orbit_members and 16 of
+# _one_batch (axioms), all four together 52 and 19.
 _TABLES_KEPT = 64
 
 
 @functools.lru_cache(maxsize=_TABLES_KEPT)
-def _orbit_representatives(p: int, k: int, n: int, m: int) -> tuple[Representative, ...]:
-    """The canonical members of the orbits of _canonical_placements, m > 1.
+def _orbit_members(p: int, k: int, sizes: tuple[int, ...]) -> tuple[Member, ...]:
+    """One valuation of p props and placement of k symbols in worlds
+    0..n-1 (n = sizes[-1]) per orbit of their permutations, as (valuation,
+    placement, weights) in lexicographic order, weighed once per part of a
+    block whose parts hold every frame of each size of sizes: a whole
+    block, sizes (n,), or _small_frames(n), sizes (1, ..., n).
 
     Colour each world by its prop bits, prop 1 the most significant.  A
-    valuation is canonical iff the colours do not decrease over the
-    renamable worlds; its stabiliser permutes each run of equal colour.
-    Within that, a placement is canonical iff it is a restricted growth
-    string on each run: a symbol goes to a world of a run at most one above
-    the highest world of that run used so far, or to any world >= m.  That
-    is the least member of its orbit, ordering pairs by their colours world
-    by world and then by the placement.  With runs of lengths r_i of which
-    j_i worlds are used, the orbit has (m! / prod r_i!) * prod
-    r_i(r_i-1)...(r_i-j_i+1) members.  With no props there is one run and
+    valuation is canonical iff the colours do not decrease over the worlds;
+    its stabiliser permutes each run of equal colour.  Within that, a
+    placement is canonical iff it is a restricted growth string on each
+    run: a symbol goes to a world of a run at most one above the highest
+    world of that run used so far.  That is the least member of its orbit,
+    ordering pairs by their colours world by world and then by the
+    placement.  With runs of lengths r_i of which j_i worlds are used, the
+    orbit has (n! / prod r_i!) * prod r_i(r_i-1)...(r_i-j_i+1) members: the
+    weight on the part of n worlds.  With no props there is one run and
     these are the restricted growth strings of the placements.
+
+    On the part of s < n worlds a member decides its restriction to worlds
+    0..s-1, whose weight is the size of its orbit under their permutations.
+    It weighs 0 there if it places a symbol at a world >= s (it holds
+    vacuously there) or if an earlier member has the same restriction.  The
+    restrictions are the canonical members of s worlds: colours that do not
+    decrease over every world do so over the first s, and a placement in
+    the first s grows within the same runs.  So each of those is weighed
+    once, and the models checked and mismatched stay exact.
     """
+    *smaller, n = sizes
+    unweighed = [{(v, pl): w for v, pl, (w,) in _orbit_members(p, k, (s,))} for s in smaller]
     out = []
     prefix = [0] * k
-    colours = range(1 << p)
-    for renamable in itertools.combinations_with_replacement(colours, m):
-        for fixed in itertools.product(colours, repeat=n - m):
-            colour = renamable + fixed
-            valuation = tuple(
-                sum(((c >> (p - 1 - i)) & 1) << w for w, c in enumerate(colour))
-                for i in range(p)
-            )
-            # run[w]: the first world of w's run of equal colour
-            run = [0] * m
-            for w in range(1, m):
-                run[w] = run[w - 1] if colour[w] == colour[w - 1] else w
-            lengths = collections.Counter(run)
-            orbit = math.factorial(m) // math.prod(map(math.factorial, lengths.values()))
-            used = dict.fromkeys(lengths, 0)
+    for colour in itertools.combinations_with_replacement(range(1 << p), n):
+        valuation = tuple(
+            sum(((c >> (p - 1 - i)) & 1) << w for w, c in enumerate(colour)) for i in range(p)
+        )
+        # run[w]: the first world of w's run of equal colour
+        run = [0] * n
+        for w in range(1, n):
+            run[w] = run[w - 1] if colour[w] == colour[w - 1] else w
+        lengths = collections.Counter(run)
+        orbit = math.factorial(n) // math.prod(map(math.factorial, lengths.values()))
+        used = dict.fromkeys(lengths, 0)
 
-            def grow(i: int) -> None:
-                """Extend prefix[:i], which uses worlds run..run+used[run]-1 of each run."""
-                if i == k:
-                    weight = orbit * math.prod(math.perm(lengths[r], used[r]) for r in lengths)
-                    out.append((valuation, tuple(prefix), weight))
-                    return
-                for w in range(n):
-                    if w >= m:
-                        prefix[i] = w
-                        grow(i + 1)
-                        continue
-                    r = run[w]
-                    before = used[r]
-                    if w - r > before:
-                        continue
-                    prefix[i] = w
-                    used[r] = max(before, w - r + 1)
-                    grow(i + 1)
-                    used[r] = before
+        def grow(i: int) -> None:
+            """Extend prefix[:i], which uses worlds run..run+used[run]-1 of each run."""
+            if i == k:
+                placement = tuple(prefix)
+                top = max(placement, default=0)
+                restricted = (
+                    left.pop((tuple(v & (1 << s) - 1 for v in valuation), placement), 0)
+                    if top < s
+                    else 0
+                    for s, left in zip(smaller, unweighed)
+                )
+                weight = orbit * math.prod(math.perm(lengths[r], used[r]) for r in lengths)
+                out.append((valuation, placement, (*restricted, weight)))
+                return
+            for w in range(n):
+                r = run[w]
+                before = used[r]
+                if w - r > before:
+                    continue
+                prefix[i] = w
+                used[r] = max(before, w - r + 1)
+                grow(i + 1)
+                used[r] = before
 
-            grow(0)
+        grow(0)
     return tuple(out)
 
 
@@ -1091,101 +1102,68 @@ def _widen(reps: Batch, n: int, count: int) -> Sequence[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=_TABLES_KEPT)
-def _one_batch(p: int, k: int, n: int, m: int, count: int) -> tuple[Batch, tuple]:
-    """Every member of _canonical_placements(p, k, n, m) as one batch, with
-    its environment on count frames; only built when they fit in one and
-    are more than one (see _tables)."""
-    reps = tuple(_canonical_placements(p, k, n, m))
-    return reps, _widen(reps, n, count)
+def _one_batch(
+    p: int, k: int, n: int, renamable: tuple[int, ...], count: int, lacking: tuple[int, ...]
+) -> tuple[Batch, tuple, int]:
+    """Every member of _members(p, k, n, renamable) as one batch, with its
+    environment and absent mask on a block of count frames of n worlds
+    whose frames lack the worlds of lacking (see _absent); only built when
+    they fit in one batch and are more than one (see _tables)."""
+    batch = tuple(_members(p, k, n, renamable))
+    values = _widen(batch, n, count)
+    return batch, values, _absent(values, p, count, lacking, len(batch))
 
 
-@functools.lru_cache(maxsize=_TABLES_KEPT)
-def _small_representatives(p: int, k: int, size: int) -> tuple[Representative, ...]:
-    """_canonical_placements(p, k, size, size), each member weighed once per
-    part of _small_frames(size): its weight is a tuple, the part of n worlds
-    first for each n.
-
-    On the frames of n worlds a member decides its restriction to worlds
-    0..n-1, whose weight is the size of its orbit under their permutations.
-    It weighs 0 there if it places a symbol at a world >= n (it holds
-    vacuously there) or if an earlier member has the same restriction.  The
-    restrictions are the canonical members of n worlds: colours that do not
-    decrease over every world do so over the first n, and a placement in
-    the first n grows within the same runs.  So each of those is weighed
-    once, and the models checked and mismatched stay exact."""
-    unweighed = [
-        {(v, pl): w for v, pl, w in _canonical_placements(p, k, n, n)} for n in range(1, size)
-    ]
-    out = []
-    for valuation, placement, weight in _canonical_placements(p, k, size, size):
-        top = max(placement, default=0)
-        weights = tuple(
-            left.pop((tuple(v & (1 << n) - 1 for v in valuation), placement), 0) if top < n else 0
-            for n, left in enumerate(unweighed, 1)
-        )
-        out.append((valuation, placement, (*weights, weight)))
-    return tuple(out)
-
-
-def _absent(values: Sequence[tuple[int, ...]], p: int, block: _SmallFrames, members: int) -> int:
-    """The environment values' absent mask on block: bit b*block.count + j
-    is set iff member b places a symbol (slots p up) at a world that frame
-    j lacks."""
+def _absent(
+    values: Sequence[tuple[int, ...]],
+    p: int,
+    count: int,
+    lacking: tuple[int, ...],
+    members: int,
+) -> int:
+    """The environment values' absent mask on a block of count frames, of
+    which lacking[w] masks those that lack world w: bit b*count + j is set
+    iff member b places a symbol (slots p up) at a world that frame j
+    lacks.  Where no frame lacks a world the values are not read."""
     absent = 0
-    for w, lacks in enumerate(block.lacking):
-        placed = functools.reduce(operator.or_, (x[w] for x in values[p:]), 0)
-        if placed and lacks:
-            absent |= placed & _spread(lacks, block.count, members)
+    for w, lacks in enumerate(lacking):
+        placed = lacks and functools.reduce(operator.or_, (x[w] for x in values[p:]), 0)
+        if placed:
+            absent |= placed & _spread(lacks, count, members)
     return absent
-
-
-@functools.lru_cache(maxsize=_TABLES_KEPT)
-def _one_small_batch(p: int, k: int, size: int) -> tuple[Batch, tuple, int]:
-    """_small_representatives(p, k, size) as one batch, with its environment
-    and absent mask on _small_frames(size); only built when they fit in one
-    and are more than one (see _tables)."""
-    block = _small_frames(size)
-    reps = _small_representatives(p, k, size)
-    values = _widen(reps, size, block.count)
-    return reps, values, _absent(values, p, block, len(reps))
 
 
 MAX_COUNTEREXAMPLES = 5
 
 
 def _tables(
-    p: int, k: int, block: FrameBlock | KripkeFrame
+    p: int,
+    k: int,
+    block: FrameBlock | KripkeFrame,
+    renamable: tuple[int, ...],
+    lacking: tuple[int, ...],
 ) -> Iterator[tuple[Batch, Sequence, int]]:
-    """The canonical valuations of p props and placements of k symbols in
-    block's worlds (see _canonical_placements, with m = _renamable(block),
-    or _small_representatives on a _SmallFrames block), in lexicographic
-    order, cut into batches of _batch_width(block), each with the
-    environment that decides it on the block repeated once per member
-    (member b in segment b of every value, bits b*block.count up) and its
-    absent mask (see _absent; 0 unless block is a _SmallFrames)."""
+    """_members(p, k, block.size, renamable), in lexicographic order, cut
+    into batches of _batch_width(block), each with the environment that
+    decides it on the block repeated once per member (member b in segment b
+    of every value, bits b*block.count up) and its absent mask on the
+    frames that lack the worlds of lacking (see _absent)."""
     n, count = block.size, block.count
     width = _batch_width(block)
-    small = isinstance(block, _SmallFrames)
-    if small:
-        reps = _small_representatives(p, k, n)
-        total = len(reps)
-    else:
-        m = _renamable(block)
-        reps = _canonical_placements(p, k, n, m)
-        # With m = 1, reps is the lazy product of 2^(n*p) valuations and
-        # n^k placements.
-        total = len(reps) if m > 1 else n**k << n * p
+    members = _members(p, k, n, renamable)
+    # The lazy product of every valuation and placement has no len.
+    total = len(members) if isinstance(members, tuple) else n**k << n * p
     # A table that fits in one batch is widened once, unless it has one
     # member: that one's values are looked up afresh in _world_sets, as
     # bind's full is, so that they are that object itself even after
     # _world_sets has dropped and rebuilt the entry.
     if 1 < total <= width:
-        yield _one_small_batch(p, k, n) if small else (*_one_batch(p, k, n, m, count), 0)
+        yield _one_batch(p, k, n, renamable, count, lacking)
         return
-    rest = iter(reps)
+    rest = iter(members)
     for chunk in iter(lambda: tuple(itertools.islice(rest, width)), ()):
         values = _widen(chunk, n, count)
-        yield chunk, values, _absent(values, p, block, len(chunk)) if small else 0
+        yield chunk, values, _absent(values, p, count, lacking, len(chunk))
 
 
 def _valid_mask(
@@ -1201,13 +1179,14 @@ def _valid_mask(
     over them, before anything is built.  q is then compiled once, with the
     translation if there is one, and decided block by block (for limits,
     those of _decided_blocks), a batch at a time; the antecedents and the
-    conclusion are judged against one shared environment.  Only canonical
-    valuations and placements are decided; closing each block's mask, part
-    by part, under renaming its worlds gives the frames on which q holds
-    under every one.  With no symbol at all the one empty placement is
-    decided already.  On a _SmallFrames block an inclusion and the
-    translation hold at every world a frame lacks, and a member holds
-    vacuously on the frames that lack a world it places a symbol at.
+    conclusion are judged against one shared environment.  Every block is
+    read through _layout, as parts and the worlds its frames lack.  Only
+    canonical valuations and placements are decided; closing each part of
+    the block's mask under renaming its worlds gives the frames on which q
+    holds under every one.  With no symbol at all the one empty placement
+    is decided already.  An inclusion and the translation hold at every
+    world a frame lacks, and a member holds vacuously on the frames that
+    lack a world it places a symbol at.
 
     Returns (mask, checked, mismatched, mismatches).  Without a translation
     the mask narrows batch by batch, a block stops deciding once its mask
@@ -1267,16 +1246,15 @@ def _valid_mask(
     def decided() -> Iterator[tuple[int, int]]:
         nonlocal full, checked, mismatched
         for block in blocks:
-            small = isinstance(block, _SmallFrames)
-            parts = block.parts if small else ((0, block),)
-            lacking = block.lacking if small else (0,) * block.size
+            parts, lacking = _layout(block)
+            renamable = tuple(_renamable(part) for _, part in parts)
             # The block's mask starts at the full mask that a batch of one
             # is bound to, so that the kernels' shortcuts apply to it.
             whole = mask = full = bind(block)
             outside[:] = lacking
             count, members = block.count, 1
             found: list[list[dict]] = [[] for _ in parts]
-            for batch, values, absent in _tables(p, k, block):
+            for batch, values, absent in _tables(p, k, block, renamable, lacking):
                 if len(batch) != members:
                     members = len(batch)
                     full = bind(block if members == 1 else _replicated(block, members))
@@ -1302,12 +1280,13 @@ def _valid_mask(
                     held, translated = held | absent, translated | absent
                 if held is not full:
                     mask &= _fold(held, count, members)
-                weighed = [w if small else (w,) for *_, w in batch]
-                checked += sum(part.count * w for ws in weighed for (_, part), w in zip(parts, ws))
+                checked += sum(
+                    part.count * w for *_, ws in batch for (_, part), w in zip(parts, ws)
+                )
                 diff = 0 if held is translated else held ^ translated
                 if not diff:
                     continue
-                for b, ((_, placement, _), ws) in enumerate(zip(batch, weighed)):
+                for b, (_, placement, ws) in enumerate(batch):
                     segment = diff >> b * count & whole
                     for (offset, part), weight, kept in zip(parts, ws, found):
                         bits = segment >> offset & part.full
@@ -1330,13 +1309,8 @@ def _valid_mask(
             # An empty or full mask is closed under renaming already.
             if slots and mask and mask != whole:
                 mask = _concatenated(
-                    (
-                        _close_under_renaming(
-                            mask >> offset & part.full, part.size, _renamable(part)
-                        ),
-                        part.count,
-                    )
-                    for offset, part in parts
+                    (_close_under_renaming(mask >> offset & part.full, part.size, m), part.count)
+                    for (offset, part), m in zip(parts, renamable)
                 )
             for kept in found:
                 mismatches.extend(kept[: MAX_COUNTEREXAMPLES - len(mismatches)])

@@ -1,10 +1,13 @@
-"""Walk oracles for the signed facts each formula node keeps.
+"""Walk oracles for the signed facts each formula node keeps, and the
+per-model oracle of truth on top of ``eval_at``.
 
 Every question ``classify`` and ``alba`` answer from the signed facts is
 answered here by walking the trees instead: the critical branches of the
 ``SignedTree`` that ``classify.signed_tree`` builds node by node, or the
 formula itself through ``signed_children``.  None of them reads a node's
-kept facts.
+kept facts.  ``globally_true``, ``holds_inequality`` and ``holds_quasi``
+decide one model world by world with ``semantics.eval_at``, the reference
+oracle, and never with the sliced evaluator.
 """
 
 from __future__ import annotations
@@ -25,12 +28,14 @@ from hybridcorr.classify import (
     signed_tree,
     tree_agrees_with,
 )
+from hybridcorr.semantics import Assignment, KripkeModel, eval_at
 from hybridcorr.syntax import (
     BOT,
     TOP,
     Formula,
     Inequality,
     Prop,
+    QuasiInequality,
     Sign,
     Symbol,
     props_in_order,
@@ -123,3 +128,23 @@ def find_redex(f: Formula, sign: Sign):
     if root is not None:
         return ((), *root)
     return None
+
+
+def globally_true(model: KripkeModel, g: Assignment, f: Formula) -> bool:
+    """Whether f holds at every world, by the reference oracle."""
+    return all(eval_at(model, g, w, f) for w in range(model.frame.size))
+
+
+def holds_inequality(model: KripkeModel, g: Assignment, ineq: Inequality) -> bool:
+    """Truth-set inclusion: wherever lhs holds, rhs holds."""
+    return all(
+        (not eval_at(model, g, w, ineq.lhs)) or eval_at(model, g, w, ineq.rhs)
+        for w in range(model.frame.size)
+    )
+
+
+def holds_quasi(model: KripkeModel, g: Assignment, q: QuasiInequality) -> bool:
+    """Material implication over inequality judgments at one shared (V, g)."""
+    if all(holds_inequality(model, g, i) for i in q.antecedents):
+        return holds_inequality(model, g, q.conclusion)
+    return True

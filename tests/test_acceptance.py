@@ -44,9 +44,6 @@ from hybridcorr.semantics import (
     frame_valid,
     frame_valid_quasi,
     frame_valid_quasi_set,
-    globally_true,
-    holds_inequality,
-    holds_quasi,
     is_reflexive,
     is_transitive,
 )
@@ -64,6 +61,7 @@ from hybridcorr.syntax import (
 from hybridcorr.translate import tr_ineq, tr_quasi, verify_correspondence
 
 from models import random_model
+from oracles import globally_true, holds_inequality, holds_quasi
 from strategies import all_models_for_item
 
 LIMITS = EnumerationLimits(max_worlds=3)

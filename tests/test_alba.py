@@ -36,7 +36,6 @@ from hybridcorr.semantics import (
     eval_at,
     frame_valid,
     frame_valid_quasi_set,
-    holds_inequality,
 )
 from hybridcorr.syntax import (
     BOT,
@@ -66,6 +65,7 @@ from hybridcorr.syntax import (
 )
 
 from models import random_model
+from oracles import holds_inequality
 from strategies import formulas, inequalities, models_for
 
 P = prop("p")

@@ -267,7 +267,7 @@ class TestHostileInput:
         def built(*args):
             raise AssertionError("a table was built before every check was admitted")
 
-        monkeypatch.setattr(semantics, "_canonical_placements", built)
+        monkeypatch.setattr(semantics, "_members", built)
         code, out, err = run_cli(capsys, "verify", "<> <> <> p -> <> p", "--max-worlds", "5")
         self.one_line_error(code, out, err)
         assert err == "error: 1,601,300 cases exceed the budget of 1,048,576 per check\n"
@@ -299,6 +299,20 @@ class TestHostileInput:
             assert time.perf_counter() - start < 1.0
             self.one_line_error(code, out, err)
             assert "68,753,097,234 frames" in err
+
+    @pytest.mark.parametrize("cap", ["50", "1000"])
+    def test_world_cap_far_above_five(self, capsys, cap):
+        # refused at once with the world cap's line, without counting the
+        # frames up to the refused cap
+        for argv in [("verify", "p -> p", "--max-worlds", cap), ("axioms-check", "--max-worlds", cap)]:
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, *argv)
+            assert time.perf_counter() - start < 1.0
+            self.one_line_error(code, out, err)
+            assert err == (
+                f"error: {cap} worlds would mean at least 68,753,097,234 frames;"
+                " checks stop at 5 worlds\n"
+            )
 
     def test_verify_world_cap_below_one(self, capsys):
         # no frames would be checked, so nothing could disagree

@@ -27,9 +27,6 @@ from hybridcorr.semantics import (
     frame_valid,
     frame_valid_quasi,
     frame_valid_quasi_set,
-    globally_true,
-    holds_inequality,
-    holds_quasi,
     model_to_json,
     truth_mask,
 )
@@ -38,12 +35,12 @@ from hybridcorr.semantics import (
     MAX_COUNTEREXAMPLES,
     _TABLES_KEPT,
     _batch_width,
-    _canonical_placements,
     _close_under_renaming,
     _compile,
     _concatenated,
+    _members,
     _one_batch,
-    _orbit_representatives,
+    _orbit_members,
     _tables,
     _world_sets,
     check_cases,
@@ -73,6 +70,7 @@ from hybridcorr.syntax import (
 from hybridcorr.translate import tr_quasi, verify_correspondence
 
 from models import parse_model, random_model
+from oracles import globally_true, holds_inequality, holds_quasi
 from strategies import formulas, models_for, quasis, shared_formulas
 
 P = prop("p")
@@ -127,7 +125,7 @@ def refused_before_any_table(monkeypatch):
     def built(*args):
         raise AssertionError("a table was built before the budget was checked")
 
-    monkeypatch.setattr(semantics, "_canonical_placements", built)
+    monkeypatch.setattr(semantics, "_members", built)
 
 
 def model(frame, pv=None, nv=None):
@@ -403,32 +401,32 @@ class TestCanonicalPlacements:
     @pytest.mark.parametrize("k", range(8))
     @pytest.mark.parametrize("n", range(1, 5))
     def test_one_per_orbit(self, k, n):
-        canonical = list(_canonical_placements(0, k, n, n))
+        canonical = list(_members(0, k, n, (n,)))
         # one placement per partition of the symbols into at most n groups
         assert len(canonical) == sum(stirling2(k, j) for j in range(min(k, n) + 1))
         # orbit sizes add up to every placement
-        assert sum(weight for _, _, weight in canonical) == n**k
+        assert sum(weight for _, _, (weight,) in canonical) == n**k
         # each is the least member of its orbit, and they come in order
         assert {valuation for valuation, _, _ in canonical} == {()}
         placements = [p for _, p, _ in canonical]
         assert placements == sorted(placements)
-        for _, p, weight in canonical:
+        for _, p, (weight,) in canonical:
             orbit = {tuple(pi[w] for w in p) for pi in itertools.permutations(range(n))}
             assert min(orbit) == p and len(orbit) == weight
 
     def test_sizes_named_in_the_docs(self):
-        assert len(list(_canonical_placements(0, 6, 3, 3))) == 122
-        assert len(list(_canonical_placements(0, 7, 4, 4))) == 715
+        assert len(_orbit_members(0, 6, (3,))) == 122
+        assert len(_orbit_members(0, 7, (4,))) == 715
 
     @pytest.mark.parametrize("k", range(6))
     @pytest.mark.parametrize("n", range(1, 5))
     def test_nothing_renamable_is_the_full_product(self, k, n):
-        canonical = _canonical_placements(0, k, n, 1)
+        canonical = _members(0, k, n, (1,))
         # generated lazily, not kept
         assert iter(canonical) is canonical
         canonical = list(canonical)
         assert [p for _, p, _ in canonical] == list(itertools.product(range(n), repeat=k))
-        assert {weight for _, _, weight in canonical} == {1}
+        assert {weights for _, _, weights in canonical} == {(1,)}
 
 
 class TestCanonicalValuations:
@@ -436,15 +434,15 @@ class TestCanonicalValuations:
 
     @pytest.mark.parametrize("p, k, n", itertools.product((1, 2), range(4), range(1, 5)))
     def test_weights_count_every_valuation_and_placement(self, p, k, n):
-        canonical = _canonical_placements(p, k, n, n)
-        assert sum(weight for _, _, weight in canonical) == 2 ** (p * n) * n**k
+        canonical = _members(p, k, n, (n,))
+        assert sum(weight for _, _, (weight,) in canonical) == 2 ** (p * n) * n**k
 
     @pytest.mark.parametrize("p, k, n", itertools.product((1, 2), range(4), range(1, 4)))
     def test_least_member_of_its_orbit(self, p, k, n):
-        canonical = list(_canonical_placements(p, k, n, n))
+        canonical = list(_members(p, k, n, (n,)))
         keys = [orbit_key(v, pl, n) for v, pl, _ in canonical]
         assert keys == sorted(set(keys))
-        for valuation, placement, weight in canonical:
+        for valuation, placement, (weight,) in canonical:
             orbit = {
                 orbit_key(*renamed(pi, valuation, placement), n)
                 for pi in itertools.permutations(range(n))
@@ -457,18 +455,18 @@ class TestCanonicalValuations:
         [(1, 0, 3, 4, 8), (2, 0, 3, 20, 64), (1, 2, 3, 14, 72), (1, 0, 4, 5, 16)],
     )
     def test_counts_named_in_the_docs(self, p, k, n, count, of):
-        canonical = _canonical_placements(p, k, n, n)
+        canonical = _orbit_members(p, k, (n,))
         assert len(canonical) == count
-        assert sum(weight for _, _, weight in canonical) == of
+        assert sum(weight for _, _, (weight,) in canonical) == of
 
     @pytest.mark.parametrize("p, k, n", [(1, 0, 3), (1, 2, 2), (2, 1, 2), (3, 0, 1)])
     def test_nothing_renamable_is_the_full_product(self, p, k, n):
-        canonical = list(_canonical_placements(p, k, n, 1))
+        canonical = list(_members(p, k, n, (1,)))
         assert [(v, pl) for v, pl, _ in canonical] == list(
             itertools.product(itertools.product(range(1 << n), repeat=p),
                               itertools.product(range(n), repeat=k))
         )
-        assert {weight for _, _, weight in canonical} == {1}
+        assert {weights for _, _, weights in canonical} == {(1,)}
 
 
 class TestRenamingClosure:
@@ -711,17 +709,8 @@ class TestConstantOperands:
     def test_translation_check_against_wide_batches(self, monkeypatch):
         # With 2^20 bits a batch on the 4-world block has up to 16 members,
         # whose values are not the bound full: the general path decides them.
-        from hybridcorr.alba import run
-        from hybridcorr.corpus import CORPUS
-
-        outputs = [
-            q
-            for entry in CORPUS
-            if entry.expect_skeletal
-            for q in run(parse_input(entry.input_text)).quasis
-        ]
         # <>Tr(q) fails at dead ends, so the check has mismatches to report
-        cases = [(q, f) for q in outputs for f in (tr_quasi(q), Dia(tr_quasi(q)))]
+        cases = [(q, f) for q in corpus_outputs() for f in (tr_quasi(q), Dia(tr_quasi(q)))]
         constants = [semantics._valid_mask(FOUR, q, f) for q, f in cases]
         assert any(mismatched for _, _, mismatched, _ in constants)
         monkeypatch.setattr(semantics, "_BATCH_BITS", 20)
@@ -740,8 +729,8 @@ class TestConstantOperands:
         # the values stay that object after the world sets are rebuilt.
         _, bind = _compile([], {})
         for _ in range(2):
-            ((batch, values, absent),) = _tables(0, 1, FOUR)
-            assert batch == (((), (0,), 4),)  # one nominal, at any of 4 worlds
+            ((batch, values, absent),) = _tables(0, 1, FOUR, (4,), (0,) * 4)
+            assert batch == (((), (0,), (4,)),)  # one nominal, at any of 4 worlds
             full = bind(FOUR)
             assert values[0][0] is full and values[0][1] == 0 and absent == 0
             _world_sets.cache_clear()
@@ -859,12 +848,12 @@ class TestBatches:
     def test_batches_at_three_worlds(self):
         # 7 nominals: 365 canonical placements, in batches of 2^16 / 512
         assert _batch_width(THREE) == 128
-        assert len(_orbit_representatives(0, 7, 3, 3)) == 365
+        assert len(_orbit_members(0, 7, (3,))) == 365
         q = parse_quasi("'a <= <>'b ; 'c <= <>'d ; 'e <= <>'f => 'g <= ~'a")
         assert list(map(len, sorted_symbols(q))) == [0, 7, 0]
-        assert [len(batch) for batch, *_ in _tables(0, 7, THREE)] == [128, 128, 109]
-        assert len(_orbit_representatives(1, 5, 3, 3)) == 326
-        assert len(_orbit_representatives(2, 3, 3, 3)) == 296
+        assert [len(batch) for batch, *_ in _tables(0, 7, THREE, (3,), (0,) * 3)] == [128, 128, 109]
+        assert len(_orbit_members(1, 5, (3,))) == 326
+        assert len(_orbit_members(2, 3, (3,))) == 296
 
     def test_widths_by_size(self):
         whole = [block_of_size(n) for n in range(1, 5)]
@@ -939,6 +928,19 @@ def per_size_blocks(cap, q, translation=None):
     )
 
 
+def corpus_outputs():
+    """The outputs of the corpus's skeletal entries."""
+    from hybridcorr.alba import run
+    from hybridcorr.corpus import CORPUS
+
+    return [
+        q
+        for entry in CORPUS
+        if entry.expect_skeletal
+        for q in run(parse_input(entry.input_text)).quasis
+    ]
+
+
 def within_budget(item, cap):
     try:
         semantics.admit(check_cases(item, EnumerationLimits(cap)))
@@ -972,27 +974,20 @@ class TestSmallFrames:
 
     @pytest.mark.parametrize("p, k", [(0, 0), (0, 4), (0, 7), (1, 3), (2, 2), (3, 0)])
     def test_each_small_frame_model_is_weighed_once(self, p, k):
-        members = semantics._small_representatives(p, k, 3)
+        members = _orbit_members(p, k, (1, 2, 3))
+        # the members of the 3-world block, weighed there as on it
+        assert [(v, pl, ws[-1:]) for v, pl, ws in members] == list(_orbit_members(p, k, (3,)))
         for part, n in enumerate((1, 2, 3)):
             weights = [w[part] for *_, w in members]
             assert sum(weights) == 2 ** (n * p) * n**k
-            assert sum(map(bool, weights)) == len(list(_canonical_placements(p, k, n, n)))
+            assert sum(map(bool, weights)) == len(list(_members(p, k, n, (n,))))
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 4])
     def test_corpus_outputs_against_per_size_blocks(self, cap):
-        from hybridcorr.alba import run
-        from hybridcorr.corpus import CORPUS
-
-        outputs = [
-            q
-            for entry in CORPUS
-            if entry.expect_skeletal
-            for q in run(parse_input(entry.input_text)).quasis
-        ]
         # <>Tr(q) fails at dead ends, so the check has mismatches to report
         cases = [
             (q, f)
-            for q in outputs
+            for q in corpus_outputs()
             for f in (None, tr_quasi(q), Dia(tr_quasi(q)))
             if cap < 4 or len(sorted_symbols(q)[1]) <= 3
         ]
@@ -1002,6 +997,24 @@ class TestSmallFrames:
             assert merged == per_size_blocks(cap, q, f), (str(q), f)
             found += merged[2] > 0
         assert found
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_weights_against_the_full_product(self, monkeypatch, cap):
+        # With nothing renamable each size's block decides every placement
+        # with weight 1, so the weights of the canonical members on the
+        # merged block must add up to the same models checked and
+        # mismatched.  The first mismatch is a canonical placement too.
+        cases = [(q, f) for q in corpus_outputs() for f in (tr_quasi(q), Dia(tr_quasi(q)))]
+        renamed = [semantics._valid_mask(EnumerationLimits(cap), q, f) for q, f in cases]
+        monkeypatch.setattr(semantics, "_renamable", lambda frames: 1)
+        for (q, f), (mask, checked, mismatched, found) in zip(cases, renamed):
+            product_mask, product_checked, product_mismatched, product_found = per_size_blocks(
+                cap, q, f
+            )
+            assert mask == product_mask, (str(q), f)
+            assert (checked, mismatched) == (product_checked, product_mismatched), (str(q), f)
+            assert found[:1] == product_found[:1], (str(q), f)
+        assert any(mismatched for _, _, mismatched, _ in renamed)
 
     @settings(max_examples=60, deadline=None)
     @given(quasis(max_leaves=4), st.integers(1, 4), st.sampled_from([None, 0, 1]))
@@ -1030,22 +1043,26 @@ class TestTableCaches:
     """The tables of canonical members and of one-batch environments are
     kept for a bounded number of shapes."""
 
+    CACHES = (_orbit_members, _one_batch)
+
     def test_more_shapes_than_kept_stay_bounded(self):
-        for cache in (_orbit_representatives, _one_batch):
+        for cache in self.CACHES:
             assert cache.cache_info().maxsize == _TABLES_KEPT
-        # one symbol at n worlds, two of them renamable: n - 1 placements
         for n in range(2, _TABLES_KEPT + 12):
-            assert len(_orbit_representatives(0, 1, n, 2)) == n - 1
-            reps, values = _one_batch(0, 1, 1, 1, n)
-            assert reps == (((), (0,), 1),) and values == [((1 << n) - 1,)]
-        for cache in (_orbit_representatives, _one_batch):
+            # one symbol at n renamable worlds: one placement, at world 0
+            assert _orbit_members(0, 1, (n,)) == (((), (0,), (n,)),)
+            # two one-world frames, of which n lack world 0
+            batch, values, absent = _one_batch(0, 1, 1, (1,), n + 2, (((1 << n) - 1) << 2,))
+            full = (1 << n + 2) - 1
+            assert batch == (((), (0,), (1,)),) and values == [(full,)] and absent == full ^ 3
+        for cache in self.CACHES:
             assert cache.cache_info().currsize <= _TABLES_KEPT
 
     def test_evicted_table_is_rebuilt_equal(self):
-        before = _orbit_representatives(1, 3, 3, 3)
+        before = [_orbit_members(1, 3, sizes) for sizes in [(3,), (1, 2, 3)]]
         for n in range(2, _TABLES_KEPT + 12):
-            _orbit_representatives(0, 1, n, 2)
-        assert _orbit_representatives(1, 3, 3, 3) == before
+            _orbit_members(0, 1, (n,))
+        assert [_orbit_members(1, 3, sizes) for sizes in [(3,), (1, 2, 3)]] == before
 
 
 class TestFrameValidQuasi:
@@ -1267,6 +1284,25 @@ class TestFrameBlocks:
                 frame_blocks(EnumerationLimits(cap))
             with pytest.raises(ValueError):
                 list(enumerate_frames(cap))
+
+    @pytest.mark.parametrize("cap", [50, 1000])
+    def test_world_cap_far_above_five(self, cap):
+        # refused at once, without counting the frames up to the refused cap
+        # (a number of about cap^2 / 3.3 digits)
+        limits = EnumerationLimits(cap)
+        checks = [
+            lambda: frame_valid(limits, parse("p -> p")),
+            lambda: frame_valid_quasi_set(limits, []),
+            lambda: frame_blocks(limits),
+        ]
+        start = time.perf_counter()
+        for check in checks:
+            with pytest.raises(EnumerationCapError) as refused:
+                check()
+            assert str(refused.value) == (
+                f"{cap} worlds would mean at least 68,753,097,234 frames; checks stop at 5 worlds"
+            )
+        assert time.perf_counter() - start < 1.0
 
 
 class TestModelFixtures:

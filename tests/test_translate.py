@@ -8,9 +8,6 @@ from hybridcorr.semantics import (
     EnumerationLimits,
     KripkeFrame,
     KripkeModel,
-    globally_true,
-    holds_inequality,
-    holds_quasi,
     model_to_json,
 )
 from hybridcorr.syntax import (
@@ -33,6 +30,7 @@ from hybridcorr.translate import (
     verify_tr_equivalence,
 )
 
+from oracles import globally_true, holds_inequality, holds_quasi
 from strategies import all_models_for_item, translatable_inequalities, translatable_quasis
 
 
@@ -230,7 +228,7 @@ class TestEquivalence:
         def built(*args):
             raise AssertionError("a table was built before the budget was checked")
 
-        monkeypatch.setattr(semantics, "_canonical_placements", built)
+        monkeypatch.setattr(semantics, "_members", built)
         with pytest.raises(EnumerationCapError, match="1,108,650 cases exceed the budget of 1,048,576"):
             verify_tr_equivalence(q, EnumerationLimits(max_worlds=4))
 
@@ -308,12 +306,12 @@ class TestBatches:
 
     def test_first_mismatch_in_a_later_batch(self, monkeypatch):
         import hybridcorr.translate as translate
-        from hybridcorr.semantics import MAX_COUNTEREXAMPLES, _orbit_representatives
+        from hybridcorr.semantics import MAX_COUNTEREXAMPLES, _orbit_members
 
         # Wrong only where 'a, 'b and 'c sit in three different worlds; the
         # first such canonical placement is number 284, in the third batch.
         distinct = parse("~@'a 'b & ~@'a 'c & ~@'b 'c")
-        reps = _orbit_representatives(0, 7, 3, 3)
+        reps = _orbit_members(0, 7, (3,))
         assert next(i for i, (_, pl, _) in enumerate(reps) if len(set(pl[:3])) == 3) == 284
         right = translate.tr_quasi
         monkeypatch.setattr(translate, "tr_quasi", lambda q: And(right(q), Not(distinct)))
