@@ -311,12 +311,10 @@ def justification_schemas() -> dict[str, Schema]:
 
 
 def all_schemas() -> list[Schema]:
-    """Every schema once by name, each list built once: the axioms, the
-    derived theorems, the distribution equivalences, then the other tags."""
-    seen: dict[str, Schema] = {}
-    for s in axiom_schemas() + derived_schemas() + distribution_schemas() + tag_schemas():
-        seen.setdefault(s.name, s)
-    return list(seen.values())
+    """Every schema, each list built once: the axioms, the derived
+    theorems, the distribution equivalences, then the other tags.  No two
+    share a name."""
+    return axiom_schemas() + derived_schemas() + distribution_schemas() + tag_schemas()
 
 
 @dataclass

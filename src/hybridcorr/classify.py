@@ -66,11 +66,6 @@ class Pol(enum.Enum):
 class OrderType:
     assignment: tuple[tuple[Symbol, Pol], ...]
 
-    @classmethod
-    def of(cls, mapping: dict[Symbol, Pol] | list[tuple[Symbol, Pol]]) -> OrderType:
-        items = mapping.items() if isinstance(mapping, dict) else mapping
-        return cls(tuple(sorted(items, key=lambda kv: str(kv[0]))))
-
     def __getitem__(self, p: Symbol) -> Pol:
         for sym, pol in self.assignment:
             if sym == p:
@@ -175,16 +170,6 @@ class Branch:
 
     path: tuple[SignedTree, ...]
 
-    @property
-    def leaf(self) -> SignedTree:
-        return self.path[0]
-
-    def is_skeletal(self) -> bool:
-        return all(n.is_skeletal for n in self.path[1:])
-
-    def has_plus_or_minus_and(self) -> bool:
-        return any(type(n.formula) is JOIN[n.sign] for n in self.path[1:])
-
     def node_texts(self) -> list[str]:
         return [n.node_text() for n in self.path]
 
@@ -241,13 +226,6 @@ def inequality_trees(ineq: Inequality) -> tuple[SignedTree, SignedTree]:
 def inequality_critical_branches(ineq: Inequality, eps: OrderType) -> list[Branch]:
     plus, minus = inequality_trees(ineq)
     return critical_branches(plus, eps) + critical_branches(minus, eps)
-
-
-def tree_agrees_with(t: SignedTree, eps: OrderType) -> bool:
-    """Every prop leaf of the signed subtree t is eps-critical."""
-    if t.label == "prop":
-        return _is_critical_leaf(t, eps)
-    return all(tree_agrees_with(c, eps) for c in t.children)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +331,6 @@ def is_definite(ineq: Inequality, eps: OrderType) -> bool:
     return all(
         f.plus_join.isdisjoint(ones) and f.minus_join.isdisjoint(partials)
         for f in inequality_facts(ineq)
-    )
-
-
-def is_epsilon_uniform(ineq: Inequality, eps: OrderType) -> bool:
-    """Every p occurrence in +lhs and -rhs carries the eps-indicated sign."""
-    return all(
-        f.plus <= eps.ones and f.minus <= eps.partials for f in inequality_facts(ineq)
     )
 
 

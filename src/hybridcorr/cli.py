@@ -248,7 +248,11 @@ def cmd_corpus(args) -> int:
     if args.action == "run":
         ok, lines = corpus.run_corpus()
     else:
-        ok, lines = corpus.bless_corpus()
+        try:
+            ok, lines = corpus.bless_corpus()
+        except OSError as e:
+            print(f"error: cannot write the goldens: {e}", file=sys.stderr)
+            return EXIT_ERROR
     for line in lines:
         print(line)
     return EXIT_OK if ok else EXIT_ERROR

@@ -76,10 +76,6 @@ class SkeletalGenerator:
         assert is_skeletal_sahlqvist(ineq, eps), f"generator broke its contract on {ineq}"
         return ineq, eps
 
-    def implication(self) -> tuple[Formula, OrderType]:
-        ineq, eps = self.inequality()
-        return Implies(ineq.lhs, ineq.rhs), eps
-
     # -- internals ---------------------------------------------------------
 
     def _fresh_svar(self) -> Symbol:

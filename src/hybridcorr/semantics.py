@@ -360,11 +360,6 @@ class FrameBlock:
     def full(self) -> int:
         return (1 << self.count) - 1
 
-    @property
-    def index(self) -> int:
-        """Position of the block's first frame in enumerate_frames order."""
-        return _frames_below(self.size) + self.start
-
 
 def _frames_below(n: int) -> int:
     """Number of frames with fewer than n worlds."""
@@ -1295,7 +1290,7 @@ def _valid_mask(
                         mismatched += weight * bits.bit_count()
                         if len(kept) < MAX_COUNTEREXAMPLES:
                             j = (bits & -bits).bit_length() - 1
-                            frame = frame_at(part.size, part.start + j)
+                            frame = _frame_of(part, j)
                             model = KripkeModel(frame, {}, dict(zip(nom_syms, placement)))
                             g = dict(zip(svar_syms, placement[len(nom_syms) :]))
                             globally = bool(translated >> b * count + offset + j & 1)
@@ -1317,6 +1312,13 @@ def _valid_mask(
             yield mask, count
 
     return _concatenated(decided()), checked, mismatched, mismatches
+
+
+def _frame_of(part: FrameBlock | KripkeFrame, j: int) -> KripkeFrame:
+    """Frame j of a part, read off bit j of its edge masks."""
+    worlds = range(part.size)
+    edges = frozenset((u, v) for u in worlds for v in worlds if part.edges[u][v] >> j & 1)
+    return KripkeFrame(part.size, edges)
 
 
 def _concatenated(parts: Iterable[tuple[int, int]]) -> int:

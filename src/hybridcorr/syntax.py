@@ -24,21 +24,21 @@ occurrence.  They are computed once per node, on first use, from its
 children's (``_facts``), and stored in the node's ``__dict__`` outside the
 dataclass fields, so equality, hashing and repr never see them.  The symbol
 walkers (``props``, ``nominals``, ``free_state_vars``, ``all_symbols``,
-``props_in_order``, ``sorted_symbols``, ``is_pure``, ``is_sentence``) only
-read them, and the set-valued ones hand out the kept frozensets; both
-substitutions skip the subtrees whose symbols show them untouched.  Next
-to its symbols a node keeps its signed facts for each root sign, which
+``props_in_order``, ``sorted_symbols``, ``is_pure``) only read them, and
+the set-valued ones hand out the kept frozensets; both substitutions skip
+the subtrees whose symbols show them untouched.  Next to its symbols a
+node keeps its signed facts for each root sign, which
 ``classify.signed_facts`` computes the same way from the children's: which
 props sit at a + leaf and at a - leaf, which of them lie under a
 non-skeletal node or a join, and whether a distribution redex lies below.
 Polarity, classification and the stage-1 checks of ``alba`` read those.
 
 ``NODE_TYPES`` names each node type and lists its dataclass fields.  The
-JSON codec (``formula_to_json``, ``formula_from_json``) and the node labels
-of ``classify``'s signed generation trees read it.  The evaluators
-(``semantics.eval_at``, the reference oracle, and ``semantics._compile``),
-the printer, ``alba.simplify_formula`` and the substitutions keep their own
-per-node code.
+JSON encoder (``formula_to_json``) and the node labels of ``classify``'s
+signed generation trees read it.  The evaluators (``semantics.eval_at``,
+the reference oracle, and ``semantics._compile``), the printer,
+``alba.simplify_formula`` and the substitutions keep their own per-node
+code.
 """
 
 from __future__ import annotations
@@ -331,12 +331,6 @@ _shape(
 )
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    yield f
-    for c in children(f):
-        yield from subformulas(c)
-
-
 def _formulas_of(items) -> Iterator[Formula]:
     """The formulas inside a mix of formulas, inequalities and
     quasi-inequalities: each inequality lhs then rhs, antecedents first."""
@@ -394,10 +388,6 @@ def all_symbols(f: Formula) -> frozenset[Symbol]:
 
 def is_pure(f: Formula) -> bool:
     return not _facts(f).props
-
-
-def is_sentence(f: Formula) -> bool:
-    return not _facts(f).free
 
 
 class _Facts(NamedTuple):
@@ -549,8 +539,6 @@ def replace_state_var(f: Formula, x: Symbol, t: Symbol) -> Formula:
         if x not in free_state_vars(g):
             return g
         match g:
-            case Down(v, _) if v == x:
-                return g
             case Svar(s) | At(s, _) if s == x and captured:
                 raise CaptureError(t, path)
             case Svar(s) if s == x:
@@ -705,10 +693,6 @@ def symbol_to_json(s: Symbol) -> dict:
     return {"kind": s.kind.value, "name": s.name, "index": s.index}
 
 
-def symbol_from_json(d: dict) -> Symbol:
-    return Symbol(Kind(d["kind"]), d["name"], d.get("index", 0))
-
-
 def formula_to_json(f: Formula) -> dict:
     """``{"node": name, field: ...}`` with the node's fields in order: an
     atom, @ term or binder variable as a symbol, every other field as a
@@ -722,17 +706,6 @@ def formula_to_json(f: Formula) -> dict:
         v = getattr(f, fld)
         out[fld] = symbol_to_json(v) if fld in _SYMBOL_FIELDS else formula_to_json(v)
     return out
-
-
-def formula_from_json(d: dict) -> Formula:
-    node = d["node"]
-    entry = NODE_TYPES.get(node) if isinstance(node, str) else None
-    if entry is None:
-        raise ValueError(f"unknown node kind {node!r}")
-    cls, flds = entry
-    return cls(
-        *[symbol_from_json(d[k]) if k in _SYMBOL_FIELDS else formula_from_json(d[k]) for k in flds]
-    )
 
 
 def inequality_to_json(i: Inequality) -> dict:

@@ -1,13 +1,17 @@
-"""Walk oracles for the signed facts each formula node keeps, and the
-per-model oracle of truth on top of ``eval_at``.
+"""Walk oracles for the signed facts each formula node keeps, the
+per-model oracle of truth on top of ``eval_at``, and the formula JSON
+decoder.
 
 Every question ``classify`` and ``alba`` answer from the signed facts is
 answered here by walking the trees instead: the critical branches of the
-``SignedTree`` that ``classify.signed_tree`` builds node by node, or the
-formula itself through ``signed_children``.  None of them reads a node's
-kept facts.  ``globally_true``, ``holds_inequality`` and ``holds_quasi``
-decide one model world by world with ``semantics.eval_at``, the reference
-oracle, and never with the sliced evaluator.
+``SignedTree`` that ``classify.signed_tree`` builds node by node, each a
+``Branch.path`` from leaf to root, or the formula itself through
+``signed_children``.  None of them reads a node's kept facts.
+``globally_true``, ``holds_inequality`` and ``holds_quasi`` decide one
+model world by world with ``semantics.eval_at``, the reference oracle, and
+never with the sliced evaluator.  ``formula_from_json`` decodes what
+``syntax.formula_to_json`` wrote, so that the tests can check the encoding
+loses nothing; the package itself reads no formula JSON.
 """
 
 from __future__ import annotations
@@ -22,22 +26,27 @@ from hybridcorr.alba import (
     neg_atom_term,
 )
 from hybridcorr.classify import (
+    Branch,
     OrderType,
     Pol,
+    SignedTree,
     inequality_critical_branches,
+    inequality_trees,
     signed_tree,
-    tree_agrees_with,
 )
 from hybridcorr.semantics import Assignment, KripkeModel, eval_at
 from hybridcorr.syntax import (
     BOT,
+    NODE_TYPES,
     TOP,
     Formula,
     Inequality,
+    Kind,
     Prop,
     QuasiInequality,
     Sign,
     Symbol,
+    children,
     props_in_order,
     signed_children,
     substitute_prop,
@@ -51,13 +60,35 @@ def order_type_candidates(variables: list[Symbol]):
         yield OrderType(tuple(zip(variables, pols)))
 
 
+def branch_is_skeletal(b: Branch) -> bool:
+    """Every node above the leaf is skeletal."""
+    return all(n.is_skeletal for n in b.path[1:])
+
+
+def passes_join(b: Branch) -> bool:
+    """Some node above the leaf is the join of its sign: +or or -and."""
+    return any(n.label == ("or" if n.sign is Sign.PLUS else "and") for n in b.path[1:])
+
+
 def is_skeletal(ineq: Inequality, eps: OrderType) -> bool:
-    return all(b.is_skeletal() for b in inequality_critical_branches(ineq, eps))
+    return all(branch_is_skeletal(b) for b in inequality_critical_branches(ineq, eps))
 
 
 def is_definite(ineq: Inequality, eps: OrderType) -> bool:
     """For an eps-skeletal inequality: no critical branch passes a join."""
-    return not any(b.has_plus_or_minus_and() for b in inequality_critical_branches(ineq, eps))
+    return not any(passes_join(b) for b in inequality_critical_branches(ineq, eps))
+
+
+def tree_agrees_with(t: SignedTree, eps: OrderType) -> bool:
+    """Every prop leaf of the signed subtree t is eps-critical."""
+    if t.label == "prop":
+        return t.symbol in eps and eps.indicated_sign(t.symbol) is t.sign
+    return all(tree_agrees_with(c, eps) for c in t.children)
+
+
+def is_epsilon_uniform(ineq: Inequality, eps: OrderType) -> bool:
+    """Every p occurrence in +lhs and -rhs carries the eps-indicated sign."""
+    return all(tree_agrees_with(t, eps) for t in inequality_trees(ineq))
 
 
 def first_witness(ineq: Inequality) -> OrderType | None:
@@ -148,3 +179,24 @@ def holds_quasi(model: KripkeModel, g: Assignment, q: QuasiInequality) -> bool:
     if all(holds_inequality(model, g, i) for i in q.antecedents):
         return holds_inequality(model, g, q.conclusion)
     return True
+
+
+def subformulas(f: Formula):
+    """f and every subformula of it, in preorder."""
+    yield f
+    for c in children(f):
+        yield from subformulas(c)
+
+
+def formula_from_json(d: dict) -> Formula:
+    """The formula syntax.formula_to_json encoded as d: a symbol field is a
+    dict with a "kind", every other field a formula's dict."""
+    cls, flds = NODE_TYPES[d["node"]]
+    return cls(
+        *[
+            Symbol(Kind(d[k]["kind"]), d[k]["name"], d[k]["index"])
+            if "kind" in d[k]
+            else formula_from_json(d[k])
+            for k in flds
+        ]
+    )

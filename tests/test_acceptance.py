@@ -56,12 +56,17 @@ from hybridcorr.syntax import (
     parse_inequality,
     parse_input,
     prop,
-    subformulas,
 )
 from hybridcorr.translate import tr_ineq, tr_quasi, verify_correspondence
 
 from models import random_model
-from oracles import globally_true, holds_inequality, holds_quasi
+from oracles import (
+    branch_is_skeletal,
+    globally_true,
+    holds_inequality,
+    holds_quasi,
+    subformulas,
+)
 from strategies import all_models_for_item
 
 LIMITS = EnumerationLimits(max_worlds=3)
@@ -123,7 +128,7 @@ def test_criterion_1_running_example_classification():
         ["+p1", "+dia", "+and"],
         ["+p2", "+and"],
     ]
-    assert all(b.is_skeletal() for b in branches)
+    assert all(branch_is_skeletal(b) for b in branches)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0, f"classification took {elapsed:.2f}s"
     print(f"\nACCEPTANCE 1 (running-example fidelity): PASS ({elapsed*1000:.0f} ms)")

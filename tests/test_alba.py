@@ -63,6 +63,7 @@ from hybridcorr.syntax import (
     svar,
     nom,
 )
+from hybridcorr.translate import verify_correspondence
 
 from models import random_model
 from oracles import holds_inequality
@@ -446,6 +447,23 @@ class TestRun:
 
 
 class TestRegressions:
+    @pytest.mark.parametrize(
+        "text, valid", [("<>p & ([]p -> p)", 0), ("[](<>p & ([]p -> p))", 3)]
+    )
+    def test_unclassified_input_eliminates_on_the_left(self, text, valid):
+        # No order type classifies the input, yet it reduces: with no order
+        # type Ackermann tries first the side whose definition is present,
+        # here the left one of p <= ~'k, and that side succeeds.
+        f = parse(text)
+        assert find_order_type(as_inequality(f)) is None
+        result = run(f)
+        assert isinstance(result, Success) and result.eps is None
+        rules = [s.rule for s in result.traces[-1].steps]
+        assert rules[-2:] == ["approx-implies", "ackermann-left(p)"]
+        report = verify_correspondence(as_inequality(f), result.quasis, EnumerationLimits(3))
+        assert report.ok and report.agreements == report.frames == 530
+        assert report.valid_in.bit_count() == valid
+
     def test_nested_implication_reduces_and_agrees(self):
         # the antecedent implication is not decomposable (plus-implies is
         # not skeletal) and survives as an opposite-uniform side

@@ -66,6 +66,12 @@ def test_all_schemas_valid_on_two_worlds(monkeypatch):
     assert len(decided) == len(signatures) == 12
 
 
+def test_schema_names_are_unique():
+    # axioms-check reports each schema by name
+    names = [s.name for s in all_schemas()]
+    assert len(names) == len(set(names)) == 42
+
+
 def test_registry_has_instances_everywhere():
     for name, schema in justification_schemas().items():
         assert schema.instances, name

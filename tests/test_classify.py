@@ -11,12 +11,10 @@ from hybridcorr.classify import (
     critical_branches,
     find_order_type,
     is_definite,
-    is_epsilon_uniform,
     is_skeletal_sahlqvist,
     parse_order_type,
     render_tree,
     signed_tree,
-    tree_agrees_with,
 )
 from hybridcorr.syntax import Not, parse, parse_inequality, prop
 
@@ -96,7 +94,7 @@ class TestCriticalBranches:
             ["+p1", "+dia", "+and"],
             ["+p2", "+and"],
         ]
-        assert all(b.is_skeletal() for b in branches)
+        assert all(oracles.branch_is_skeletal(b) for b in branches)
 
     def test_all_partial_no_branches(self):
         t = signed_tree(parse("<>p1 & p2"), Sign.PLUS)
@@ -108,7 +106,7 @@ class TestCriticalBranches:
         eps = OrderType(((P, Pol.ONE),))
         [b] = critical_branches(t, eps)
         assert b.node_texts() == ["+p", "+box"]
-        assert not b.is_skeletal()
+        assert not oracles.branch_is_skeletal(b)
 
     def test_annotation(self):
         t = annotate_critical(signed_tree(parse("<>p1 & p2"), Sign.PLUS), EPS11)
@@ -171,27 +169,29 @@ class TestDefinite:
 
 
 class TestUniform:
+    """The uniformity oracle that test_signed_facts checks the signed facts against."""
+
     def test_mixed_signs_never_uniform(self):
         ineq = parse_inequality("<>p <= []p")
-        assert not is_epsilon_uniform(ineq, OrderType(((P, Pol.ONE),)))
-        assert not is_epsilon_uniform(ineq, OrderType(((P, Pol.PARTIAL),)))
+        assert not oracles.is_epsilon_uniform(ineq, OrderType(((P, Pol.ONE),)))
+        assert not oracles.is_epsilon_uniform(ineq, OrderType(((P, Pol.PARTIAL),)))
 
     def test_identity_not_uniform(self):
         ineq = parse_inequality("p <= p")
-        assert not is_epsilon_uniform(ineq, OrderType(((P, Pol.ONE),)))
+        assert not oracles.is_epsilon_uniform(ineq, OrderType(((P, Pol.ONE),)))
 
     def test_right_side_occurrence_flips(self):
         # in T <= <>p the only occurrence sits in the negative tree of the
         # right side, so it is signed minus: uniform for d, not for 1
         ineq = parse_inequality("T <= <>p")
-        assert not is_epsilon_uniform(ineq, OrderType(((P, Pol.ONE),)))
-        assert is_epsilon_uniform(ineq, OrderType(((P, Pol.PARTIAL),)))
+        assert not oracles.is_epsilon_uniform(ineq, OrderType(((P, Pol.ONE),)))
+        assert oracles.is_epsilon_uniform(ineq, OrderType(((P, Pol.PARTIAL),)))
 
     def test_tree_agreement(self):
         eps = OrderType(((P, Pol.ONE),))
-        assert tree_agrees_with(signed_tree(parse("<>p"), Sign.PLUS), eps)
-        assert not tree_agrees_with(signed_tree(parse("~p"), Sign.PLUS), eps)
-        assert tree_agrees_with(signed_tree(parse("@'i T"), Sign.PLUS), eps)
+        assert oracles.tree_agrees_with(signed_tree(parse("<>p"), Sign.PLUS), eps)
+        assert not oracles.tree_agrees_with(signed_tree(parse("~p"), Sign.PLUS), eps)
+        assert oracles.tree_agrees_with(signed_tree(parse("@'i T"), Sign.PLUS), eps)
 
 
 class TestOrderTypeParsing:
@@ -202,6 +202,8 @@ class TestOrderTypeParsing:
     def test_positional(self):
         eps = parse_order_type("1,d", [P1, P2])
         assert eps[P1] is Pol.ONE and eps[P2] is Pol.PARTIAL
+        with pytest.raises(ValueError, match="positional order type needs the variable list"):
+            parse_order_type("1")
 
     def test_named_must_cover_the_variables(self):
         assert parse_order_type("p=1,q=d", [P])[P] is Pol.ONE

@@ -339,7 +339,12 @@ class TestHostileInput:
 
     def test_order_type_empty_or_repeated_variable(self, capsys):
         for command in ("classify", "correspond"):
-            for eps, message in (("p=1,=d", "names no variable"), ("p=1,p=d", "p twice")):
+            for eps, message in (
+                ("p=1,=d", "names no variable"),
+                ("p=1,p=d", "p twice"),
+                ("1,d", "order type has 2 entries for 1 variables"),
+                ("p=2", "order-type value must be 1 or d, got '2'"),
+            ):
                 code, out, err = run_cli(capsys, command, "p -> p", "--eps", eps)
                 self.one_line_error(code, out, err)
                 assert message in err
@@ -386,6 +391,15 @@ class TestCorpus:
         ok, _ = bless_corpus(path=target)
         assert ok
         assert json.loads(target.read_text()) == load_goldens()
+
+    def test_bless_into_a_missing_directory(self, capsys, monkeypatch, tmp_path):
+        from hybridcorr import corpus
+
+        monkeypatch.setattr(corpus, "golden_path", lambda: tmp_path / "missing" / "goldens.json")
+        code, out, err = run_cli(capsys, "corpus", "bless")
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write the goldens: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 _json_scalars = st.none() | st.booleans() | st.integers() | st.text()

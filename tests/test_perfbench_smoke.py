@@ -18,7 +18,7 @@ import pytest
 RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["axioms", "agree4", "reduce"])
+@pytest.mark.parametrize("workload", ["axioms", "agree3", "agree4", "reduce"])
 def test_traced_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seconds", "0.2", "--trace", "1"],
@@ -39,3 +39,6 @@ def test_traced_run_is_correct(workload):
         assert len(dist) == 14 and min(dist) > 0
     else:
         assert metrics["semantics.frame_valid_calls"]["value"] > 0
+    if workload == "agree3":
+        # corpus run: the one traced caller of frame_valid_quasi
+        assert metrics["semantics.quasi_valid_calls"]["value"] > 0

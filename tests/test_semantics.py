@@ -38,6 +38,7 @@ from hybridcorr.semantics import (
     _close_under_renaming,
     _compile,
     _concatenated,
+    _frames_below,
     _members,
     _one_batch,
     _orbit_members,
@@ -345,6 +346,15 @@ class TestSlicedAgainstOracle:
         assert frame_valid(LOOP1, parse("[]p -> p")) == 1
         assert frame_valid(BARE1, parse("[]p -> p")) == 0
         assert frame_valid_quasi_set(BARE1, []) == 1
+
+    def test_single_frame_mismatch_is_decoded(self):
+        # A translation check on one frame decodes its mismatch from the
+        # frame's own edges: a single frame has no start in any block.
+        q = parse_quasi("'i0 <= []~'i1 => 'i0 <= ~'i1")
+        model = {"worlds": 1, "relation": [], "nominals": {"i0": 0, "i1": 0}, "props": {}}
+        assert semantics._valid_mask(BARE1, q, parse("T")) == (
+            0, 1, 1, [{"model": model, "direct": False, "translated": True}]
+        )
 
 
 def placed(*items):
@@ -1245,7 +1255,7 @@ class TestFrameBlocks:
         assert [(b.size, b.start, b.count) for b in blocks] == [
             (1, 0, 2), (2, 0, 16), (3, 0, 512), (4, 0, 65536)
         ]
-        assert [b.index for b in blocks] == [0, 2, 18, 530]
+        assert [_frames_below(b.size) + b.start for b in blocks] == [0, 2, 18, 530]
 
     def test_five_worlds_split_into_blocks_of_2_16(self):
         # decoding only: no formula is evaluated at five worlds

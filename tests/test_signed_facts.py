@@ -27,12 +27,10 @@ from hybridcorr.classify import (
     Pol,
     SignedFacts,
     find_order_type,
-    inequality_trees,
+    inequality_facts,
     is_definite,
-    is_epsilon_uniform,
     is_skeletal_sahlqvist,
     signed_facts,
-    tree_agrees_with,
 )
 from hybridcorr.generate import SkeletalGenerator
 from hybridcorr.syntax import (
@@ -41,7 +39,6 @@ from hybridcorr.syntax import (
     Nom,
     Not,
     Sign,
-    formula_from_json,
     formula_to_json,
     nom,
     parse,
@@ -73,8 +70,10 @@ def assert_classification_matches(ineq: Inequality) -> None:
         else:
             with pytest.raises(ValueError):
                 is_definite(ineq, eps)
-        uniform = all(tree_agrees_with(t, eps) for t in inequality_trees(ineq))
-        assert is_epsilon_uniform(ineq, eps) == uniform
+        uniform = all(
+            f.plus <= eps.ones and f.minus <= eps.partials for f in inequality_facts(ineq)
+        )
+        assert uniform == oracles.is_epsilon_uniform(ineq, eps)
     assert find_order_type(ineq) == oracles.first_witness(ineq)
 
 
@@ -187,7 +186,7 @@ class TestFacts:
     @settings(max_examples=200, deadline=None)
     @given(formulas(10))
     def test_kept_facts_are_invisible(self, f):
-        fresh = formula_from_json(formula_to_json(f))
+        fresh = oracles.formula_from_json(formula_to_json(f))
         for sign in Sign:
             assert signed_facts(f, sign) == signed_facts(fresh, sign)
         assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
