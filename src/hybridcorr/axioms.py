@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .semantics import (
     DEFAULT_LIMITS,
@@ -306,15 +306,60 @@ def tag_schemas() -> list[Schema]:
 
 
 def justification_schemas() -> dict[str, Schema]:
-    """Registry keyed by the justification tags the engine writes."""
-    return {s.name: s for s in distribution_schemas() + derived_schemas() + tag_schemas()}
+    """Registry keyed by the justification tags the engine writes: a fresh
+    dict over the schemas of all_schemas() that are not axioms."""
+    axiom_names = {s.name for s in axiom_schemas()}
+    return {s.name: s for s in all_schemas() if s.name not in axiom_names}
 
 
-def all_schemas() -> list[Schema]:
-    """Every schema, each list built once: the axioms, the derived
-    theorems, the distribution equivalences, then the other tags.  No two
-    share a name."""
-    return axiom_schemas() + derived_schemas() + distribution_schemas() + tag_schemas()
+@functools.cache
+def all_schemas() -> tuple[Schema, ...]:
+    """Every schema, built once per process on first use: the axioms, the
+    derived theorems, the distribution equivalences, then the other tags.
+    No two share a name."""
+    return (*axiom_schemas(), *derived_schemas(), *distribution_schemas(), *tag_schemas())
+
+
+class _Group(NamedTuple):
+    """The instances with one signature (their sorted_symbols), decided as
+    one conjunction; they have the cases of the first."""
+
+    conjunction: Formula
+    count: int
+    first: Formula
+
+
+class _Grouping(NamedTuple):
+    """Schemas with their instances grouped by signature: members[s][t] is
+    the index in groups of instance t of schema s."""
+
+    schemas: tuple[Schema, ...]
+    members: tuple[tuple[int, ...], ...]
+    groups: tuple[_Group, ...]
+
+
+def _group(schemas: Iterable[Schema]) -> _Grouping:
+    schemas = tuple(schemas)
+    index: dict[tuple, int] = {}
+    grouped: list[list[Formula]] = []
+    members = []
+    for schema in schemas:
+        row = []
+        for inst in schema.instances:
+            k = index.setdefault(tuple(map(tuple, sorted_symbols(inst))), len(grouped))
+            if k == len(grouped):
+                grouped.append([])
+            grouped[k].append(inst)
+            row.append(k)
+        members.append(tuple(row))
+    groups = tuple(_Group(functools.reduce(And, g), len(g), g[0]) for g in grouped)
+    return _Grouping(schemas, tuple(members), groups)
+
+
+@functools.cache
+def _registry() -> _Grouping:
+    """all_schemas() grouped, once per process on first use."""
+    return _group(all_schemas())
 
 
 @dataclass
@@ -336,37 +381,27 @@ def check_schemas(
     limits.max_worlds worlds; a failure names the first frame, in
     enumerate_frames order, that refutes it.
 
-    The instances are one check: their cases are summed and admitted
-    before any of them is decided.  The instances with the same symbols
-    (sorted_symbols) are then decided as one conjunction, in one
-    frame_valid call.  That is exact, since validity is universal over
-    valuations and placements: f & g is valid on a frame iff f and g both
-    are, and on one symbol set the conjunction has the cases of any one
-    instance.  Only a group that fails somewhere is decided instance by
-    instance, to name its failing instances."""
-    schemas = schemas if schemas is not None else all_schemas()
-    # Each instance with its signature, the symbols that group it.
-    keyed = [
-        [(tuple(map(tuple, sorted_symbols(inst))), inst) for inst in schema.instances]
-        for schema in schemas
-    ]
-    groups: dict[tuple, list[Formula]] = {}
-    for instances in keyed:
-        for key, inst in instances:
-            groups.setdefault(key, []).append(inst)
-    # The instances of a group have the same symbols and so the same cases.
-    admit(sum(len(group) * check_cases(group[0], limits) for group in groups.values()))
+    The instances with the same symbols (sorted_symbols) are decided as one
+    conjunction, in one frame_valid call.  That is exact, since validity is
+    universal over valuations and placements: f & g is valid on a frame iff
+    f and g both are, and on one symbol set the conjunction has the cases
+    of any one instance.  Without schemas= the schemas of all_schemas(),
+    their groups and the groups' conjunctions are built once per process,
+    on first use, which saves time only where a process checks more than
+    once; a caller's schemas are grouped on each call.  Every call
+    then admits the summed cases of all the instances before deciding any,
+    and compiles and decides every group's conjunction on every frame; no
+    verdict is kept between calls.  Only a group that fails somewhere is
+    decided instance by instance, to name its failing instances."""
+    grouping = _registry() if schemas is None else _group(schemas)
+    admit(sum(g.count * check_cases(g.first, limits) for g in grouping.groups))
     full = limits.full
-    failed = {
-        key
-        for key, group in groups.items()
-        if frame_valid(limits, functools.reduce(And, group)) != full
-    }
+    failed = [frame_valid(limits, g.conjunction) != full for g in grouping.groups]
     out: list[SchemaCheck] = []
-    for schema, instances in zip(schemas, keyed):
+    for schema, members in zip(grouping.schemas, grouping.members):
         failures: list[str] = []
-        for key, inst in instances:
-            if key not in failed:
+        for k, inst in zip(members, schema.instances):
+            if not failed[k]:
                 continue
             invalid = full ^ frame_valid(limits, inst)
             if invalid:

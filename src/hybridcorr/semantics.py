@@ -26,6 +26,8 @@ motion (Aho, Lam, Sethi and Ullman, *Compilers*, 2nd ed., section 9.5) by
 the same rule of reuse.  ``axioms.check_schemas``' conjunctions thus
 evaluate each subterm their instances share once, and the translation
 check evaluates the subformulas that Tr(q) shares with q's sides once.
+Kernels live for one check: ``axioms`` builds its conjunctions once per
+process, but every check compiles them again.
 
 Verification enumerates every frame up to a size cap (2 + 16 + 512 = 530
 frames for sizes 1..3, 66,066 up to 4) and every valuation of the symbols
@@ -53,10 +55,12 @@ the formula is valid.  ``_valid_mask`` checks the sum once per check
 placements is built, and raises ``EnumerationCapError`` otherwise;
 ``check_cases`` checks the world cap first and counts the blocks of
 each size without building them.  ``axioms.check_schemas`` admits the
-sum over all its instances, and ``translate.verify_correspondence`` each
-of its checks, before deciding any.  ``axioms.check_schemas`` then
-decides the instances that share their symbols as one conjunction, which
-has the cases of any one of them.  Every question is whether a
+sum over all its instances on every call, and
+``translate.verify_correspondence`` each of its checks, before deciding
+any.  ``axioms.check_schemas`` then decides the instances that share
+their symbols as one conjunction, which has the cases of any one of them;
+the groups and their conjunctions are built once per process, and every
+call decides each conjunction on every frame.  Every question is whether a
 quasi-inequality is valid: ``_valid_mask`` compiles it once (symbols,
 slot map, compiled sides) and then, block by block, re-binds the
 compiled closures to the block and runs the one loop over valuations of

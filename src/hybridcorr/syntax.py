@@ -441,7 +441,13 @@ def _leaf_facts(f: Formula) -> _Facts:
 
 
 def _union(a: frozenset[Symbol], b: frozenset[Symbol]) -> frozenset[Symbol]:
-    return a | b if a and b else a or b
+    """a | b, or the operand that already holds the other, so that a node
+    shares its child's set rather than keeping an equal copy."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
 
 
 def _joined(a: _Facts, b: _Facts) -> _Facts:

@@ -50,6 +50,19 @@ def test_distribution_equivalences_present():
 
 def test_all_schemas_valid_on_two_worlds(monkeypatch):
     # the acceptance suite runs the full three-world check
+    built = []
+
+    def counting(build):
+        def counted_build():
+            built.append(build)
+            return build()
+
+        return counted_build
+
+    for name in ("axiom_schemas", "derived_schemas", "distribution_schemas", "tag_schemas"):
+        monkeypatch.setattr(axioms, name, counting(getattr(axioms, name)))
+    axioms.all_schemas.cache_clear()
+    axioms._registry.cache_clear()
     decided = []
 
     def counted(frames, f):
@@ -57,13 +70,18 @@ def test_all_schemas_valid_on_two_worlds(monkeypatch):
         return frame_valid(frames, f)
 
     monkeypatch.setattr(axioms, "frame_valid", counted)
-    checks = check_schemas(EnumerationLimits(max_worlds=2))
+    two = EnumerationLimits(max_worlds=2)
+    checks = check_schemas(two)
     assert all(c.ok for c in checks), [c.name for c in checks if not c.ok]
     # one conjunction per symbol signature, not one check per instance
     signatures = {
         tuple(map(tuple, sorted_symbols(inst))) for s in all_schemas() for inst in s.instances
     }
     assert len(decided) == len(signatures) == 12
+    # the schemas and their groups are built once per process, but no
+    # verdict is kept: a second call decides every group again
+    assert check_schemas(two) == checks and len(decided) == 24
+    assert len(built) == len(set(built)) == 4
 
 
 def test_schema_names_are_unique():
@@ -79,9 +97,14 @@ def test_registry_has_instances_everywhere():
 
 
 def test_failure_names_the_first_refuting_frame():
+    two = EnumerationLimits(max_worlds=2)
+    assert all(c.ok for c in check_schemas(two))
     (check,) = check_schemas(schemas=[Schema("bad", (parse("<>p -> p"),))])
     assert not check.ok
     assert check.failures == ["<>p -> p fails on worlds=2; rel={(0,1)}"]
+    # a caller's schemas leave the registry as it was
+    checks = check_schemas(two)
+    assert all(c.ok for c in checks) and sum(c.instances for c in checks) == 120
 
 
 def test_only_the_failing_instances_are_named():

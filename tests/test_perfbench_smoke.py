@@ -2,7 +2,8 @@
 
 The tracer in perfbench/ wraps semantics.frame_valid and
 semantics.frame_valid_quasi and reads the frames' ``.size`` and the item
-from their first two arguments.  A change to those functions that breaks
+from their first two arguments; it wraps axioms.check_schemas and sums its
+checks' ``.instances``.  A change to those functions that breaks
 that contract, or any known answer, fails here in about a second per
 workload (`reduce`, a full pass of 2,002 reductions, in about four).  A
 traced run writes its spans only under perfbench/out/.
@@ -42,3 +43,6 @@ def test_traced_run_is_correct(workload):
     if workload == "agree3":
         # corpus run: the one traced caller of frame_valid_quasi
         assert metrics["semantics.quasi_valid_calls"]["value"] > 0
+    if workload == "axioms":
+        # the tracer wraps axioms.check_schemas and sums its checks' .instances
+        assert metrics["axioms.instances"]["value"] == 120
