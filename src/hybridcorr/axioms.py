@@ -387,12 +387,15 @@ def check_schemas(
     f and g both are, and on one symbol set the conjunction has the cases
     of any one instance.  Without schemas= the schemas of all_schemas(),
     their groups and the groups' conjunctions are built once per process,
-    on first use, which saves time only where a process checks more than
-    once; a caller's schemas are grouped on each call.  Every call
-    then admits the summed cases of all the instances before deciding any,
-    and compiles and decides every group's conjunction on every frame; no
-    verdict is kept between calls.  Only a group that fails somewhere is
-    decided instance by instance, to name its failing instances."""
+    on first use, and each conjunction keeps its interned program
+    (semantics._question), so a process interns it once; that saves time
+    only where a process checks more than once.  A caller's schemas are
+    grouped on each call, into conjunctions built afresh, which intern on
+    each call.  Every call then admits the summed cases of all the
+    instances before deciding any, and builds the kernels of every group's
+    conjunction and decides it on every frame; no verdict, mask or kernel
+    is kept between calls.  Only a group that fails somewhere is decided
+    instance by instance, to name its failing instances."""
     grouping = _registry() if schemas is None else _group(schemas)
     admit(sum(g.count * check_cases(g.first, limits) for g in grouping.groups))
     full = limits.full

@@ -375,8 +375,8 @@ def find_order_type(ineq: Inequality) -> OrderType | None:
 def parse_order_type(text: str, variables: list[Symbol] | None = None) -> OrderType:
     """Parse ``p=1,q=d`` (values 1 and d/partial).  With a variable list the
     shorthand ``1,d`` assigns by first-occurrence position, and a named
-    order type must cover every listed variable.  A named order type names
-    each variable once, and never an empty one."""
+    order type must name every listed variable and no other.  A named order
+    type names each variable once, and never an empty one."""
     text = text.strip()
     items: list[tuple[Symbol, Pol]] = []
     if "=" not in text:
@@ -400,9 +400,13 @@ def parse_order_type(text: str, variables: list[Symbol] | None = None) -> OrderT
             raise ValueError(f"order-type hint gives variable {sym} twice")
         items.append((sym, _parse_pol(value.strip())))
     eps = OrderType(tuple(items))
-    for sym in variables or ():
-        if sym not in eps:
-            raise ValueError(f"order-type hint misses variable {sym}")
+    if variables is not None:
+        for sym in variables:
+            if sym not in eps:
+                raise ValueError(f"order-type hint misses variable {sym}")
+        for sym, _ in items:
+            if sym not in variables:
+                raise ValueError(f"order-type hint gives variable {sym}, which the input lacks")
     return eps
 
 

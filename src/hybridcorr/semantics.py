@@ -2,20 +2,22 @@
 
 Two evaluators live here on purpose.  ``eval_at`` implements the
 satisfaction clauses world by world and is the reference oracle, which
-the tests' per-model checks use.  ``_compile`` is the
-sliced evaluator: it turns the formulas of one validity question into
-kernels that decide them on a whole block of frames at once.  A block
+the tests' per-model checks use.  The sliced evaluator turns the formulas
+of one validity question into kernels that decide them on a whole block
+of frames at once: ``_intern`` makes the question's program, and
+``_kernels`` builds the kernels from it (``_compile`` does both).  A block
 holds frames of one size n in ``enumerate_frames`` order; every symbol and
 every compiled formula has one int per world, whose bit j says whether it
 holds there (a nominal or state variable: is placed there) in frame j of
 the block (the bitslicing technique of Biham, "A fast new DES
 implementation in software", FSE 1997, applied to frames).
-``truth_mask``, ``frame_valid`` and ``frame_valid_quasi`` all evaluate
-through it; a ``KripkeFrame`` is a block of one frame.  The property suite
+``truth_mask``, ``frame_valid``, ``frame_valid_quasi`` and
+``equivalence_check`` all evaluate through it; a ``KripkeFrame`` is a
+block of one frame.  The property suite
 keeps it in agreement with the oracle.
 
 The kernels form a DAG.  The question's formulas are interned
-(hash-consed) bottom up, each node keyed by its type, its slot numbers and
+(hash-consed) bottom up, each node keyed by its tag, its slot numbers and
 its children's ids, so each distinct subformula with its resolved slots
 has one kernel, whichever formula and binder it occurs under.  A kernel
 that is called more than once per evaluation keeps its value until the
@@ -26,8 +28,17 @@ motion (Aho, Lam, Sethi and Ullman, *Compilers*, 2nd ed., section 9.5) by
 the same rule of reuse.  ``axioms.check_schemas``' conjunctions thus
 evaluate each subterm their instances share once, and the translation
 check evaluates the subformulas that Tr(q) shares with q's sides once.
-Kernels live for one check: ``axioms`` builds its conjunctions once per
-process, but every check compiles them again.
+The program, the interned DAG as tuples and ints, depends on no frame, so
+it is interned once per object that poses the question and kept on it
+(``_question``), as ``syntax`` keeps a node's symbols, with the question's
+sorted symbols: a formula f poses => as_inequality(f), a quasi-inequality
+itself.  ``axioms`` builds its conjunctions once per process, so a process
+interns each once; a formula parsed afresh for each check interns once per
+check.  A translation check interns q's sides with Tr(q), which
+``translate`` builds afresh, on every call.  Kernels live for one check:
+they hold the bound block and the values their cells keep, so every check
+builds its own from the program, and nothing kept holds a block, a mask
+or a verdict.
 
 Verification enumerates every frame up to a size cap (2 + 16 + 512 = 530
 frames for sizes 1..3, 66,066 up to 4) and every valuation of the symbols
@@ -61,10 +72,10 @@ any.  ``axioms.check_schemas`` then decides the instances that share
 their symbols as one conjunction, which has the cases of any one of them;
 the groups and their conjunctions are built once per process, and every
 call decides each conjunction on every frame.  Every question is whether a
-quasi-inequality is valid: ``_valid_mask`` compiles it once (symbols,
-slot map, compiled sides) and then, block by block, re-binds the
-compiled closures to the block and runs the one loop over valuations of
-props and placements of nominals and state variables.
+quasi-inequality is valid: ``_valid_mask`` reads its symbols and program
+from the object that poses it, builds the kernels once per check and
+then, block by block, re-binds them to the block and runs the one loop
+over valuations of props and placements of nominals and state variables.
 ``frame_valid(f)`` decides ``=> as_inequality(f)`` on it and
 ``frame_valid_quasi`` decides q; both narrow the frames still in question
 batch by batch and stop a block once none is left.  ``equivalence_check``
@@ -119,7 +130,7 @@ A batch of one decides one valuation and placement, so every per-world
 value of a prop, a nominal, a state variable or a binder's unit is a
 constant: 0, or the full mask ``bind`` returns, that object itself (so are
 those of T and F).  That is every batch on a block of 2^16 frames (4
-worlds and up) and on a single frame.  The kernels of ``_compile`` and the
+worlds and up) and on a single frame.  The kernels of ``_kernels`` and the
 inclusion and conjunction steps of ``_valid_mask`` test each operand for
 0 by value and for full by identity, and then do no big-int work: a
 negation swaps the two constants, a conjunction or disjunction returns the
@@ -142,7 +153,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .syntax import (
     And,
@@ -153,6 +164,7 @@ from .syntax import (
     Down,
     Formula,
     Implies,
+    Inequality,
     Kind,
     Nom,
     Not,
@@ -317,10 +329,11 @@ def eval_at(model: KripkeModel, g: Assignment, w: int, f: Formula) -> bool:
 def truth_mask(model: KripkeModel, g: Assignment, f: Formula) -> int:
     """Truth set of f as a bitmask over worlds (bit w set iff f holds at w).
 
-    The validity checks run _compile on whole frame blocks under their own
-    valuations and placements; this is the one entry that runs it on a
-    given model and assignment, which the differential tests compare with
-    eval_at world by world."""
+    The validity checks run the sliced evaluator on whole frame blocks
+    under their own valuations and placements; this is the one entry that
+    runs it on a given model and assignment, which the differential tests
+    compare with eval_at world by world.  Its slots follow the model, so
+    its program is interned per call and kept nowhere."""
     worlds = range(model.frame.size)
     values: dict[Symbol, tuple[int, ...]] = {
         s: tuple(int(w in ws) for w in worlds) for s, ws in model.prop_val.items()
@@ -531,17 +544,25 @@ def enumerate_frames(
 # The sliced evaluator
 # ---------------------------------------------------------------------------
 #
-# Formulas are compiled once per validity question into one DAG of kernels
-# over a flat environment list.  The list starts with the per-world values
-# of every symbol: a prop's bit is set where it holds, a nominal's or a
-# state variable's where it is placed.  ``slots`` maps each free symbol to
-# its index there and must number them 0..len(slots)-1; a binder takes the
-# next index for the extent of its scope.  Behind the symbols come the
-# binders' slots and then one cell per shared node: the kernels of the
-# formulas append them, set to None, when they are called on a list that
-# holds only the symbols' values, as it does after each load.
+# A validity question is compiled in two steps.  ``_intern`` walks its
+# formulas once and yields a program, one DAG of nodes as tuples and ints
+# only; ``_kernels`` builds one kernel per node of a program, with ``bind``,
+# which points them at a block.  A program depends on the formulas and the
+# slot map alone, so the item that poses a question keeps its program
+# (``_question``) and is interned once, however often it is decided; the
+# kernels hold the bound block and the state of their caches, so every
+# check builds its own.
 #
-# The formulas are interned (hash-consed): a node's key is its type, its
+# The kernels run over a flat environment list.  It starts with the
+# per-world values of every symbol: a prop's bit is set where it holds, a
+# nominal's or a state variable's where it is placed.  ``slots`` maps each
+# free symbol to its index there and must number them 0..len(slots)-1; a
+# binder takes the next index for the extent of its scope.  Behind the
+# symbols come the binders' slots and then one cell per shared node: the
+# kernels of the formulas append them, set to None, when they are called on
+# a list that holds only the symbols' values, as it does after each load.
+#
+# The formulas are interned (hash-consed): a node's key is its tag, its
 # slot and its children's ids, built bottom up, never Formula.__hash__,
 # which recurses, so each distinct pair of a subformula and its resolved
 # slots is one node with one kernel, whichever formula of the question it
@@ -557,33 +578,122 @@ def enumerate_frames(
 # are unchanged: a shared kernel runs at most once per batch, and a
 # subformula that does not read a binder's slot runs once, not once per
 # world, in that binder's loop.  The kernels read the block only through
-# cells that ``bind`` re-points, so one compilation serves every block at
-# no cost per evaluation; a block is bound before its batches are loaded.
+# cells that ``bind`` re-points, so one build serves every block of a check
+# at no cost per evaluation; a block is bound before its batches are loaded.
 
-# How _compile keys each node type: a symbol by its slot, a constant by its
-# type, a connective by its children, @ and a binder by a slot and a child.
+# A node's tag in a program's keys: a prop, a nominal and a state variable
+# all read their slot.
+_SLOT, _TOP, _BOT, _NOT, _DIA, _BOX, _OR, _AND, _IMPLIES, _AT, _DOWN = range(11)
+# How _intern keys each node type, and its tag: a symbol by its slot, a
+# constant by its tag, a connective by its children, @ and a binder by a
+# slot and a child.
 _SHAPES = {
-    Prop: "symbol",
-    Svar: "symbol",
-    Nom: "symbol",
-    Bot: "constant",
-    Top: "constant",
-    Not: "unary",
-    Dia: "unary",
-    Box: "unary",
-    Or: "binary",
-    And: "binary",
-    Implies: "binary",
-    At: "at",
-    Down: "down",
+    Prop: ("symbol", _SLOT),
+    Svar: ("symbol", _SLOT),
+    Nom: ("symbol", _SLOT),
+    Top: ("constant", _TOP),
+    Bot: ("constant", _BOT),
+    Not: ("unary", _NOT),
+    Dia: ("unary", _DIA),
+    Box: ("unary", _BOX),
+    Or: ("binary", _OR),
+    And: ("binary", _AND),
+    Implies: ("binary", _IMPLIES),
+    At: ("at", _AT),
+    Down: ("down", _DOWN),
 }
-# The tag of a symbol's node in _compile's keys: a prop, a nominal and a
-# state variable all read their slot.
-_SLOT = "slot"
 
 
-def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
-    """Kernels computing the per-world frame masks of each formula of fs
+class _Program(NamedTuple):
+    """Formulas interned into one DAG (see _intern), as tuples and ints.
+
+    keys[i] is node i's key, (tag, slot or None, children's ids...), the
+    nodes in order of i, children first; reads[i] the mask of the slots its
+    value depends on; calls[i] how often it is called per evaluation, where
+    a parent that varies with a binder's slot the node does not read counts
+    twice, since it calls the node again with the same value (a binder's
+    loop varies with its own slot).  roots are the nodes of the formulas,
+    width the slots of the free symbols and of the most binders in scope at
+    once, bound the mask of the slots a binder sets."""
+
+    keys: tuple[tuple, ...]
+    reads: tuple[int, ...]
+    calls: tuple[int, ...]
+    roots: tuple[int, ...]
+    width: int
+    bound: int
+
+
+def _intern(fs: Sequence[Formula], slots: dict[Symbol, int]) -> _Program:
+    """The program of the formulas fs, whose free symbols slots numbers.
+    Every question is interned here, kept or not.  A binder numbers its
+    variable in slots for the extent of its scope, so slots is as it was
+    when this returns."""
+    ids: dict[tuple, int] = {}
+    reads: list[int] = []
+    calls: list[int] = []
+    width = len(slots)
+    bound = 0
+
+    def intern(h: Formula) -> int:
+        nonlocal width, bound
+        try:
+            shape, tag = _SHAPES[type(h)]
+        except KeyError:
+            raise TypeError(f"not a formula: {h!r}") from None
+        loop = 0
+        if shape == "symbol":
+            k = slots.get(h.sym)
+            if k is None:
+                raise UnboundSymbolError(h.sym)
+            key, mask = (tag, k), 1 << k
+        elif shape == "unary":
+            c = intern(h.child)
+            key, mask = (tag, None, c), reads[c]
+        elif shape == "constant":
+            key, mask = (tag, None), 0
+        elif shape == "binary":
+            a, b = intern(h.lhs), intern(h.rhs)
+            key, mask = (tag, None, a, b), reads[a] | reads[b]
+        elif shape == "at":
+            k = slots.get(h.term)
+            if k is None:
+                raise UnboundSymbolError(h.term)
+            c = intern(h.child)
+            key, mask = (tag, k, c), reads[c] | 1 << k
+        else:
+            v = h.var
+            scoped = v not in slots
+            if scoped:
+                slots[v] = len(slots)
+                width = max(width, len(slots))
+            k = slots[v]
+            loop = 1 << k
+            bound |= loop
+            c = intern(h.child)
+            if scoped:
+                # Outside this binder an occurrence of v is unbound.
+                del slots[v]
+            # The binder sets slot k itself: its value does not depend on it.
+            key, mask = (tag, k, c), reads[c] & ~loop
+        i = ids.get(key)
+        if i is None:
+            i = ids[key] = len(reads)
+            reads.append(mask)
+            calls.append(0)
+            varies = (mask | loop) & bound
+            for c in key[2:]:
+                calls[c] += 2 if varies & ~reads[c] else 1
+        return i
+
+    roots = tuple(intern(f) for f in fs)
+    for i in roots:
+        calls[i] += 1
+    return _Program(tuple(ids), tuple(reads), tuple(calls), roots, width, bound)
+
+
+def _kernels(program: _Program):
+    """Kernels computing the per-world frame masks of each root of program
     from an environment list, and bind(frames), which points all of them at
     a block (or a frame) and returns the block's full mask, the object unit
     values should hold.  Bind first, then load the symbols' values in slot
@@ -599,74 +709,6 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
         bot, top, units = _world_sets(n, frames.count)
         full = top[0]
         return full
-
-    # ids: node i's key, (tag, slot or None, children's ids...), to i, in
-    # order of i; reads[i]: the mask of the slots node i's value depends on;
-    # calls[i]: how often it is called per evaluation, where a parent that
-    # varies with a binder's slot the node does not read counts twice, since
-    # it calls the node again with the same value (a binder's loop varies
-    # with its own slot).
-    ids: dict[tuple, int] = {}
-    reads: list[int] = []
-    calls: list[int] = []
-    width = len(slots)  # the free symbols' slots and the most binders' in scope at once
-    bound = 0  # the mask of the slots a binder sets
-
-    def intern(h: Formula) -> int:
-        nonlocal width, bound
-        t = type(h)
-        try:
-            shape = _SHAPES[t]
-        except KeyError:
-            raise TypeError(f"not a formula: {h!r}") from None
-        loop = 0
-        if shape == "symbol":
-            k = slots.get(h.sym)
-            if k is None:
-                raise UnboundSymbolError(h.sym)
-            key, mask = (_SLOT, k), 1 << k
-        elif shape == "unary":
-            c = intern(h.child)
-            key, mask = (t, None, c), reads[c]
-        elif shape == "constant":
-            key, mask = (t, None), 0
-        elif shape == "binary":
-            a, b = intern(h.lhs), intern(h.rhs)
-            key, mask = (t, None, a, b), reads[a] | reads[b]
-        elif shape == "at":
-            k = slots.get(h.term)
-            if k is None:
-                raise UnboundSymbolError(h.term)
-            c = intern(h.child)
-            key, mask = (t, k, c), reads[c] | 1 << k
-        else:
-            v = h.var
-            scoped = v not in slots
-            if scoped:
-                slots[v] = len(slots)
-                width = max(width, len(slots))
-            k = slots[v]
-            loop = 1 << k
-            bound |= loop
-            c = intern(h.child)
-            if scoped:
-                # Outside this binder an occurrence of v is unbound.
-                del slots[v]
-            # The binder sets slot k itself: its value does not depend on it.
-            key, mask = (t, k, c), reads[c] & ~loop
-        i = ids.get(key)
-        if i is None:
-            i = ids[key] = len(reads)
-            reads.append(mask)
-            calls.append(0)
-            varies = (mask | loop) & bound
-            for c in key[2:]:
-                calls[c] += 2 if varies & ~reads[c] else 1
-        return i
-
-    roots = [intern(f) for f in fs]
-    for i in roots:
-        calls[i] += 1
 
     # Each kernel tests its operands for the constants 0 and full (the
     # bound object itself) and then does no big-int work on them.
@@ -691,20 +733,20 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
     # The kernels, children first.  A shared node's kernel keeps its value
     # in cell `size` of the list; stale[k] lists the cells of the shared
     # nodes that read slot k, which a binder of k clears.
-    size = width
-    stale: list[list[int]] = [[] for _ in range(width)]
+    size = program.width
+    stale: list[list[int]] = [[] for _ in range(size)]
     kernels: list = []
-    for i, key in enumerate(ids):
+    for key, reads, calls in zip(program.keys, program.reads, program.calls):
         t = key[0]
-        if t is _SLOT:
+        if t == _SLOT:
             kernel = lambda env, k=key[1]: env[k]
-        elif t is Not:
+        elif t == _NOT:
             kernel = lambda env, a=kernels[key[2]]: neg(a(env))
-        elif t is Dia:
+        elif t == _DIA:
             kernel = lambda env, a=kernels[key[2]]: dia(a(env))
-        elif t is Box:
+        elif t == _BOX:
             kernel = lambda env, a=kernels[key[2]]: neg(dia(neg(a(env))))
-        elif t is At:
+        elif t == _AT:
 
             def kernel(env, k=key[1], a=kernels[key[2]]):
                 xs, ys = env[k], a(env)
@@ -718,24 +760,24 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
                     acc |= x & y
                 return (acc,) * n
 
-        elif t is And:
+        elif t == _AND:
             kernel = lambda env, a=kernels[key[2]], b=kernels[key[3]]: [
                 x if not x or y is full else y if x is full or not y else x & y
                 for x, y in zip(a(env), b(env))
             ]
-        elif t is Or:
+        elif t == _OR:
             kernel = lambda env, a=kernels[key[2]], b=kernels[key[3]]: [
                 x if x is full or not y else y if y is full or not x else x | y
                 for x, y in zip(a(env), b(env))
             ]
-        elif t is Implies:
+        elif t == _IMPLIES:
             kernel = lambda env, a=kernels[key[2]], b=kernels[key[3]]: [
                 full
                 if not x or y is full
                 else y if x is full else (full ^ x) | y if y else full ^ x
                 for x, y in zip(a(env), b(env))
             ]
-        elif t is Down:
+        elif t == _DOWN:
 
             def kernel(env, k=key[1], a=kernels[key[2]], cells=stale[key[1]]):
                 saved = env[k]
@@ -750,13 +792,13 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
                     env[cell] = None
                 return out
 
-        elif t is Top:
+        elif t == _TOP:
             kernel = lambda env: top
         else:
             kernel = lambda env: bot
-        if calls[i] > 1 and len(key) > 2:  # a leaf costs less than its cell
+        if calls > 1 and len(key) > 2:  # a leaf costs less than its cell
             kernel = _shared(kernel, size)
-            m = reads[i] & bound
+            m = reads & program.bound
             while m:
                 s = m.bit_length() - 1
                 stale[s].append(size)
@@ -773,7 +815,13 @@ def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
 
         return root
 
-    return [entry(kernels[i]) for i in roots], bind
+    return [entry(kernels[i]) for i in program.roots], bind
+
+
+def _compile(fs: Sequence[Formula], slots: dict[Symbol, int]):
+    """The kernels of the formulas fs, interned afresh, and their bind
+    (see _kernels)."""
+    return _kernels(_intern(fs, slots))
 
 
 def _shared(kernel, cell: int):
@@ -789,6 +837,52 @@ def _shared(kernel, cell: int):
     return evaluated_once
 
 
+class _Question(NamedTuple):
+    """An item's validity question as far as no frames value changes it,
+    kept on the item that poses it (see _question): its props, nominals and
+    free state variables, each sorted by name, which number its slots in
+    that order, and its program once interned (None before)."""
+
+    props: tuple[Symbol, ...]
+    nominals: tuple[Symbol, ...]
+    svars: tuple[Symbol, ...]
+    program: _Program | None = None
+
+    @property
+    def slots(self) -> dict[Symbol, int]:
+        return {s: k for k, s in enumerate(self.props + self.nominals + self.svars)}
+
+
+def _question(item: Formula | Inequality | QuasiInequality) -> _Question:
+    """The question that item poses, kept on it as syntax keeps a node's
+    symbols: a quasi-inequality asks whether it is valid, a formula or an
+    inequality f whether => as_inequality(f) is.  Its symbols are sorted
+    once per item."""
+    question = item._question
+    if question is None:
+        question = item.__dict__["_question"] = _Question(*map(tuple, sorted_symbols(item)))
+    return question
+
+
+def _sides(item: Formula | Inequality | QuasiInequality) -> list[Formula]:
+    """The sides of the inclusions of item's question, each lhs before its
+    rhs, the antecedents first and the conclusion last."""
+    if isinstance(item, QuasiInequality):
+        return [f for i in (*item.antecedents, item.conclusion) for f in (i.lhs, i.rhs)]
+    conclusion = as_inequality(item)
+    return [conclusion.lhs, conclusion.rhs]
+
+
+def _program(item: Formula | Inequality | QuasiInequality) -> _Program:
+    """The program of item's question, interned on its first decision and
+    then kept on it with the question."""
+    question = _question(item)
+    if question.program is None:
+        question = question._replace(program=_intern(_sides(item), question.slots))
+        item.__dict__["_question"] = question
+    return question.program
+
+
 # The most cases one check may decide: see check_cases.  Within it the
 # largest table of canonical valuations and placements has about 2^19
 # members (20 nominals on the block of every frame of 2 worlds).
@@ -802,8 +896,9 @@ def check_cases(
     valuation of its props and placement of its nominals and free state
     variables, n^nominals * 2^(n*props) * n^state-variables, summed over
     the blocks (those of frame_blocks for limits, whose world cap is
-    checked first)."""
-    props, noms, svars = map(len, sorted_symbols(item))
+    checked first).  The symbols are those kept on item (see _question)."""
+    question = _question(item)
+    props, noms, svars = len(question.props), len(question.nominals), len(question.svars)
     if isinstance(frames, EnumerationLimits):
         _check_world_cap(frames.max_worlds)
         # 2^max(0, n*n - 16) blocks of each size n
@@ -1167,18 +1262,21 @@ def _tables(
 
 def _valid_mask(
     frames: EnumerationLimits | FrameBlock | KripkeFrame,
-    q: QuasiInequality,
+    item: Formula | QuasiInequality,
     translation: Formula | None = None,
 ) -> tuple[int, int, int, list[dict]]:
     """The one loop over blocks and batches, behind frame_valid,
     frame_valid_quasi and equivalence_check.  None of them calls another,
     so the perfbench tracer counts a call of each exactly once.
 
-    The check of q on the blocks of frames is admitted, its cases summed
-    over them, before anything is built.  q is then compiled once, with the
-    translation if there is one, and decided block by block (for limits,
-    those of _decided_blocks), a batch at a time; the antecedents and the
-    conclusion are judged against one shared environment.  Every block is
+    item poses the question whether a quasi-inequality q is valid: q
+    itself, or => as_inequality(f) for a formula f (see _question).  The
+    check of q on the blocks of frames is admitted, its cases summed over
+    them, before anything is built.  The kernels are then built once, from
+    the program kept on item or, with a translation, from one interned for
+    this call, and q is decided block by block (for limits, those of
+    _decided_blocks), a batch at a time; the antecedents and the conclusion
+    are judged against one shared environment.  Every block is
     read through _layout, as parts and the worlds its frames lack.  Only
     canonical valuations and placements are decided; closing each part of
     the block's mask under renaming its worlds gives the frames on which q
@@ -1197,20 +1295,22 @@ def _valid_mask(
     times its weight there to mismatched and to decode the first
     MAX_COUNTEREXAMPLES of them, part by part.
     """
-    admit(check_cases(q, frames))
+    admit(check_cases(item, frames))
     blocks = _decided_blocks(frames) if isinstance(frames, EnumerationLimits) else [frames]
-    prop_syms, nom_syms, svar_syms = sorted_symbols(q)
-    slots = {s: k for k, s in enumerate(prop_syms + nom_syms + svar_syms)}
-    sides = [f for i in (*q.antecedents, q.conclusion) for f in (i.lhs, i.rhs)]
-    compiled, bind = _compile(sides + ([] if translation is None else [translation]), slots)
-    pairs, translated_at = compiled[: len(sides)], compiled[len(sides) :]
-    env: list[tuple[int, ...]] = [()] * len(slots)
+    question = _question(item)
+    if translation is None:
+        compiled, bind = _kernels(_program(item))
+        translated_at = None
+    else:
+        (*compiled, translated_at), bind = _compile([*_sides(item), translation], question.slots)
+    p, k = len(question.props), len(question.nominals) + len(question.svars)
+    env: list[tuple[int, ...]] = [()] * (p + k)
     full = 0
     outside: list[int] = []  # per world, the frames and members that lack it
 
-    *antecedents, conclusion = zip(pairs[::2], pairs[1::2])
+    *antecedents, conclusion = zip(compiled[::2], compiled[1::2])
 
-    # As in _compile's kernels, an operand that is 0 or the bound full
+    # As in the kernels of _kernels, an operand that is 0 or the bound full
     # itself costs no big-int work.
     def included(lf, rf) -> int:
         """Mask of the frames where lhs's truth set lies within rhs's."""
@@ -1238,7 +1338,6 @@ def _valid_mask(
             return care
         return m if held is full else (care ^ held) | (held & m)
 
-    p, k = len(prop_syms), len(slots) - len(prop_syms)
     checked = mismatched = 0
     mismatches: list[dict] = []
 
@@ -1259,7 +1358,7 @@ def _valid_mask(
                     full = bind(block if members == 1 else _replicated(block, members))
                     outside[:] = [_spread(x, count, members) for x in lacking]
                 env[:] = values
-                if not translated_at:
+                if translated_at is None:
                     # Every segment of the spread mask lies within mask, so the fold does.
                     care = _spread(mask, count, members)
                     held = holds(care)
@@ -1270,7 +1369,7 @@ def _valid_mask(
                         break
                     continue
                 held, translated = holds(full), full
-                for x, out in zip(translated_at[0](env), outside):
+                for x, out in zip(translated_at(env), outside):
                     if out and x is not full:
                         x |= out
                     if x is not full:
@@ -1295,8 +1394,8 @@ def _valid_mask(
                         if len(kept) < MAX_COUNTEREXAMPLES:
                             j = (bits & -bits).bit_length() - 1
                             frame = _frame_of(part, j)
-                            model = KripkeModel(frame, {}, dict(zip(nom_syms, placement)))
-                            g = dict(zip(svar_syms, placement[len(nom_syms) :]))
+                            model = KripkeModel(frame, {}, dict(zip(question.nominals, placement)))
+                            g = dict(zip(question.svars, placement[len(question.nominals) :]))
                             globally = bool(translated >> b * count + offset + j & 1)
                             kept.append(
                                 {
@@ -1306,7 +1405,7 @@ def _valid_mask(
                                 }
                             )
             # An empty or full mask is closed under renaming already.
-            if slots and mask and mask != whole:
+            if p + k and mask and mask != whole:
                 mask = _concatenated(
                     (_close_under_renaming(mask >> offset & part.full, part.size, m), part.count)
                     for (offset, part), m in zip(parts, renamable)
@@ -1358,7 +1457,7 @@ def frame_valid(frames: EnumerationLimits | FrameBlock | KripkeFrame, f: Formula
     anything else as T <= f.  Only symbols occurring in f are enumerated;
     absent symbols cannot affect the truth value.
     """
-    return _valid_mask(frames, QuasiInequality((), as_inequality(f)))[0]
+    return _valid_mask(frames, f)[0]
 
 
 def frame_valid_quasi(
@@ -1394,10 +1493,10 @@ def equivalence_check(
 
 
 def require_pure(q: QuasiInequality) -> None:
-    """Raise ValueError if q mentions a propositional variable."""
-    prop_syms = sorted_symbols(q)[0]
-    if prop_syms:
-        raise ValueError(f"quasi-inequality is not pure: contains {prop_syms}")
+    """Raise ValueError, naming them, if q mentions propositional variables."""
+    props = _question(q).props
+    if props:
+        raise ValueError(f"quasi-inequality is not pure: contains {', '.join(map(str, props))}")
 
 
 def frame_valid_quasi_set(
@@ -1454,7 +1553,7 @@ FRAME_CLASSES = {
 
 
 # The same classes decided on a whole block at once from its edge masks,
-# independently of _compile: each takes the block's edges and full mask and
+# independently of the sliced evaluator: each takes the block's edges and full mask and
 # returns the mask of the block's frames in the class.  FRAME_CLASSES stays
 # the per-frame reference they are tested against.
 

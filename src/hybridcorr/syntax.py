@@ -36,7 +36,7 @@ Polarity, classification and the stage-1 checks of ``alba`` read those.
 ``NODE_TYPES`` names each node type and lists its dataclass fields.  The
 JSON encoder (``formula_to_json``) and the node labels of ``classify``'s
 signed generation trees read it.  The evaluators (``semantics.eval_at``,
-the reference oracle, and ``semantics._compile``), the printer,
+the reference oracle, and ``semantics._intern``), the printer,
 ``alba.simplify_formula`` and the substitutions keep their own per-node
 code.
 """
@@ -89,11 +89,13 @@ def nom(name: str, index: int = 0) -> Symbol:
 class Formula:
     """Base class; all nodes are frozen dataclasses below."""
 
-    # The node's symbols once computed (see _facts), and its signed facts
-    # for each root sign (see classify.signed_facts); not dataclass fields.
+    # The node's symbols once computed (see _facts), its signed facts for
+    # each root sign (see classify.signed_facts) and its validity question
+    # once posed (see semantics._question); not dataclass fields.
     _memo = None
     _plus_facts = None
     _minus_facts = None
+    _question = None
 
     def __str__(self) -> str:
         return fmt(self)
@@ -214,6 +216,9 @@ class Inequality:
 
     lhs: Formula
     rhs: Formula
+    # Its validity question once posed (see semantics._question); not a
+    # dataclass field.
+    _question = None
 
     def __str__(self) -> str:
         return f"{fmt(self.lhs)} <= {fmt(self.rhs)}"
@@ -225,6 +230,9 @@ class QuasiInequality:
 
     antecedents: tuple[Inequality, ...]
     conclusion: Inequality
+    # Its validity question once posed (see semantics._question); not a
+    # dataclass field.
+    _question = None
 
     def __str__(self) -> str:
         body = " ; ".join(str(i) for i in self.antecedents)

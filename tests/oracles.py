@@ -11,11 +11,14 @@ answered here by walking the trees instead: the critical branches of the
 model world by world with ``semantics.eval_at``, the reference oracle, and
 never with the sliced evaluator.  ``formula_from_json`` decodes what
 ``syntax.formula_to_json`` wrote, so that the tests can check the encoding
-loses nothing; the package itself reads no formula JSON.
+loses nothing; the package itself reads no formula JSON.  ``rebuilt``
+builds a formula afresh, a node that keeps nothing, to compare with one
+that keeps its symbols and its validity question.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 from hybridcorr.alba import (
@@ -50,6 +53,7 @@ from hybridcorr.syntax import (
     props_in_order,
     signed_children,
     substitute_prop,
+    with_children,
 )
 
 
@@ -186,6 +190,12 @@ def subformulas(f: Formula):
     yield f
     for c in children(f):
         yield from subformulas(c)
+
+
+def rebuilt(f: Formula) -> Formula:
+    """f built afresh node by node, so that no node keeps anything."""
+    kids = children(f)
+    return with_children(f, [rebuilt(c) for c in kids]) if kids else dataclasses.replace(f)
 
 
 def formula_from_json(d: dict) -> Formula:

@@ -1,6 +1,6 @@
 """Schema registry: every base-system axiom and derived fact is a validity."""
 
-from hybridcorr import axioms
+from hybridcorr import axioms, semantics
 from hybridcorr.axioms import (
     Schema,
     all_schemas,
@@ -17,6 +17,8 @@ from hybridcorr.semantics import (
     frame_valid,
 )
 from hybridcorr.syntax import parse, sorted_symbols
+
+from oracles import rebuilt
 
 
 def test_axiom_names_cover_the_base_system():
@@ -122,3 +124,44 @@ def test_only_the_failing_instances_are_named():
     assert [(c.name, c.instances) for c in checks] == [("mixed", 3), ("nominal", 1)]
     assert checks[0].failures == [refutation(parse("<>p -> p"))]
     assert checks[1].failures == [refutation(parse("'i -> []'i"))]
+
+
+def test_registry_conjunctions_are_interned_once(monkeypatch):
+    # Each conjunction keeps its interned program, so only the first check
+    # of a process interns; a caller's schemas are grouped on every call,
+    # into conjunctions built afresh, which intern on every call.
+    intern = semantics._intern
+    interned = []
+
+    def counted(fs, slots):
+        interned.append(fs)
+        return intern(fs, slots)
+
+    monkeypatch.setattr(semantics, "_intern", counted)
+    axioms.all_schemas.cache_clear()
+    axioms._registry.cache_clear()
+    two = EnumerationLimits(max_worlds=2)
+    checks = check_schemas(two)
+    assert len(interned) == 12
+    assert check_schemas(two) == checks and check_schemas(EnumerationLimits(3)) == checks
+    assert len(interned) == 12
+    # p -> p and p | ~p share their symbols: one conjunction, per call
+    mixed = Schema("mixed", tuple(map(parse, ["p -> p", "p | ~p"])))
+    for calls in (1, 2, 3):
+        (check,) = check_schemas(two, [mixed])
+        assert check.ok and len(interned) == 12 + calls
+
+
+def test_kept_programs_decide_as_fresh_objects_do():
+    # caps out of order: the kept programs do not depend on the frames
+    bad = Schema("bad", (parse("<>p -> p"), parse("p -> p")))
+    for cap in (4, 1, 3, 2):
+        limits = EnumerationLimits(max_worlds=cap)
+        fresh = [Schema(s.name, tuple(map(rebuilt, s.instances))) for s in all_schemas()]
+        assert check_schemas(limits) == check_schemas(limits, fresh)
+        for group in axioms._registry().groups:
+            kept = frame_valid(limits, group.conjunction)
+            assert kept == frame_valid(limits, rebuilt(group.conjunction)) == limits.full
+        failing = check_schemas(limits, [bad])
+        assert failing == check_schemas(limits, [Schema("bad", tuple(map(rebuilt, bad.instances)))])
+        assert failing[0].ok == (cap == 1)

@@ -206,7 +206,10 @@ class TestOrderTypeParsing:
             parse_order_type("1")
 
     def test_named_must_cover_the_variables(self):
-        assert parse_order_type("p=1,q=d", [P])[P] is Pol.ONE
+        # and name no other: the report would show a variable the input lacks
+        assert parse_order_type("q=d,p=1", [P, Q])[P] is Pol.ONE
+        with pytest.raises(ValueError, match="gives variable q, which the input lacks"):
+            parse_order_type("p=1,q=d", [P])
         with pytest.raises(ValueError, match="misses variable p"):
             parse_order_type("q=1", [P])
 

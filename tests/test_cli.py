@@ -337,6 +337,18 @@ class TestHostileInput:
             self.one_line_error(code, out, err)
             assert "misses variable p" in err
 
+    def test_order_type_naming_a_variable_the_input_lacks(self, capsys):
+        # refused as the positional form with too many entries is, not reported
+        for command in ("classify", "correspond"):
+            for extra in ((), ("--json",)):
+                for eps, message in (
+                    ("p=1,q=d", "gives variable q, which the input lacks"),
+                    ("1,d", "order type has 2 entries for 1 variables"),
+                ):
+                    code, out, err = run_cli(capsys, command, "p -> <>p", "--eps", eps, *extra)
+                    self.one_line_error(code, out, err)
+                    assert message in err
+
     def test_order_type_empty_or_repeated_variable(self, capsys):
         for command in ("classify", "correspond"):
             for eps, message in (

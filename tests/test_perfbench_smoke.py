@@ -7,6 +7,13 @@ checks' ``.instances``.  A change to those functions that breaks
 that contract, or any known answer, fails here in about a second per
 workload (`reduce`, a full pass of 2,002 reductions, in about four).  A
 traced run writes its spans only under perfbench/out/.
+
+On `axioms` the counts are exact: the registry's 12 signature
+conjunctions are decided in one frame_valid(limits, conjunction) call
+each, with 643 cases in all, on every pass.  Each conjunction keeps its
+interned program, so a check that stopped calling frame_valid on those
+objects, or decided more or other formulas, would change what the
+benchmark's `axioms` workload measures without any other test noticing.
 """
 
 import json
@@ -46,3 +53,6 @@ def test_traced_run_is_correct(workload):
     if workload == "axioms":
         # the tracer wraps axioms.check_schemas and sums its checks' .instances
         assert metrics["axioms.instances"]["value"] == 120
+        # one frame_valid call per signature conjunction, per pass
+        assert metrics["semantics.frame_valid_calls"]["value"] == 12
+        assert metrics["semantics.cases_bound"]["value"] == 643

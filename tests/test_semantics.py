@@ -1,5 +1,6 @@
 """Satisfaction clauses, validity, and the frame enumeration oracle."""
 
+import gc
 import itertools
 import random
 import time
@@ -66,12 +67,13 @@ from hybridcorr.syntax import (
     props,
     props_in_order,
     sorted_symbols,
+    Symbol,
     svar,
 )
 from hybridcorr.translate import tr_quasi, verify_correspondence
 
 from models import parse_model, random_model
-from oracles import globally_true, holds_inequality, holds_quasi
+from oracles import globally_true, holds_inequality, holds_quasi, rebuilt
 from strategies import formulas, models_for, quasis, shared_formulas
 
 P = prop("p")
@@ -850,6 +852,76 @@ class TestSharedSubformulas:
         assert self.walks(["!x. <>x & !x. (<>x | p)"]) == 4
 
 
+def reached(root):
+    """Every object reachable from root through gc.get_referents, without
+    entering a class or a symbol (a frozen name)."""
+    seen = {}
+    todo = [root]
+    while todo:
+        x = todo.pop()
+        if id(x) not in seen:
+            seen[id(x)] = x
+            if not isinstance(x, (type, Symbol)):
+                todo.extend(gc.get_referents(x))
+    return list(seen.values())
+
+
+class TestKeptQuestions:
+    """A formula or a quasi-inequality keeps the question it poses: its
+    sorted symbols and, once it is decided, its interned program.  Nothing
+    kept depends on the frames, so a kept object decides every frames value
+    as a fresh one does, and every check builds its own kernels."""
+
+    F = "<>@'i p -> <> !x. (p | []<>x)"
+    Q = "'i <= <>'j ; 'j <= <>'k => 'i <= <>'k"
+    FRAMES = [
+        EnumerationLimits(3),
+        THREE,
+        frame_at(3, 0b011010110),
+        EnumerationLimits(1),
+        FOUR,
+        frame_at(2, 0b0110),
+        EnumerationLimits(2),
+    ]
+
+    def test_one_kept_program_decides_every_frames_value(self):
+        f, q = parse(self.F), parse_quasi(self.Q)
+        kept = []
+        for frames in self.FRAMES + self.FRAMES[::-1]:
+            assert frame_valid(frames, f) == frame_valid(frames, rebuilt(f)), frames
+            fresh = QuasiInequality(q.antecedents, q.conclusion)
+            assert frame_valid_quasi(frames, q) == frame_valid_quasi(frames, fresh), frames
+            kept.append((f._question.program, q._question.program))
+        # interned on the first decision and kept from then on
+        assert all(a is kept[0][0] and b is kept[0][1] for a, b in kept)
+        assert 0 < frame_valid(EnumerationLimits(3), f) < EnumerationLimits(3).full
+
+    def test_an_inequality_keeps_its_question(self):
+        # frame_valid reads l <= r as it reads the formula l -> r
+        ineq = parse_inequality("<>p <= <> <> p")
+        three = EnumerationLimits(3)
+        assert frame_valid(three, ineq) == frame_valid(three, Implies(ineq.lhs, ineq.rhs))
+        assert check_cases(ineq, three) == 14 and ineq._question.program is not None
+
+    def test_kept_record_holds_no_frames_and_no_mask(self):
+        # decided on frames whose masks are wide, then walked
+        f, q = parse(self.F), parse_quasi(self.Q)
+        for frames in self.FRAMES:
+            frame_valid(frames, f)
+            frame_valid_quasi(frames, q)
+        for item in (f, q):
+            record = item._question
+            assert record.program is not None
+            objects = reached(record)
+            bad = [x for x in objects if not isinstance(x, (tuple, int, str, type(None), Symbol, type))]
+            assert bad == []
+            assert max(x.bit_length() for x in objects if isinstance(x, int)) <= 64
+        # truth_mask interns for its model's slots and keeps nothing
+        g = parse(self.F)
+        truth_mask(model(frame_at(2, 0b0110), {P: frozenset({1})}, {I: 0}), {}, g)
+        assert g._question is None
+
+
 class TestBatches:
     """The loop decides up to 2^16 / count valuations and placements per
     evaluation on count frames.  With the bound set to 0 every batch has
@@ -1100,8 +1172,12 @@ class TestFrameValidQuasi:
         # verify_correspondence compares with the input must be pure
         q = parse_quasi("'i <= p => 'i <= ~'j")
         assert frame_valid_quasi(BARE1, q) == 0  # p true at the one world
-        with pytest.raises(ValueError, match="not pure"):
+        with pytest.raises(ValueError, match="^quasi-inequality is not pure: contains p$"):
             verify_correspondence(parse("[]p -> p"), [q], EnumerationLimits(max_worlds=1))
+        # the symbols are named, in sorted order
+        q2 = parse_quasi("'i <= q => 'i <= p")
+        with pytest.raises(ValueError, match="^quasi-inequality is not pure: contains p, q$"):
+            verify_correspondence(parse("[]p -> p"), [q2], EnumerationLimits(max_worlds=1))
 
     def test_binder_idempotence_against_replacement(self):
         # evaluating the binder equals naming the world with a fresh nominal

@@ -27,6 +27,7 @@ from hybridcorr.translate import (
     tr_ineq,
     tr_quasi,
     tr_quasiset,
+    verify_correspondence,
     verify_tr_equivalence,
 )
 
@@ -213,8 +214,29 @@ class TestEquivalence:
         assert globally_true(model, {}, dropped_negation(q)) == entry["translated"]
         assert entry["direct"] != entry["translated"]
 
+    def test_symbols_sorted_once_per_object(self, monkeypatch):
+        # purity, admission, the input's check and each translation check
+        # read the symbols kept on the object that poses the question
+        from hybridcorr import semantics
+
+        sorted_any = semantics.sorted_symbols
+        calls = []
+
+        def counted(*items):
+            calls.append(items)
+            return sorted_any(*items)
+
+        monkeypatch.setattr(semantics, "sorted_symbols", counted)
+        quasis = [
+            parse_quasi("'i0 <= <>'i1 => 'i0 <= ~'i1"),
+            parse_quasi("'i0 <= []~'i1 => 'i0 <= ~'i1"),
+        ]
+        agreement = verify_correspondence(parse("p -> <>p"), quasis, self.LIMITS)
+        assert len(agreement.translations) == 2
+        assert len(calls) == 1 + len(quasis)
+
     def test_impure_item_rejected(self):
-        with pytest.raises(ValueError, match="not pure"):
+        with pytest.raises(ValueError, match="^quasi-inequality is not pure: contains p$"):
             verify_tr_equivalence(parse_inequality("'i <= <>p"), self.LIMITS)
 
     def test_caps_apply(self, monkeypatch):
