@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
 
 from . import alba
-from .classify import find_order_type
 from .semantics import (
     DEFAULT_LIMITS,
     EnumerationLimits,
@@ -100,14 +98,15 @@ def compute_entry(
 ) -> dict:
     """Run the full pipeline on one entry and compute its golden record."""
     ineq = parse_input(entry.input_text)
-    eps = find_order_type(ineq)
+    result = alba.run(ineq)
+    # alba.run searches the order type once, and its result keeps it.
+    eps = result.eps
     record: dict = {
         "name": entry.name,
         "input": entry.input_text,
         "skeletal": eps is not None,
         "order_type": eps.to_json() if eps is not None else None,
     }
-    result = alba.run(ineq)
     record["status"] = "success" if result.ok else "failure"
     if not result.ok:
         return record
@@ -152,12 +151,15 @@ def verify_entry(
 
 
 def load_goldens() -> dict[str, dict]:
-    ref = resources.files("hybridcorr").joinpath("data").joinpath(GOLDEN_RESOURCE)
-    with ref.open("r", encoding="utf-8") as fh:
+    with golden_path().open("r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
 def golden_path():
+    # Imported here, where the goldens are read, so that no other command
+    # pays for importing it.
+    from importlib import resources
+
     return resources.files("hybridcorr").joinpath("data").joinpath(GOLDEN_RESOURCE)
 
 

@@ -5,7 +5,10 @@ satisfaction clauses world by world and is the reference oracle, which
 the tests' per-model checks use.  The sliced evaluator turns the formulas
 of one validity question into kernels that decide them on a whole block
 of frames at once: ``_intern`` makes the question's program, and
-``_kernels`` builds the kernels from it (``_compile`` does both).  A block
+``_kernels`` builds the kernels from it (``_compile`` does both).  The
+kernels run per-world bodies, one per operation, that ``_bodies``
+generates once per world count from fixed templates, written out world by
+world, so no body loops over the worlds of a value.  A block
 holds frames of one size n in ``enumerate_frames`` order; every symbol and
 every compiled formula has one int per world, whose bit j says whether it
 holds there (a nominal or state variable: is placed there) in frame j of
@@ -130,13 +133,14 @@ A batch of one decides one valuation and placement, so every per-world
 value of a prop, a nominal, a state variable or a binder's unit is a
 constant: 0, or the full mask ``bind`` returns, that object itself (so are
 those of T and F).  That is every batch on a block of 2^16 frames (4
-worlds and up) and on a single frame.  The kernels of ``_kernels`` and the
-inclusion and conjunction steps of ``_valid_mask`` test each operand for
-0 by value and for full by identity, and then do no big-int work: a
-negation swaps the two constants, a conjunction or disjunction returns the
-other operand or the constant, and ``<>`` skips a world whose value is 0
-and takes the edge mask itself where it is full, so ``<>'i`` returns the
-edge masks into i's world untouched.  A block mask that stays full is
+worlds and up) and on a single frame.  The generated bodies, those the
+kernels run and ``_valid_mask``'s inclusion test and AND over worlds of
+the translation, test each operand for 0 by value and for full by
+identity, and then do no big-int work: a negation swaps the two
+constants, a conjunction or disjunction returns the other operand or the
+constant, and ``<>`` skips a world whose value is 0 and takes the edge
+mask itself where it is full, so ``<>'i`` returns the edge masks into i's
+world untouched.  A block mask that stays full is
 not closed under renaming.  ``_world_sets`` keeps, per size and frame
 count, the n + 2 world sets ``bind`` reads (no world, every world, and
 each world alone); a one-member table's values are built from its full
@@ -152,8 +156,9 @@ import functools
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass, field
-from typing import ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .syntax import (
     And,
@@ -547,7 +552,10 @@ def enumerate_frames(
 # A validity question is compiled in two steps.  ``_intern`` walks its
 # formulas once and yields a program, one DAG of nodes as tuples and ints
 # only; ``_kernels`` builds one kernel per node of a program, with ``bind``,
-# which points them at a block.  A program depends on the formulas and the
+# which points them at a block.  A kernel calls its operation's per-world
+# body, which ``bind`` picks for the block's world count from the bodies
+# generated for it (``_bodies``, see _BODY_TEMPLATE) and binds to the
+# block's full mask and edge rows.  A program depends on the formulas and the
 # slot map alone, so the item that poses a question keeps its program
 # (``_question``) and is interned once, however often it is decided; the
 # kernels hold the bound block and the state of their caches, so every
@@ -692,6 +700,169 @@ def _intern(fs: Sequence[Formula], slots: dict[Symbol, int]) -> _Program:
     return _Program(tuple(ids), tuple(reads), tuple(calls), roots, width, bound)
 
 
+# The per-world bodies that the kernels and _valid_mask run, generated once
+# per world count n (_bodies) from the template below, one function per
+# operation, written out world by world: a run of template lines that
+# start with "~" is repeated once per world, "<pattern>" stands for the
+# pattern once per world joined by ", " and "<|pattern>" joined by " | ",
+# and "{w}" is the world.  So a body does for each world in turn what a loop over the
+# worlds would, without the loop; the source grows linearly with n, as <>
+# and [] loop over the rows and write out only the columns.
+#
+# Every body tests an operand for 0 by value and for the bound full mask by
+# identity, and then does no big-int work on it: a negation swaps the two
+# constants, a conjunction or disjunction returns the other operand or the
+# constant, and <> skips a world whose value is 0 and takes the edge mask
+# itself where it is full, so <>'i returns the edge masks into i's world
+# untouched.  [] is <> fused between two negations: it negates each column
+# once, before its loop over the rows, and each row as <> ends it.  @ tests
+# for full by equality, as `in` does.  kernel_bodies binds the kernels'
+# bodies to a block's full mask and edge rows (bind); check_bodies binds
+# _valid_mask's inclusion test and AND over worlds of the translation to
+# its full mask and the frames and members that lack each world.
+_BODY_TEMPLATE = """
+def kernel_bodies(full, rows):
+    def neg(xs):
+        [<x{w}>] = xs
+        return (
+            ~0 if x{w} is full else full if not x{w} else full ^ x{w},
+        )
+
+    def conj(xs, ys):
+        [<x{w}>] = xs
+        [<y{w}>] = ys
+        return (
+            ~x{w} if not x{w} or y{w} is full
+            ~else y{w} if x{w} is full or not y{w} else x{w} & y{w},
+        )
+
+    def disj(xs, ys):
+        [<x{w}>] = xs
+        [<y{w}>] = ys
+        return (
+            ~x{w} if x{w} is full or not y{w}
+            ~else y{w} if y{w} is full or not x{w} else x{w} | y{w},
+        )
+
+    def implies(xs, ys):
+        [<x{w}>] = xs
+        [<y{w}>] = ys
+        return (
+            ~full if not x{w} or y{w} is full
+            ~else y{w} if x{w} is full
+            ~else (full ^ x{w}) | y{w} if y{w} else full ^ x{w},
+        )
+
+    def dia(xs):
+        [<x{w}>] = xs
+        out = []
+        for [<e{w}>] in rows:
+            acc = 0
+            ~if x{w}:
+            ~    if x{w} is full:
+            ~        acc = acc | e{w} if acc else e{w}
+            ~    else:
+            ~        acc = acc | e{w} & x{w} if acc else e{w} & x{w}
+            out.append(acc)
+        return out
+
+    def box(xs):
+        [<x{w}>] = xs
+        ~x{w} = 0 if x{w} is full else full if not x{w} else full ^ x{w}
+        out = []
+        for [<e{w}>] in rows:
+            acc = 0
+            ~if x{w}:
+            ~    if x{w} is full:
+            ~        acc = acc | e{w} if acc else e{w}
+            ~    else:
+            ~        acc = acc | e{w} & x{w} if acc else e{w} & x{w}
+            out.append(0 if acc is full else full if not acc else full ^ acc)
+        return out
+
+    def at(xs, ys):
+        if full in xs:
+            # The term is at that world in every frame and member, so
+            # nowhere else.
+            y = ys[xs.index(full)]
+        else:
+            [<x{w}>] = xs
+            [<y{w}>] = ys
+            y = <|x{w} & y{w}>
+        return (<y>,)
+
+    return neg, conj, disj, implies, dia, box, at
+
+
+def check_bodies(full, outside):
+    [<o{w}>] = outside
+
+    def included(xs, ys):
+        [<x{w}>] = xs
+        [<y{w}>] = ys
+        m = full
+        ~if x{w} and y{w} is not full:
+        ~    z = y{w} if x{w} is full else (full ^ x{w}) | y{w}
+        ~    if o{w}:
+        ~        z |= o{w}
+        ~    m = z if m is full else m & z
+        return m
+
+    def conjoined(xs):
+        [<x{w}>] = xs
+        m = full
+        ~if o{w} and x{w} is not full:
+        ~    x{w} |= o{w}
+        ~if x{w} is not full:
+        ~    m = x{w} if m is full else m & x{w}
+        return m
+
+    return included, conjoined
+"""
+
+
+def _written_out(template: str, n: int) -> str:
+    """template written out for worlds 0..n-1 (see _BODY_TEMPLATE)."""
+    worlds = [str(w) for w in range(n)]
+
+    def joined(m: re.Match) -> str:
+        sep = " | " if m[1] else ", "
+        return sep.join(m[2].replace("{w}", w) for w in worlds)
+
+    lines: list[str] = []
+    group: list[str] = []  # consecutive lines repeated once per world
+    for line in [*template.splitlines(), ""]:
+        line = re.sub(r"<(\|?)([^<>]*)>", joined, line)
+        text = line.lstrip()
+        if text.startswith("~"):
+            group.append(line[: len(line) - len(text)] + text[1:])
+            continue
+        lines.extend(g.replace("{w}", w) for w in worlds for g in group)
+        group.clear()
+        lines.append(line)
+    return "\n".join(lines)
+
+
+class _Bodies(NamedTuple):
+    """The factories of the bodies for one world count (see _BODY_TEMPLATE)."""
+
+    kernel_bodies: Callable
+    check_bodies: Callable
+
+
+# World counts whose bodies are kept: 1 to 5 for the checks, and a few more
+# for single frames of other sizes.
+_BODIES_KEPT = 16
+
+
+@functools.lru_cache(maxsize=_BODIES_KEPT)
+def _bodies(n: int) -> _Bodies:
+    """The bodies for n worlds, generated from _BODY_TEMPLATE and compiled."""
+    namespace: dict = {}
+    exec(compile(_written_out(_BODY_TEMPLATE, n), f"<bodies for {n} worlds>", "exec"), namespace)
+    return _Bodies(namespace["kernel_bodies"], namespace["check_bodies"])
+
+
 def _kernels(program: _Program):
     """Kernels computing the per-world frame masks of each root of program
     from an environment list, and bind(frames), which points all of them at
@@ -699,40 +870,22 @@ def _kernels(program: _Program):
     values should hold.  Bind first, then load the symbols' values in slot
     order, as a new list or by replacing a list's contents (env[:] =
     values), and call the kernels on it."""
-    n = full = 0
-    rows = top = bot = units = ()
+    top = bot = units = ()
+    neg = conj = disj = implies = dia = box = at = None
 
     def bind(frames: FrameBlock | KripkeFrame) -> int:
-        nonlocal n, full, rows, top, bot, units
-        n, rows = frames.size, frames.edges
+        nonlocal top, bot, units, neg, conj, disj, implies, dia, box, at
         # units[w]: the values of a binder's state variable set to w.
-        bot, top, units = _world_sets(n, frames.count)
+        bot, top, units = _world_sets(frames.size, frames.count)
         full = top[0]
+        bodies = _bodies(frames.size).kernel_bodies(full, frames.edges)
+        neg, conj, disj, implies, dia, box, at = bodies
         return full
 
-    # Each kernel tests its operands for the constants 0 and full (the
-    # bound object itself) and then does no big-int work on them.
-    def neg(xs) -> list[int]:
-        return [0 if x is full else full if not x else full ^ x for x in xs]
-
-    def dia(xs) -> list[int]:
-        out = []
-        for row in rows:
-            acc = 0
-            for e, x in zip(row, xs):
-                if not x:
-                    continue
-                if x is full:
-                    # the first edge int is kept as it is, not copied
-                    acc = acc | e if acc else e
-                else:
-                    acc |= e & x
-            out.append(acc)
-        return out
-
-    # The kernels, children first.  A shared node's kernel keeps its value
-    # in cell `size` of the list; stale[k] lists the cells of the shared
-    # nodes that read slot k, which a binder of k clears.
+    # The kernels, children first, each calling the bound body of its node
+    # (see _BODY_TEMPLATE).  A shared node's kernel keeps its value in cell
+    # `size` of the list; stale[k] lists the cells of the shared nodes that
+    # read slot k, which a binder of k clears.
     size = program.width
     stale: list[list[int]] = [[] for _ in range(size)]
     kernels: list = []
@@ -745,38 +898,15 @@ def _kernels(program: _Program):
         elif t == _DIA:
             kernel = lambda env, a=kernels[key[2]]: dia(a(env))
         elif t == _BOX:
-            kernel = lambda env, a=kernels[key[2]]: neg(dia(neg(a(env))))
+            kernel = lambda env, a=kernels[key[2]]: box(a(env))
         elif t == _AT:
-
-            def kernel(env, k=key[1], a=kernels[key[2]]):
-                xs, ys = env[k], a(env)
-                if full in xs:
-                    # The term is at that world in every frame and member,
-                    # so nowhere else.  Unit values hold the bound full
-                    # itself, so this is an identity test for them.
-                    return (ys[xs.index(full)],) * n
-                acc = 0
-                for x, y in zip(xs, ys):
-                    acc |= x & y
-                return (acc,) * n
-
+            kernel = lambda env, k=key[1], a=kernels[key[2]]: at(env[k], a(env))
         elif t == _AND:
-            kernel = lambda env, a=kernels[key[2]], b=kernels[key[3]]: [
-                x if not x or y is full else y if x is full or not y else x & y
-                for x, y in zip(a(env), b(env))
-            ]
+            kernel = lambda env, a=kernels[key[2]], b=kernels[key[3]]: conj(a(env), b(env))
         elif t == _OR:
-            kernel = lambda env, a=kernels[key[2]], b=kernels[key[3]]: [
-                x if x is full or not y else y if y is full or not x else x | y
-                for x, y in zip(a(env), b(env))
-            ]
+            kernel = lambda env, a=kernels[key[2]], b=kernels[key[3]]: disj(a(env), b(env))
         elif t == _IMPLIES:
-            kernel = lambda env, a=kernels[key[2]], b=kernels[key[3]]: [
-                full
-                if not x or y is full
-                else y if x is full else (full ^ x) | y if y else full ^ x
-                for x, y in zip(a(env), b(env))
-            ]
+            kernel = lambda env, a=kernels[key[2]], b=kernels[key[3]]: implies(a(env), b(env))
         elif t == _DOWN:
 
             def kernel(env, k=key[1], a=kernels[key[2]], cells=stale[key[1]]):
@@ -1306,34 +1436,30 @@ def _valid_mask(
     p, k = len(question.props), len(question.nominals) + len(question.svars)
     env: list[tuple[int, ...]] = [()] * (p + k)
     full = 0
-    outside: list[int] = []  # per world, the frames and members that lack it
+    # The inclusion test and the AND over worlds of the translation, bound
+    # to full and the frames and members that lack each world (see
+    # _BODY_TEMPLATE); an operand that is 0 or the bound full itself costs
+    # them no big-int work, as it costs the kernels none.
+    included = conjoined = None
 
-    *antecedents, conclusion = zip(compiled[::2], compiled[1::2])
+    def rebind(frames: FrameBlock | KripkeFrame, outside: Sequence[int]) -> int:
+        nonlocal full, included, conjoined
+        full = bind(frames)
+        included, conjoined = _bodies(frames.size).check_bodies(full, outside)
+        return full
 
-    # As in the kernels of _kernels, an operand that is 0 or the bound full
-    # itself costs no big-int work.
-    def included(lf, rf) -> int:
-        """Mask of the frames where lhs's truth set lies within rhs's."""
-        m = full
-        for x, y, out in zip(lf(env), rf(env), outside):
-            if not x or y is full:
-                continue
-            z = y if x is full else (full ^ x) | y
-            if out:
-                z |= out
-            m = z if m is full else m & z
-        return m
+    *antecedents, (lc, rc) = zip(compiled[::2], compiled[1::2])
 
     def holds(care: int) -> int:
         """Mask of the frames (and members) among care on which q holds."""
         held = care
-        for pair in antecedents:
-            m = included(*pair)
+        for lf, rf in antecedents:
+            m = included(lf(env), rf(env))
             if m is not full:
                 held = m if held is full else held & m
                 if not held:
                     return care
-        m = included(*conclusion)
+        m = included(lc(env), rc(env))
         if m is full:
             return care
         return m if held is full else (care ^ held) | (held & m)
@@ -1342,21 +1468,22 @@ def _valid_mask(
     mismatches: list[dict] = []
 
     def decided() -> Iterator[tuple[int, int]]:
-        nonlocal full, checked, mismatched
+        nonlocal checked, mismatched
         for block in blocks:
             parts, lacking = _layout(block)
             renamable = tuple(_renamable(part) for _, part in parts)
             # The block's mask starts at the full mask that a batch of one
             # is bound to, so that the kernels' shortcuts apply to it.
-            whole = mask = full = bind(block)
-            outside[:] = lacking
+            whole = mask = rebind(block, lacking)
             count, members = block.count, 1
             found: list[list[dict]] = [[] for _ in parts]
             for batch, values, absent in _tables(p, k, block, renamable, lacking):
                 if len(batch) != members:
                     members = len(batch)
-                    full = bind(block if members == 1 else _replicated(block, members))
-                    outside[:] = [_spread(x, count, members) for x in lacking]
+                    rebind(
+                        block if members == 1 else _replicated(block, members),
+                        [_spread(x, count, members) for x in lacking],
+                    )
                 env[:] = values
                 if translated_at is None:
                     # Every segment of the spread mask lies within mask, so the fold does.
@@ -1368,12 +1495,7 @@ def _valid_mask(
                     if not mask:
                         break
                     continue
-                held, translated = holds(full), full
-                for x, out in zip(translated_at(env), outside):
-                    if out and x is not full:
-                        x |= out
-                    if x is not full:
-                        translated = x if translated is full else translated & x
+                held, translated = holds(full), conjoined(translated_at(env))
                 if absent:
                     held, translated = held | absent, translated | absent
                 if held is not full:

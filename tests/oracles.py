@@ -9,9 +9,12 @@ answered here by walking the trees instead: the critical branches of the
 ``signed_children``.  None of them reads a node's kept facts.
 ``globally_true``, ``holds_inequality`` and ``holds_quasi`` decide one
 model world by world with ``semantics.eval_at``, the reference oracle, and
-never with the sliced evaluator.  ``formula_from_json`` decodes what
-``syntax.formula_to_json`` wrote, so that the tests can check the encoding
-loses nothing; the package itself reads no formula JSON.  ``rebuilt``
+never with the sliced evaluator.  ``reference_bodies`` are the sliced
+evaluator's per-world bodies as plain loops over the worlds, against which
+the bodies ``semantics`` generates for each world count are tested.
+``formula_from_json`` decodes what ``syntax.formula_to_json`` wrote, so
+that the tests can check the encoding loses nothing; the package itself
+reads no formula JSON.  ``rebuilt``
 builds a formula afresh, a node that keeps nothing, to compare with one
 that keeps its symbols and its validity question.
 """
@@ -210,3 +213,90 @@ def formula_from_json(d: dict) -> Formula:
             for k in flds
         ]
     )
+
+
+def reference_bodies(full, rows, outside) -> dict:
+    """The per-world bodies of the sliced evaluator, bound to a block's full
+    mask, its edge rows and the masks of the frames that lack each world,
+    as loops over the worlds: what semantics' generated bodies of the same
+    names do, shortcut for shortcut.  An operand is tested for 0 by value
+    and for full by identity (@ by equality, as `in` does), and <> takes
+    an edge mask itself where its operand is full."""
+
+    def neg(xs):
+        return [0 if x is full else full if not x else full ^ x for x in xs]
+
+    def conj(xs, ys):
+        return [
+            x if not x or y is full else y if x is full or not y else x & y
+            for x, y in zip(xs, ys)
+        ]
+
+    def disj(xs, ys):
+        return [
+            x if x is full or not y else y if y is full or not x else x | y
+            for x, y in zip(xs, ys)
+        ]
+
+    def implies(xs, ys):
+        return [
+            full if not x or y is full else y if x is full else (full ^ x) | y if y else full ^ x
+            for x, y in zip(xs, ys)
+        ]
+
+    def dia(xs):
+        out = []
+        for row in rows:
+            acc = 0
+            for e, x in zip(row, xs):
+                if not x:
+                    continue
+                if x is full:
+                    acc = acc | e if acc else e
+                else:
+                    acc |= e & x
+            out.append(acc)
+        return out
+
+    def box(xs):
+        return neg(dia(neg(xs)))
+
+    def at(xs, ys):
+        if full in xs:
+            return [ys[xs.index(full)]] * len(xs)
+        acc = 0
+        for x, y in zip(xs, ys):
+            acc |= x & y
+        return [acc] * len(xs)
+
+    def included(xs, ys):
+        m = full
+        for x, y, out in zip(xs, ys, outside):
+            if not x or y is full:
+                continue
+            z = y if x is full else (full ^ x) | y
+            if out:
+                z |= out
+            m = z if m is full else m & z
+        return m
+
+    def conjoined(xs):
+        m = full
+        for x, out in zip(xs, outside):
+            if out and x is not full:
+                x |= out
+            if x is not full:
+                m = x if m is full else m & x
+        return m
+
+    return {
+        "neg": neg,
+        "conj": conj,
+        "disj": disj,
+        "implies": implies,
+        "dia": dia,
+        "box": box,
+        "at": at,
+        "included": included,
+        "conjoined": conjoined,
+    }

@@ -55,6 +55,21 @@ class TestParser:
         code, out, _ = run_cli(capsys, "classify", "[]p -> p")
         assert code == 0 and "skeletal:   True" in out
 
+    def test_importing_the_cli_leaves_the_goldens_reader_unloaded(self):
+        # Only corpus run and bless read the goldens, through
+        # importlib.resources; without site, which may load it through a
+        # .pth file, importing the command line does not load it.
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import hybridcorr.cli; "
+            "print('importlib.resources' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
 
 class TestClassify:
     def test_skeletal_exit_zero(self, capsys):

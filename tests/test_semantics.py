@@ -73,7 +73,7 @@ from hybridcorr.syntax import (
 from hybridcorr.translate import tr_quasi, verify_correspondence
 
 from models import parse_model, random_model
-from oracles import globally_true, holds_inequality, holds_quasi, rebuilt
+from oracles import globally_true, holds_inequality, holds_quasi, rebuilt, reference_bodies
 from strategies import formulas, models_for, quasis, shared_formulas
 
 P = prop("p")
@@ -749,15 +749,81 @@ class TestConstantOperands:
 
     def test_world_sets_hold_only_what_bind_reads(self):
         # bind reads the empty set, the full set and the singletons: n + 2
-        # sets, not 2^n, so many worlds cost little
-        n = 18
-        cycle = KripkeFrame(n, frozenset((w, (w + 1) % n) for w in range(n)))
-        f = parse("<>'i")
-        start = time.perf_counter()
-        assert truth_mask(model(cycle, nv={I: 5}), {}, f) == 1 << 4
-        assert time.perf_counter() - start < 0.05
-        nowhere, everywhere, units = _world_sets(n, 1)
-        assert nowhere == (0,) * n and everywhere == (1,) * n and len(units) == n
+        # sets, not 2^n, so many worlds cost little, the first use of a
+        # world count, which generates its bodies, included
+        for n in (18, 40):
+            cycle = KripkeFrame(n, frozenset((w, (w + 1) % n) for w in range(n)))
+            f = parse("<>'i")
+            start = time.perf_counter()
+            assert truth_mask(model(cycle, nv={I: 5}), {}, f) == 1 << 4
+            assert time.perf_counter() - start < 0.05
+            nowhere, everywhere, units = _world_sets(n, 1)
+            assert nowhere == (0,) * n and everywhere == (1,) * n and len(units) == n
+
+
+class TestGeneratedBodies:
+    """The per-world bodies generated for each world count against the
+    plain loops of oracles.reference_bodies, bound to the same full mask,
+    edge rows and lacking worlds, on operand lists that mix 0, the bound
+    full mask, a value equal to it that is another object, edge masks and
+    random masks.  Each returns what the reference returns, and the bound
+    full object or an edge mask itself exactly where the reference does."""
+
+    BITS = 100  # frames of a block: masks wide enough to be distinct objects
+
+    def check(self, full, rows, rng, masks):
+        """Every body on 200 drawn operand lists; masks draws a nonzero mask."""
+        n = len(rows)
+        generated = semantics._bodies(n)
+        same = full + 0 if full > 256 else full  # equal to full; another object if big
+        edges = [e for row in rows for e in row]
+        pool = [lambda: 0, lambda: full, lambda: same, masks, lambda: rng.choice(edges)]
+
+        def operand():
+            return tuple(rng.choice(pool)() for _ in range(n))
+
+        specials = [full, *edges]
+        for _ in range(200):
+            outside = tuple(rng.choice([0, 0, full, masks()]) for _ in range(n))
+            want = reference_bodies(full, rows, outside)
+            got = {
+                body.__name__: body
+                for body in (
+                    *generated.kernel_bodies(full, rows),
+                    *generated.check_bodies(full, outside),
+                )
+            }
+            assert got.keys() == want.keys()
+            xs, ys = operand(), operand()
+            for name, body in got.items():
+                args = (xs,) if name in ("neg", "dia", "box", "conjoined") else (xs, ys)
+                out, expect = body(*args), want[name](*args)
+                if name in ("included", "conjoined"):
+                    out, expect = [out], [expect]
+                assert list(out) == list(expect), (name, n)
+                for o, e in zip(out, expect):
+                    for s in specials:
+                        assert (o is s) == (e is s), (name, n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_blocks_of_each_world_count(self, n):
+        rng = random.Random(40 + n)
+        full = (1 << self.BITS) - 1
+        masks = lambda: rng.getrandbits(self.BITS) or 1
+        kinds = [lambda: 0, masks, masks, lambda: full, lambda: (1 << self.BITS) - 1]
+        rows = tuple(tuple(rng.choice(kinds)() for _ in range(n)) for _ in range(n))
+        self.check(full, rows, rng, masks)
+
+    def test_a_single_frame_of_nine_worlds(self):
+        rng = random.Random(49)
+        frame = KripkeFrame(
+            9, frozenset((u, v) for u in range(9) for v in range(9) if rng.random() < 0.3)
+        )
+        self.check(frame.full, frame.edges, rng, lambda: frame.full)
+
+    def test_source_grows_linearly_with_the_world_count(self):
+        sizes = [len(semantics._written_out(semantics._BODY_TEMPLATE, n)) for n in (10, 20, 40)]
+        assert sizes[2] - sizes[1] < 2.5 * (sizes[1] - sizes[0])
 
 
 def few_symbols(f):
