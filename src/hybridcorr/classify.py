@@ -13,7 +13,7 @@ at a + leaf and at a - leaf, those of them whose branch passes a
 non-skeletal node, those whose branch passes the join of the sign there,
 and whether a distribution redex lies in the tree.  A node computes them
 once per root sign, on first use, from its children's, and keeps them
-outside its dataclass fields, as it keeps its symbols (see ``syntax``).
+beside its fields, as it keeps its symbols (see ``syntax``).
 Classification, ``polarity``, and ``alba``'s stage-1 and final-shape checks
 are lookups in them.  Since an order type constrains each variable's own
 leaves only, the first witnessing order type comes out of one pass over the
@@ -35,16 +35,12 @@ from .syntax import (
     NODE_NAMES,
     NODE_TYPES,
     And,
-    At,
-    Down,
     Formula,
     Inequality,
     Kind,
-    Nom,
     Or,
     Prop,
     Sign,
-    Svar,
     Symbol,
     _union,
     props_in_order,
@@ -119,8 +115,6 @@ DISTRIBUTES = frozenset(
     (sign, name) for sign, name in SKELETAL_NODES if name != NODE_NAMES[JOIN[sign]]
 )
 
-_ATOM_LABELS = frozenset(["prop", "svar", "nom", "top", "bot"])
-
 
 @dataclass(frozen=True)
 class SignedTree:
@@ -134,10 +128,10 @@ class SignedTree:
 
     @property
     def is_atom(self) -> bool:
-        return self.label in _ATOM_LABELS
+        return not self.children
 
     def node_text(self) -> str:
-        if self.symbol is not None and self.label in ("prop", "svar", "nom"):
+        if self.symbol is not None and self.is_atom:
             return f"{self.sign}{self.symbol}"
         if self.symbol is not None:
             return f"{self.sign}{self.label} {self.symbol}"
@@ -149,18 +143,10 @@ def signed_tree(f: Formula, sign: Sign) -> SignedTree:
     label = NODE_NAMES.get(type(f))
     if label is None:
         raise TypeError(f"not a formula: {f!r}")
-    match f:
-        case Prop(s) | Svar(s) | Nom(s) | At(s, _) | Down(s, _):
-            # An @ term or a binder variable is part of its node; only the
-            # formula child is signed.
-            symbol = s
-        case _:
-            symbol = None
-    # Atoms have no children; skipping signed_children for them keeps
-    # classification as fast as a per-node match.
-    kids = () if label in _ATOM_LABELS else tuple(
-        [signed_tree(c, s) for c, s in signed_children(f, sign)]
-    )
+    # An atom's symbol, an @ term or a binder variable is part of its node;
+    # only the formula children are signed.
+    symbol = next((getattr(f, name) for name in f._symbol_kinds), None)
+    kids = tuple([signed_tree(c, s) for c, s in signed_children(f, sign)])
     return SignedTree(label, sign, f, symbol, kids, (sign, label) in _SKELETAL)
 
 

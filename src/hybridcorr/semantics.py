@@ -1442,11 +1442,10 @@ def _valid_mask(
     # them no big-int work, as it costs the kernels none.
     included = conjoined = None
 
-    def rebind(frames: FrameBlock | KripkeFrame, outside: Sequence[int]) -> int:
+    def rebind(frames: FrameBlock | KripkeFrame, outside: Sequence[int]) -> None:
         nonlocal full, included, conjoined
         full = bind(frames)
         included, conjoined = _bodies(frames.size).check_bodies(full, outside)
-        return full
 
     *antecedents, (lc, rc) = zip(compiled[::2], compiled[1::2])
 
@@ -1473,9 +1472,10 @@ def _valid_mask(
             parts, lacking = _layout(block)
             renamable = tuple(_renamable(part) for _, part in parts)
             # The block's mask starts at the full mask that a batch of one
-            # is bound to, so that the kernels' shortcuts apply to it.
-            whole = mask = rebind(block, lacking)
-            count, members = block.count, 1
+            # is bound to, so that the kernels' shortcuts apply to it; the
+            # first batch binds the kernels.
+            whole = mask = _world_sets(block.size, block.count)[1][0]
+            count, members = block.count, 0
             found: list[list[dict]] = [[] for _ in parts]
             for batch, values, absent in _tables(p, k, block, renamable, lacking):
                 if len(batch) != members:

@@ -11,18 +11,22 @@ Inequalities ``phi <= psi`` and quasi-inequalities
 ``ineq ; ... ; ineq => ineq`` are thin wrappers over formulas; they are the
 objects the rewriting engine manipulates.
 
-``children``, ``with_children`` and ``signed_children`` are the only code
-that knows a node's arity and constructor, and which child positions flip
-the sign of the signed generation tree (negation and an implication's
-antecedent).  They dispatch on the node's type through one table, one row
-per shape.  Every structural recursion that rebuilds a formula or tracks
-signs, here and in ``classify`` and ``alba``, goes through them.
+Each node type is declared once, by its class statement: its fields in
+order, the symbol kinds that each symbol field accepts, and which of its
+formula children flip the sign of the signed generation tree (negation and
+an implication's antecedent).  ``Formula.__init_subclass__`` derives the
+rest from that: the constructor with its kind check, immutability,
+equality, the hash and the repr that a frozen dataclass would have,
+``__match_args__``, the node's row of ``NODE_TYPES`` and its
+``children``, ``with_children`` and ``signed_children``, specialised by
+arity.  Every structural recursion that rebuilds a formula or tracks
+signs, here and in ``classify`` and ``alba``, goes through those three.
 
 Each node keeps its symbols: its props, nominals, free state variables,
 every symbol (bound state variables too) and its props in order of first
 occurrence.  They are computed once per node, on first use, from its
-children's (``_facts``), and stored in the node's ``__dict__`` outside the
-dataclass fields, so equality, hashing and repr never see them.  The symbol
+children's (``_facts``), and stored in the node's ``__dict__`` beside its
+fields, so equality, hashing and repr never see them.  The symbol
 walkers (``props``, ``nominals``, ``free_state_vars``, ``all_symbols``,
 ``props_in_order``, ``sorted_symbols``, ``is_pure``) only read them, and
 the set-valued ones hand out the kept frozensets; both substitutions skip
@@ -33,7 +37,7 @@ props sit at a + leaf and at a - leaf, which of them lie under a
 non-skeletal node or a join, and whether a distribution redex lies below.
 Polarity, classification and the stage-1 checks of ``alba`` read those.
 
-``NODE_TYPES`` names each node type and lists its dataclass fields.  The
+``NODE_TYPES`` names each node type and lists its declared fields.  The
 JSON encoder (``formula_to_json``) and the node labels of ``classify``'s
 signed generation trees read it.  The evaluators (``semantics.eval_at``,
 the reference oracle, and ``semantics._intern``), the printer,
@@ -44,7 +48,8 @@ code.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 
@@ -86,128 +91,193 @@ def nom(name: str, index: int = 0) -> Symbol:
     return Symbol(Kind.NOM, name, index)
 
 
+class Sign(enum.Enum):
+    """The sign of a node in a signed generation tree."""
+
+    PLUS = "+"
+    MINUS = "-"
+
+    def flip(self) -> Sign:
+        return Sign.MINUS if self is Sign.PLUS else Sign.PLUS
+
+    def __str__(self) -> str:
+        return self.value
+
+
+# The node types by name, each with its declared field names in order.  The
+# name is a node's label in a signed generation tree and its "node" in JSON.
+NODE_TYPES: dict[str, tuple[type, tuple[str, ...]]] = {}
+NODE_NAMES: dict[type, str] = {}
+# For each node type, its children, the node rebuilt around new children,
+# and its signed children.
+_CHILDREN: dict[type, Callable[[Formula], tuple[Formula, ...]]] = {}
+_REBUILD: dict[type, Callable[[Formula, Sequence[Formula]], Formula]] = {}
+_SIGNED_CHILDREN: dict[type, Callable[[Formula, Sign], tuple[tuple[Formula, Sign], ...]]] = {}
+
+
 class Formula:
-    """Base class; all nodes are frozen dataclasses below."""
+    """Base class of the node types.  A node type is declared by its class
+    statement alone: ``fields``, its field names in order; ``symbols``, the
+    field that holds a symbol (the first, if any) with the kinds it accepts;
+    and ``flips``, the positions among its formula children whose sign is
+    flipped.  A node is immutable, equal to a node of its type with equal
+    fields, and hashes as the tuple of its fields."""
 
     # The node's symbols once computed (see _facts), its signed facts for
     # each root sign (see classify.signed_facts) and its validity question
-    # once posed (see semantics._question); not dataclass fields.
+    # once posed (see semantics._question); not fields.
     _memo = None
     _plus_facts = None
     _minus_facts = None
     _question = None
 
+    def __init_subclass__(cls, fields=(), symbols=None, flips=(), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        symbols = symbols or {}
+        # The code below, specialised by arity, reads at most two fields and
+        # a symbol in the first only.
+        assert len(fields) <= 2 and set(symbols) <= set(fields[:1]), cls
+        name = cls.__name__.lower()
+        NODE_TYPES[name], NODE_NAMES[cls] = (cls, fields), name
+        cls.__match_args__, cls._symbol_kinds = fields, symbols
+        kinds = symbols[fields[0]] if symbols else ()
+        set_field = object.__setattr__
+
+        def wrong_kind(sym: Symbol) -> ValueError:
+            needed = " or ".join(k.name for k in kinds)
+            return ValueError(f"{cls.__name__} node needs a {needed} symbol, got {sym}")
+
+        # The constructor, and equality and the hash of the field tuple.
+        if len(fields) == 2:
+            first, second = fields
+            pair = attrgetter(first, second)
+
+            def __init__(self, a, b):
+                if kinds and a.kind not in kinds:
+                    raise wrong_kind(a)
+                set_field(self, first, a)
+                set_field(self, second, b)
+
+            def __eq__(self, other):
+                return pair(self) == pair(other) if other.__class__ is cls else NotImplemented
+
+            __hash__ = lambda self: hash(pair(self))
+        elif fields:
+            (first,) = fields
+            one = attrgetter(first)
+
+            def __init__(self, a):
+                if kinds and a.kind not in kinds:
+                    raise wrong_kind(a)
+                set_field(self, first, a)
+
+            def __eq__(self, other):
+                return (one(self),) == (one(other),) if other.__class__ is cls else NotImplemented
+
+            __hash__ = lambda self: hash((one(self),))
+        else:
+            __init__ = object.__init__
+            __eq__ = lambda self, other: True if other.__class__ is cls else NotImplemented
+            __hash__ = lambda self: hash(())
+        cls.__init__, cls.__eq__, cls.__hash__ = __init__, __eq__, __hash__
+
+        # The formula children, with their signs under a + and a - parent,
+        # and the node rebuilt around new ones.
+        kids = fields[len(symbols) :]
+        plus = tuple(Sign.MINUS if k in flips else Sign.PLUS for k in range(len(kids)))
+        minus = tuple(s.flip() for s in plus)
+        positive = Sign.PLUS
+        if len(kids) == 2:
+            kids_of = attrgetter(*kids)
+
+            def signed(f, sign):
+                a, b = kids_of(f)
+                s, t = plus if sign is positive else minus
+                return ((a, s), (b, t))
+        elif kids:
+            child = attrgetter(*kids)
+            ((p,), (m,)) = plus, minus
+            kids_of = lambda f: (child(f),)
+            signed = lambda f, sign: ((child(f), p if sign is positive else m),)
+        else:
+            kids_of, signed = (lambda f: ()), (lambda f, sign: ())
+        if not kids:
+            rebuild = lambda f, new: f
+        elif symbols:
+            symbol = attrgetter(fields[0])
+            rebuild = lambda f, new: cls(symbol(f), *new)
+        else:
+            rebuild = lambda f, new: cls(*new)
+        _CHILDREN[cls], _REBUILD[cls], _SIGNED_CHILDREN[cls] = kids_of, rebuild, signed
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({shown})"
+
     def __str__(self) -> str:
         return fmt(self)
 
 
-@dataclass(frozen=True)
-class Prop(Formula):
-    sym: Symbol
-
-    def __post_init__(self) -> None:
-        if self.sym.kind is not Kind.PROP:
-            raise ValueError(f"Prop node needs a PROP symbol, got {self.sym}")
+class Prop(Formula, fields=("sym",), symbols={"sym": (Kind.PROP,)}):
+    pass
 
 
-@dataclass(frozen=True)
-class Svar(Formula):
-    sym: Symbol
-
-    def __post_init__(self) -> None:
-        if self.sym.kind is not Kind.SVAR:
-            raise ValueError(f"Svar node needs a SVAR symbol, got {self.sym}")
+class Svar(Formula, fields=("sym",), symbols={"sym": (Kind.SVAR,)}):
+    pass
 
 
-@dataclass(frozen=True)
-class Nom(Formula):
-    sym: Symbol
-
-    def __post_init__(self) -> None:
-        if self.sym.kind is not Kind.NOM:
-            raise ValueError(f"Nom node needs a NOM symbol, got {self.sym}")
+class Nom(Formula, fields=("sym",), symbols={"sym": (Kind.NOM,)}):
+    pass
 
 
-@dataclass(frozen=True)
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    child: Formula
+class Not(Formula, fields=("child",), flips=(0,)):
+    pass
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    lhs: Formula
-    rhs: Formula
+class Or(Formula, fields=("lhs", "rhs")):
+    pass
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    lhs: Formula
-    rhs: Formula
+class And(Formula, fields=("lhs", "rhs")):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    lhs: Formula
-    rhs: Formula
+class Implies(Formula, fields=("lhs", "rhs"), flips=(0,)):
+    pass
 
 
-@dataclass(frozen=True)
-class Dia(Formula):
-    child: Formula
+class Dia(Formula, fields=("child",)):
+    pass
 
 
-@dataclass(frozen=True)
-class Box(Formula):
-    child: Formula
+class Box(Formula, fields=("child",)):
+    pass
 
 
-@dataclass(frozen=True)
-class At(Formula):
+class At(Formula, fields=("term", "child"), symbols={"term": (Kind.NOM, Kind.SVAR)}):
     """Satisfaction operator.  The term is a nominal or a state variable."""
 
-    term: Symbol
-    child: Formula
 
-    def __post_init__(self) -> None:
-        if self.term.kind not in (Kind.NOM, Kind.SVAR):
-            raise ValueError(f"@ needs a nominal or state variable, got {self.term}")
-
-
-@dataclass(frozen=True)
-class Down(Formula):
+class Down(Formula, fields=("var", "child"), symbols={"var": (Kind.SVAR,)}):
     """Downarrow binder ``!x. child``; binds x to the evaluation world."""
-
-    var: Symbol
-    child: Formula
-
-    def __post_init__(self) -> None:
-        if self.var.kind is not Kind.SVAR:
-            raise ValueError(f"binder needs a state variable, got {self.var}")
 
 
 BOT = Bot()
 TOP = Top()
-
-# The node types by name, each with its dataclass field names in order.  The
-# name is a node's label in a signed generation tree and its "node" in JSON.
-NODE_TYPES: dict[str, tuple[type, tuple[str, ...]]] = {
-    cls.__name__.lower(): (cls, tuple(fld.name for fld in fields(cls)))
-    for cls in (Prop, Svar, Nom, Bot, Top, Not, Or, And, Implies, Dia, Box, At, Down)
-}
-NODE_NAMES: dict[type, str] = {cls: name for name, (cls, _) in NODE_TYPES.items()}
-# The fields that hold a symbol (an atom's, an @ term, a binder's variable);
-# every other field holds a formula.
-_SYMBOL_FIELDS = frozenset(("sym", "term", "var"))
 
 
 @dataclass(frozen=True)
@@ -244,19 +314,6 @@ class QuasiInequality:
 # ---------------------------------------------------------------------------
 
 
-class Sign(enum.Enum):
-    """The sign of a node in a signed generation tree."""
-
-    PLUS = "+"
-    MINUS = "-"
-
-    def flip(self) -> Sign:
-        return Sign.MINUS if self is Sign.PLUS else Sign.PLUS
-
-    def __str__(self) -> str:
-        return self.value
-
-
 def children(f: Formula) -> tuple[Formula, ...]:
     try:
         return _CHILDREN[type(f)](f)
@@ -281,62 +338,6 @@ def signed_children(f: Formula, sign: Sign) -> tuple[tuple[Formula, Sign], ...]:
         return _SIGNED_CHILDREN[type(f)](f, sign)
     except KeyError:
         raise TypeError(f"not a formula: {f!r}") from None
-
-
-# The node table: for each node type, its children, the node rebuilt around
-# new children, and its signed children.  One row per shape.
-_CHILDREN: dict[type, Callable[[Formula], tuple[Formula, ...]]] = {}
-_REBUILD: dict[type, Callable[[Formula, Sequence[Formula]], Formula]] = {}
-_SIGNED_CHILDREN: dict[type, Callable[[Formula, Sign], tuple[tuple[Formula, Sign], ...]]] = {}
-
-
-def _shape(types, kids, rebuild, signed) -> None:
-    for t in types:
-        _CHILDREN[t], _REBUILD[t], _SIGNED_CHILDREN[t] = kids, rebuild, signed
-
-
-_shape(
-    (Prop, Svar, Nom, Bot, Top),
-    lambda f: (),
-    lambda f, kids: f,
-    lambda f, sign: (),
-)
-_shape(
-    (Not,),
-    lambda f: (f.child,),
-    lambda f, kids: Not(*kids),
-    lambda f, sign: ((f.child, sign.flip()),),
-)
-_shape(
-    (Dia, Box),
-    lambda f: (f.child,),
-    lambda f, kids: type(f)(*kids),
-    lambda f, sign: ((f.child, sign),),
-)
-_shape(
-    (At,),
-    lambda f: (f.child,),
-    lambda f, kids: At(f.term, *kids),
-    lambda f, sign: ((f.child, sign),),
-)
-_shape(
-    (Down,),
-    lambda f: (f.child,),
-    lambda f, kids: Down(f.var, *kids),
-    lambda f, sign: ((f.child, sign),),
-)
-_shape(
-    (Or, And),
-    lambda f: (f.lhs, f.rhs),
-    lambda f, kids: type(f)(*kids),
-    lambda f, sign: ((f.lhs, sign), (f.rhs, sign)),
-)
-_shape(
-    (Implies,),
-    lambda f: (f.lhs, f.rhs),
-    lambda f, kids: Implies(*kids),
-    lambda f, sign: ((f.lhs, sign.flip()), (f.rhs, sign)),
-)
 
 
 def _formulas_of(items) -> Iterator[Formula]:
@@ -718,7 +719,7 @@ def formula_to_json(f: Formula) -> dict:
     out = {"node": name}
     for fld in NODE_TYPES[name][1]:
         v = getattr(f, fld)
-        out[fld] = symbol_to_json(v) if fld in _SYMBOL_FIELDS else formula_to_json(v)
+        out[fld] = symbol_to_json(v) if fld in f._symbol_kinds else formula_to_json(v)
     return out
 
 

@@ -21,7 +21,6 @@ that keeps its symbols and its validity question.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 from hybridcorr.alba import (
@@ -43,6 +42,7 @@ from hybridcorr.classify import (
 from hybridcorr.semantics import Assignment, KripkeModel, eval_at
 from hybridcorr.syntax import (
     BOT,
+    NODE_NAMES,
     NODE_TYPES,
     TOP,
     Formula,
@@ -195,10 +195,17 @@ def subformulas(f: Formula):
         yield from subformulas(c)
 
 
+def declared_fields(f: Formula) -> tuple[str, ...]:
+    """The field names that f's node type declares, in order."""
+    return NODE_TYPES[NODE_NAMES[type(f)]][1]
+
+
 def rebuilt(f: Formula) -> Formula:
     """f built afresh node by node, so that no node keeps anything."""
     kids = children(f)
-    return with_children(f, [rebuilt(c) for c in kids]) if kids else dataclasses.replace(f)
+    if kids:
+        return with_children(f, [rebuilt(c) for c in kids])
+    return type(f)(*[getattr(f, name) for name in declared_fields(f)])
 
 
 def formula_from_json(d: dict) -> Formula:

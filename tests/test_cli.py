@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridcorr.cli import _json, main
-from hybridcorr.syntax import parse_input
+from hybridcorr.syntax import NODE_NAMES, NODE_TYPES, formula_to_json, parse, parse_input
 
 import oracles
 
@@ -184,6 +184,40 @@ class TestTranslate:
         )
         assert code == 0
         jsonschema.validate(json.loads(out), load_schema("translate.json"))
+
+
+class TestFormulaSchema:
+    """The formula AST that correspond.json and translate.json publish is
+    the node table: every node name with its declared fields, a symbol
+    field as a symbol and every other field as a formula."""
+
+    @pytest.mark.parametrize("name", ["correspond.json", "translate.json"])
+    def test_nodes_and_fields_are_the_node_table(self, name):
+        formula = load_schema(name)["definitions"]["formula"]
+        assert formula["properties"]["node"]["enum"] == list(NODE_TYPES)
+        published = {
+            case["if"]["properties"]["node"]["const"]: [
+                (fld, case["then"]["properties"][fld]["$ref"]) for fld in case["then"]["required"]
+            ]
+            for case in formula["allOf"]
+        }
+        assert published == {
+            node: [
+                (fld, "#/definitions/symbol" if fld in cls._symbol_kinds else "#/definitions/formula")
+                for fld in fields
+            ]
+            for node, (cls, fields) in NODE_TYPES.items()
+        }
+        assert formula["allOf"][0]["then"]["additionalProperties"] is False
+
+    def test_every_node_validates_and_a_missing_field_does_not(self):
+        f = parse("p & ~F -> <>@'i 'j | []!x. @x (x & T)")
+        assert {type(g) for g in oracles.subformulas(f)} == set(NODE_NAMES)
+        report = {"text": str(f), "ast": formula_to_json(f)}
+        jsonschema.validate(report, load_schema("translate.json"))
+        del report["ast"]["rhs"]["rhs"]["child"]["var"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, load_schema("translate.json"))
 
 
 # Generated inputs of the agree3 benchmark workload whose outputs have 5 or

@@ -1062,6 +1062,36 @@ class TestBatches:
         else:
             assert 0 < batched.bit_count() < frames.count
 
+    def test_kernels_bound_once_per_batch_width(self, monkeypatch):
+        # A block binds its check's kernels at its first batch and again only
+        # where a batch has another number of members: each of the 12
+        # checks of the axioms at 3 worlds decides one batch on the small
+        # frames, and verify's at 4 worlds one more on the 4-world block.
+        from hybridcorr.alba import run
+        from hybridcorr.axioms import check_schemas
+
+        counts = []
+        kernels = semantics._kernels
+
+        def counted(program):
+            compiled, bind = kernels(program)
+
+            def counted_bind(frames):
+                counts.append(frames.count)
+                return bind(frames)
+
+            return compiled, counted_bind
+
+        monkeypatch.setattr(semantics, "_kernels", counted)
+        check_schemas(EnumerationLimits(3))
+        assert len(counts) == 12
+        ineq = parse_input("p -> [] <> p")
+        quasis = run(ineq).quasis
+        for cap, bound in ((3, [2120, 2650]), (4, [2120, 65536, 2650, 65536])):
+            counts.clear()
+            verify_correspondence(ineq, quasis, EnumerationLimits(cap))
+            assert counts == bound
+
 
 def per_size_blocks(cap, q, translation=None):
     """_valid_mask on each block of frame_blocks, laid end to end: the

@@ -7,7 +7,6 @@ is compared here with the same question answered by the walk oracles of
 ``SkeletalGenerator(1000)``.
 """
 
-import dataclasses
 import functools
 
 import pytest
@@ -191,6 +190,6 @@ class TestFacts:
             assert signed_facts(f, sign) == signed_facts(fresh, sign)
         assert f == fresh and hash(f) == hash(fresh) and repr(f) == repr(fresh)
         assert "_plus_facts" not in repr(f)
-        assert [x.name for x in dataclasses.fields(f)] == [
-            x.name for x in dataclasses.fields(fresh)
-        ]
+        fields = oracles.declared_fields(f)
+        assert oracles.declared_fields(fresh) == fields
+        assert {"_plus_facts", "_minus_facts"} <= set(vars(f)) - set(fields)

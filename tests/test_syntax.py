@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,9 +13,11 @@ from hybridcorr.classify import Polarity, inequality_props, polarity
 from hybridcorr.syntax import (
     BOT,
     NODE_NAMES,
+    NODE_TYPES,
     TOP,
     And,
     At,
+    Bot,
     Box,
     CaptureError,
     Dia,
@@ -31,6 +34,7 @@ from hybridcorr.syntax import (
     Sign,
     Svar,
     Symbol,
+    Top,
     all_symbols,
     children,
     fmt,
@@ -54,7 +58,7 @@ from hybridcorr.syntax import (
     with_children,
 )
 
-from oracles import formula_from_json, subformulas
+from oracles import declared_fields, formula_from_json, subformulas
 from strategies import formulas
 
 P = prop("p")
@@ -63,6 +67,8 @@ P2 = prop("p2")
 X = svar("x")
 Y = svar("y")
 I1 = nom("i1")
+# The facts a node keeps beside its fields (see syntax.Formula).
+KEPT = {"_memo", "_plus_facts", "_minus_facts", "_question"}
 
 
 class TestParse:
@@ -473,9 +479,10 @@ class TestNodeFacts:
         assert f == fresh and fresh == f
         assert hash(f) == hash(fresh)
         assert repr(f) == repr(fresh)
-        assert [x.name for x in dataclasses.fields(f)] == [
-            x.name for x in dataclasses.fields(fresh)
-        ]
+        fields = declared_fields(f)
+        assert declared_fields(fresh) == fields
+        assert "_memo" in set(vars(f)) - set(fields)
+        assert set(fields).isdisjoint(KEPT)
         for walker in (props, nominals, free_state_vars, all_symbols):
             assert isinstance(walker(f), frozenset)
 
@@ -502,6 +509,81 @@ class TestSymbolHash:
         sym = Symbol(kind, name, index)
         assert hash(sym) == hash((kind, name, index))
         assert sym == Symbol(kind, name, index) and "_hash" not in repr(sym)
+
+
+class TestNodeBehaviour:
+    """Every node type builds, compares, hashes, prints and matches as the
+    frozen dataclass it once was (TestJson.ALL_NODES holds all 13)."""
+
+    ALL_NODES_REPR = (
+        "Implies(lhs=And(lhs=Prop(sym=Symbol(kind=<Kind.PROP: 'prop'>, name='p', index=0)), "
+        "rhs=Not(child=Bot())), rhs=Or(lhs=Dia(child=At(term=Symbol(kind=<Kind.NOM: 'nom'>, "
+        "name='i', index=0), child=Nom(sym=Symbol(kind=<Kind.NOM: 'nom'>, name='j', index=2)))), "
+        "rhs=Box(child=Down(var=Symbol(kind=<Kind.SVAR: 'svar'>, name='x', index=0), "
+        "child=At(term=Symbol(kind=<Kind.SVAR: 'svar'>, name='x', index=0), "
+        "child=And(lhs=Svar(sym=Symbol(kind=<Kind.SVAR: 'svar'>, name='x', index=0)), "
+        "rhs=Top()))))))"
+    )
+
+    @pytest.mark.parametrize(
+        "build, wrong, named",
+        [
+            (Prop, Y, "Prop"),
+            (Svar, P, "Svar"),
+            (Nom, Y, "Nom"),
+            (lambda s: At(s, TOP), P, "At|@"),
+            (lambda s: Down(s, TOP), I1, "Down|binder"),
+        ],
+    )
+    def test_symbol_of_the_wrong_kind(self, build, wrong, named):
+        with pytest.raises(ValueError, match=rf"({named}).*{re.escape(str(wrong))}"):
+            build(wrong)
+
+    def test_frozen(self):
+        for f in subformulas(TestJson.ALL_NODES):
+            for name in (*declared_fields(f), "_memo"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(f, name, TOP)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(f, name)
+
+    def test_equality(self):
+        p, q = Prop(P), Prop(prop("q"))
+        assert Dia(p) != Box(p) and And(p, q) != Or(p, q) and Not(p) != Dia(p)
+        assert Bot() == BOT and Bot() is not BOT and BOT != TOP and p != P
+        assert And(p, q) == And(Prop(P), Prop(prop("q"))) != And(q, p)
+        assert At(I1, p) == At(nom("i1"), p) != At(svar("i1"), p)
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for f in subformulas(TestJson.ALL_NODES):
+            assert hash(f) == hash(tuple(getattr(f, name) for name in declared_fields(f)))
+
+    def test_repr_is_pinned(self):
+        assert repr(TestJson.ALL_NODES) == self.ALL_NODES_REPR
+        assert repr(BOT) == "Bot()" and "_memo" not in repr(TestJson.ALL_NODES)
+
+    def test_positional_match(self):
+        seen = set()
+        for f in subformulas(TestJson.ALL_NODES):
+            match f:
+                case Prop(s) | Svar(s) | Nom(s):
+                    assert s is f.sym
+                case Bot() | Top():
+                    assert declared_fields(f) == ()
+                case Not(c) | Dia(c) | Box(c):
+                    assert c is f.child
+                case And(a, b) | Or(a, b) | Implies(a, b):
+                    assert a is f.lhs and b is f.rhs
+                case At(t, c):
+                    assert t is f.term and c is f.child
+                case Down(v, c):
+                    assert v is f.var and c is f.child
+            seen.add(type(f))
+        assert seen == set(NODE_NAMES) == {cls for cls, _ in NODE_TYPES.values()}
+        with pytest.raises(TypeError):
+            match Not(TOP):
+                case Not(_, _):
+                    pass
 
 
 class TestFresh:
