@@ -266,6 +266,8 @@ class TestNodeInterface:
     @given(formulas(10))
     def test_rebuild_from_own_children_is_identity(self, f):
         assert with_children(f, children(f)) == f
+        # a leaf comes back itself, with the facts it keeps
+        assert all(with_children(g, ()) is g for g in subformulas(f) if not children(g))
 
     @settings(max_examples=200)
     @given(formulas(10), st.sampled_from(list(Sign)))
