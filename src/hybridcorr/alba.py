@@ -332,26 +332,18 @@ def _root_redex(f: Formula, sign: Sign) -> tuple[str, str, Formula] | None:
     return None
 
 
-def _find_redex(f: Formula, sign: Sign) -> tuple[tuple[int, ...], str, str, Formula]:
+def _find_redex(f: Formula, sign: Sign) -> tuple[str, str, Formula]:
     """The leftmost-innermost distribution redex of f, signed sign, whose
     signed facts show that it has one: in the first child whose facts show
-    one, else at the root."""
+    one, else at the root.  Returns the rule name, the justification tag
+    and f with that redex rewritten."""
     for k, (c, s) in enumerate(signed_children(f, sign)):
         if signed_facts(c, s).redex:
-            path, rule, just, new = _find_redex(c, s)
-            return (k, *path), rule, just, new
-    rule, just, new = _root_redex(f, sign)
-    return (), rule, just, new
-
-
-def _rewrite_at(f: Formula, path: tuple[int, ...], new: Formula) -> Formula:
-    if not path:
-        return new
-    kids = list(children(f))
-    if path[0] >= len(kids):
-        raise EngineInvariantError(f"bad rewrite path {path} in {f}")
-    kids[path[0]] = _rewrite_at(kids[path[0]], path[1:], new)
-    return with_children(f, kids)
+            rule, just, new = _find_redex(c, s)
+            kids = list(children(f))
+            kids[k] = new
+            return rule, just, with_children(f, kids)
+    return _root_redex(f, sign)
 
 
 def _distribution_step(ineq: Inequality) -> Rewrite | None:
@@ -360,8 +352,7 @@ def _distribution_step(ineq: Inequality) -> Rewrite | None:
         f = ineq.lhs if side == 0 else ineq.rhs
         if not signed_facts(f, sign).redex:
             continue
-        path, rule, just, new_sub = _find_redex(f, sign)
-        new_f = _rewrite_at(f, path, new_sub)
+        rule, just, new_f = _find_redex(f, sign)
         new_ineq = Inequality(new_f, ineq.rhs) if side == 0 else Inequality(ineq.lhs, new_f)
         return rule, (new_ineq,), just
     return None

@@ -360,15 +360,18 @@ def find_order_type(ineq: Inequality) -> OrderType | None:
 
 def parse_order_type(text: str, variables: list[Symbol] | None = None) -> OrderType:
     """Parse ``p=1,q=d`` (values 1 and d/partial).  With a variable list the
-    shorthand ``1,d`` assigns by first-occurrence position, and a named
-    order type must name every listed variable and no other.  A named order
-    type names each variable once, and never an empty one."""
+    shorthand ``1,d`` assigns by first-occurrence position, one non-empty
+    entry per variable, and a named order type must name every listed
+    variable and no other.  A named order type names each variable once,
+    and never an empty one."""
     text = text.strip()
     items: list[tuple[Symbol, Pol]] = []
     if "=" not in text:
         if variables is None:
             raise ValueError("positional order type needs the variable list")
-        values = [v.strip() for v in text.split(",") if v.strip()]
+        values = [v.strip() for v in text.split(",")] if text else []
+        if "" in values:
+            raise ValueError(f"order-type hint {text!r} has an empty entry")
         if len(values) != len(variables):
             raise ValueError(
                 f"order type has {len(values)} entries for {len(variables)} variables"

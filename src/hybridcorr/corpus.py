@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 from . import alba
 from .semantics import (
-    DEFAULT_LIMITS,
     EnumerationLimits,
     frame_class_mask,
     frame_indices,
     frame_valid,
     frame_valid_quasi_set,
 )
-from .syntax import Implies, parse_input, quasi_to_json
+from .syntax import Implies, parse_input
 from .translate import tr_quasiset
 
 
@@ -93,40 +92,34 @@ GOLDEN_WORLDS = 3
 GOLDEN_LIMITS = EnumerationLimits(max_worlds=GOLDEN_WORLDS)
 
 
-def compute_entry(
-    entry: CorpusEntry, limits: EnumerationLimits = DEFAULT_LIMITS
-) -> dict:
-    """Run the full pipeline on one entry and compute its golden record."""
-    ineq = parse_input(entry.input_text)
-    result = alba.run(ineq)
-    # alba.run searches the order type once, and its result keeps it.
-    eps = result.eps
+def compute_entry(entry: CorpusEntry) -> dict:
+    """Run the full pipeline on one entry and compute its golden record,
+    deciding its outputs on the frames of GOLDEN_LIMITS."""
+    result = alba.run(parse_input(entry.input_text))
+    out = result.to_json()
     record: dict = {
         "name": entry.name,
         "input": entry.input_text,
-        "skeletal": eps is not None,
-        "order_type": eps.to_json() if eps is not None else None,
+        # alba.run searches the order type once, and its result keeps it.
+        "skeletal": result.eps is not None,
+        "order_type": out["order_type"],
+        "status": out["status"],
     }
-    record["status"] = "success" if result.ok else "failure"
     if not result.ok:
         return record
-    record["pure"] = [
-        {"text": str(q), "ast": quasi_to_json(q)} for q in result.quasis
-    ]
-    tr = tr_quasiset(list(result.quasis))
-    record["tr"] = {"text": str(tr)}
-    valid = frame_valid_quasi_set(limits, result.quasis)
+    record["pure"] = out["pure"]
+    record["tr"] = {"text": str(tr_quasiset(list(result.quasis)))}
+    valid = frame_valid_quasi_set(GOLDEN_LIMITS, result.quasis)
     record["valid_frames"] = list(frame_indices(valid))
     return record
 
 
-def verify_entry(
-    entry: CorpusEntry, record: dict, limits: EnumerationLimits = DEFAULT_LIMITS
-) -> list[str]:
+def verify_entry(entry: CorpusEntry, record: dict) -> list[str]:
     """Frame-level checks a golden must satisfy regardless of its content.
 
     The output side is the record's valid_frames, which compute_entry
-    decided from the record's pure outputs; only the input is decided here.
+    decided from the record's pure outputs; only the input is decided here,
+    on the same frames.
     """
     problems: list[str] = []
     if record["status"] != ("success" if entry.expect_skeletal else "failure"):
@@ -138,11 +131,11 @@ def verify_entry(
     if not entry.expect_skeletal:
         return problems
     ineq = parse_input(entry.input_text)
-    valid_in = frame_valid(limits, Implies(ineq.lhs, ineq.rhs))
+    valid_in = frame_valid(GOLDEN_LIMITS, Implies(ineq.lhs, ineq.rhs))
     if list(frame_indices(valid_in)) != record["valid_frames"]:
         problems.append(f"{entry.name}: output and input define different frame classes")
     if entry.frame_class is not None:
-        expected = frame_class_mask(entry.frame_class, limits)
+        expected = frame_class_mask(entry.frame_class, GOLDEN_LIMITS)
         if list(frame_indices(expected)) != record["valid_frames"]:
             problems.append(
                 f"{entry.name}: valid frames are not exactly the {entry.frame_class} ones"
@@ -169,7 +162,7 @@ def run_corpus() -> tuple[bool, list[str]]:
     lines: list[str] = []
     ok = True
     for entry in CORPUS:
-        record = compute_entry(entry, GOLDEN_LIMITS)
+        record = compute_entry(entry)
         stored = goldens.get(entry.name)
         if stored is None:
             ok = False
@@ -189,8 +182,8 @@ def bless_corpus(path=None) -> tuple[bool, list[str]]:
     lines: list[str] = []
     ok = True
     for entry in CORPUS:
-        record = compute_entry(entry, GOLDEN_LIMITS)
-        problems = verify_entry(entry, record, GOLDEN_LIMITS)
+        record = compute_entry(entry)
+        problems = verify_entry(entry, record)
         if problems:
             ok = False
             lines.extend(f"FAIL     {p}" for p in problems)

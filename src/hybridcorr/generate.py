@@ -42,6 +42,9 @@ _SPINE_LABELS = {
     sign: tuple(label for s, label in SKELETAL_NODES if s is sign) for sign in Sign
 }
 
+# The chance that a "down" spine label grows a binder rather than being skipped.
+_BINDER_PROBABILITY = 0.5
+
 
 @dataclass
 class GeneratorConfig:
@@ -49,7 +52,6 @@ class GeneratorConfig:
     max_props: int = 3
     max_nominals: int = 2
     filler_depth: int = 2
-    binder_probability: float = 0.5
 
 
 class SkeletalGenerator:
@@ -111,7 +113,7 @@ class SkeletalGenerator:
         if label == "box":
             return Box(self._spine(sign, eps, d, scope))
         if label == "down":
-            if self.rng.random() > self.config.binder_probability:
+            if self.rng.random() > _BINDER_PROBABILITY:
                 return self._spine(sign, eps, d, scope)
             x = self._fresh_svar()
             return Down(x, self._spine(sign, eps, d, scope + (x,)))

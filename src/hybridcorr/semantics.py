@@ -80,12 +80,12 @@ from the object that poses it, builds the kernels once per check and
 then, block by block, re-binds them to the block and runs the one loop
 over valuations of props and placements of nominals and state variables.
 ``frame_valid(f)`` decides ``=> as_inequality(f)`` on it and
-``frame_valid_quasi`` decides q; both narrow the frames still in question
-batch by batch and stop a block once none is left.  ``equivalence_check``
-runs the same loop on a pure q with a formula f compiled beside it,
-deciding every batch on every frame and comparing q with f there: that is
-the translation check of ``translate``, and the mask it returns is q's
-validity, so ``verify`` decides each output once.
+``frame_valid_quasi`` decides q; every batch is decided on every frame of
+the block, and a block stops once q has failed on all of them.
+``equivalence_check`` runs the same loop on a pure q with a formula f
+compiled beside it, deciding every batch of every block and comparing q
+with f there: that is the translation check of ``translate``, and the
+mask it returns is q's validity, so ``verify`` decides each output once.
 
 Renaming worlds preserves validity: (F, V) satisfies q iff (pi F, pi V)
 does.  Every table of valuations and placements comes from one function,
@@ -1415,15 +1415,16 @@ def _valid_mask(
     world a frame lacks, and a member holds vacuously on the frames that
     lack a world it places a symbol at.
 
-    Returns (mask, checked, mismatched, mismatches).  Without a translation
-    the mask narrows batch by batch, a block stops deciding once its mask
-    is empty, and the other three are 0, 0 and [].  With one, every batch
-    is decided on all its frames and members and compared with the AND
-    over worlds of the translation: checked adds each part's frames times
-    its summed weights there, and a batch is split into its members only
-    when the two differ, to add each member's differing frames of a part
-    times its weight there to mismatched and to decode the first
-    MAX_COUNTEREXAMPLES of them, part by part.
+    Returns (mask, checked, mismatched, mismatches).  Every batch is
+    decided on all its frames and members, and the block's mask keeps the
+    frames on which q held under every member so far.  Without a
+    translation a block stops deciding once its mask is empty, and the
+    other three are 0, 0 and [].  With one, each batch is also compared
+    with the AND over worlds of the translation: checked adds each part's
+    frames times its summed weights there, and a batch is split into its
+    members only when the two differ, to add each member's differing
+    frames of a part times its weight there to mismatched and to decode
+    the first MAX_COUNTEREXAMPLES of them, part by part.
     """
     admit(check_cases(item, frames))
     blocks = _decided_blocks(frames) if isinstance(frames, EnumerationLimits) else [frames]
@@ -1449,19 +1450,19 @@ def _valid_mask(
 
     *antecedents, (lc, rc) = zip(compiled[::2], compiled[1::2])
 
-    def holds(care: int) -> int:
-        """Mask of the frames (and members) among care on which q holds."""
-        held = care
+    def holds() -> int:
+        """Mask of the bound frames (and members) on which q holds."""
+        held = full
         for lf, rf in antecedents:
             m = included(lf(env), rf(env))
             if m is not full:
                 held = m if held is full else held & m
                 if not held:
-                    return care
+                    return full
         m = included(lc(env), rc(env))
         if m is full:
-            return care
-        return m if held is full else (care ^ held) | (held & m)
+            return full
+        return m if held is full else (full ^ held) | m
 
     checked = mismatched = 0
     mismatches: list[dict] = []
@@ -1471,10 +1472,10 @@ def _valid_mask(
         for block in blocks:
             parts, lacking = _layout(block)
             renamable = tuple(_renamable(part) for _, part in parts)
-            # The block's mask starts at the full mask that a batch of one
-            # is bound to, so that the kernels' shortcuts apply to it; the
-            # first batch binds the kernels.
-            whole = mask = _world_sets(block.size, block.count)[1][0]
+            # The mask starts at every frame of the block and keeps those
+            # on which q holds under every batch; the first batch binds the
+            # kernels.
+            whole = mask = block.full
             count, members = block.count, 0
             found: list[list[dict]] = [[] for _ in parts]
             for batch, values, absent in _tables(p, k, block, renamable, lacking):
@@ -1485,21 +1486,18 @@ def _valid_mask(
                         [_spread(x, count, members) for x in lacking],
                     )
                 env[:] = values
-                if translated_at is None:
-                    # Every segment of the spread mask lies within mask, so the fold does.
-                    care = _spread(mask, count, members)
-                    held = holds(care)
+                held = holds()
+                if held is not full:
                     if absent:
-                        held |= care & absent
-                    mask = _fold(held, count, members)
+                        held |= absent
+                    mask &= _fold(held, count, members)
+                if translated_at is None:
                     if not mask:
                         break
                     continue
-                held, translated = holds(full), conjoined(translated_at(env))
+                translated = conjoined(translated_at(env))
                 if absent:
-                    held, translated = held | absent, translated | absent
-                if held is not full:
-                    mask &= _fold(held, count, members)
+                    translated |= absent
                 checked += sum(
                     part.count * w for *_, ws in batch for (_, part), w in zip(parts, ws)
                 )

@@ -156,16 +156,17 @@ def final_form(ineq: Inequality, eps: OrderType) -> int | None:
 
 
 def find_redex(f: Formula, sign: Sign):
-    """The leftmost-innermost distribution redex, searching every subtree."""
+    """The leftmost-innermost distribution redex, searching every subtree,
+    as (rule, justification, f with that redex rewritten); None if f has
+    none."""
     for k, (c, s) in enumerate(signed_children(f, sign)):
         found = find_redex(c, s)
         if found is not None:
-            path, rule, just, new = found
-            return (k, *path), rule, just, new
-    root = _root_redex(f, sign)
-    if root is not None:
-        return ((), *root)
-    return None
+            rule, just, new = found
+            kids = list(children(f))
+            kids[k] = new
+            return rule, just, with_children(f, kids)
+    return _root_redex(f, sign)
 
 
 def globally_true(model: KripkeModel, g: Assignment, f: Formula) -> bool:

@@ -185,7 +185,8 @@ def test_criterion_3_frame_soundness():
 def test_one_pass_matches_the_early_exit_path():
     # verify_correspondence takes each output's valid mask from its
     # translation check, which decides every placement on every frame; the
-    # validity check narrows and stops early.  Both give the same masks.
+    # validity check stops a block once its mask is empty.  Both give the
+    # same masks.
     four = EnumerationLimits(max_worlds=4)
     runs = [
         (parse_input(entry.input_text), result.quasis, LIMITS)

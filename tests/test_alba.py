@@ -24,7 +24,6 @@ from hybridcorr.alba import (
     preprocess,
     reduce_substage1,
     replay,
-    _rewrite_at,
     _root_redex,
     run,
     simplify_formula,
@@ -91,11 +90,6 @@ def make_system(*texts, conclusion="'i0 <= ~'i1"):
 
 
 class TestPreprocess:
-    def test_rewrite_at_a_path(self):
-        assert _rewrite_at(parse("p -> <>q"), (1, 0), parse("r")) == parse("p -> <>r")
-        with pytest.raises(EngineInvariantError):
-            _rewrite_at(parse("<>p"), (0, 0), parse("T"))
-
     def test_figure_unchanged(self):
         eps = find_order_type(FIGURE)
         assert preprocess(FIGURE, eps) == [FIGURE]

@@ -204,6 +204,11 @@ class TestOrderTypeParsing:
         assert eps[P1] is Pol.ONE and eps[P2] is Pol.PARTIAL
         with pytest.raises(ValueError, match="positional order type needs the variable list"):
             parse_order_type("1")
+        with pytest.raises(ValueError, match="order-type hint '1,,d' has an empty entry"):
+            parse_order_type("1,,d", [P1, P2])
+        # A hint empty as a whole is counted, as any other.
+        with pytest.raises(ValueError, match="order type has 0 entries for 2 variables"):
+            parse_order_type("", [P1, P2])
 
     def test_named_must_cover_the_variables(self):
         # and name no other: the report would show a variable the input lacks

@@ -405,6 +405,8 @@ class TestHostileInput:
                 ("p=1,p=d", "p twice"),
                 ("1,d", "order type has 2 entries for 1 variables"),
                 ("p=2", "order-type value must be 1 or d, got '2'"),
+                ("1,", "empty entry"),
+                (",1", "empty entry"),
             ):
                 code, out, err = run_cli(capsys, command, "p -> p", "--eps", eps)
                 self.one_line_error(code, out, err)

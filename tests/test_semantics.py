@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,6 +20,7 @@ from hybridcorr.semantics import (
     KripkeModel,
     UnboundSymbolError,
     enumerate_frames,
+    equivalence_check,
     eval_at,
     frame_at,
     frame_at_index,
@@ -74,7 +76,7 @@ from hybridcorr.translate import tr_quasi, verify_correspondence
 
 from models import parse_model, random_model
 from oracles import globally_true, holds_inequality, holds_quasi, rebuilt, reference_bodies
-from strategies import formulas, models_for, quasis, shared_formulas
+from strategies import formulas, models_for, quasis, shared_formulas, translatable_quasis
 
 P = prop("p")
 X = svar("x")
@@ -1262,6 +1264,20 @@ class TestFrameValidQuasi:
             frame_valid_quasi_set(EnumerationLimits(6), [])
         with pytest.raises(ValueError, match="below 1"):
             frame_valid_quasi_set(EnumerationLimits(0), [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(translatable_quasis(), st.sampled_from([2, 3]), st.sampled_from([None, 0]))
+    def test_one_mask_with_and_without_a_translation(self, q, cap, batch_bits):
+        # Alone, a block stops once q has failed on all its frames; the
+        # translation check decides every batch and compares.  Both give
+        # q's mask, whether the translation is right or wrong, in one batch
+        # of every member or (_BATCH_BITS 0) in one batch per member.
+        limits = EnumerationLimits(cap)
+        bits = semantics._BATCH_BITS if batch_bits is None else batch_bits
+        with mock.patch.object(semantics, "_BATCH_BITS", bits):
+            valid = frame_valid_quasi(limits, q)
+            for f in (tr_quasi(q), Dia(tr_quasi(q))):
+                assert equivalence_check(q, f, limits)[0] == valid, (str(q), str(f))
 
     def test_purity_required(self):
         # frame_valid_quasi decides any quasi-inequality; the outputs that
